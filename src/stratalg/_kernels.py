@@ -1,40 +1,36 @@
 """Bulk F_p kernels for the enumeration-heavy paths.
 
-Everything here works on plain int64 numpy arrays with residues in [0, p).
-The hot loops have two implementations: a numba-compiled one and a pure
-numpy one. Set STRATALG_NO_NUMBA=1 to force the numpy path; callers go
-through the dispatching wrappers at the bottom.
+Everything here works on numpy arrays of residues in [0, p), one numpy
+path per kernel.
 
-Intermediate products stay below 2**63 because enumeration is capped at
-p**n <= 2**24 and all operands are reduced mod p between contractions.
+bulk_multiply sums n**2 products of two residues, so int64 holds every
+intermediate only while n**2 * p**2 < 2**63. Above that bound it runs the
+same expression on exact Python ints (dtype=object) instead of wrapping.
+commute_rows runs on enumerable spaces only (p**n <= 2**24), where every
+intermediate stays below n * p**2 <= 2**48.
 """
-
-import os
 
 import numpy as np
 
-NUMBA_DISABLED = bool(os.environ.get("STRATALG_NO_NUMBA"))
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by STRATALG_NO_NUMBA")
-    from numba import njit, prange
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-    prange = range
+# perfbench/worker.py records this flag in every run.
+HAS_NUMBA = False
 
 
-def bulk_multiply_numpy(T, La, Lb, A, B, p):
+def inverse_table(p):
+    inv = np.zeros(p, dtype=np.int64)
+    for x in range(1, p):
+        inv[x] = pow(x, -1, p)
+    return inv
+
+
+def bulk_multiply(T, La, Lb, A, B, p):
     """Row-paired products: out[m] = A[m] * B[m] under the operation
     (T, La, Lb). Shapes: T (n,n,n) indexed [i,j,k]; La, Lb (n,n) indexed
     [i,k]; A, B (N,n). Returns (N,n) residues."""
+    n = T.shape[0]
+    if n * n * p * p >= 1 << 63:
+        T, La, Lb, A, B = (np.asarray(x, dtype=object)
+                           for x in (T, La, Lb, A, B))
     AB = (A[:, :, None] * B[:, None, :]) % p
     out = np.einsum("ijk,nij->nk", T, AB) % p
     if La.any():
@@ -44,93 +40,46 @@ def bulk_multiply_numpy(T, La, Lb, A, B, p):
     return out % p
 
 
-@njit(cache=True)
-def _bulk_multiply_nb(T, La, Lb, A, B, p):
-    N, n = A.shape
-    out = np.zeros((N, n), dtype=np.int64)
-    for m in range(N):
-        for k in range(n):
-            acc = 0
-            for i in range(n):
-                ai = A[m, i]
-                if ai == 0:
-                    continue
-                for j in range(n):
-                    t = T[i, j, k]
-                    if t != 0:
-                        acc += t * ((ai * B[m, j]) % p)
-            for i in range(n):
-                acc += La[i, k] * A[m, i]
-            for j in range(n):
-                acc += Lb[j, k] * B[m, j]
-            out[m, k] = acc % p
-    return out
-
-
-def commute_rows_numpy(T, La, Lb, V, p, chunk=512):
-    """Packed commutation table: bit j of row i is 1 iff V[i] and V[j]
-    commute. Returns (N, ceil(N/8)) uint8."""
-    N, n = V.shape
-    M = np.stack([(T[:, :, k] - T[:, :, k].T) % p for k in range(n)])
-    D = (La - Lb) % p
-    dv = (V @ D) % p  # (N, n); delta contribution per vector
-    packed = np.empty((N, (N + 7) // 8), dtype=np.uint8)
-    for start in range(0, N, chunk):
-        stop = min(start + chunk, N)
-        Vc = V[start:stop]
-        ok = np.ones((stop - start, N), dtype=bool)
-        for k in range(n):
-            G = ((Vc @ M[k]) % p) @ V.T
-            G = (G + dv[start:stop, k:k + 1] - dv[None, :, k]) % p
-            ok &= G == 0
-        packed[start:stop] = np.packbits(ok, axis=1)
-    return packed
-
-
-@njit(parallel=True, cache=True)
-def _commute_rows_nb(M, dv, V, p):
-    N, n = V.shape
-    width = (N + 7) // 8
-    packed = np.zeros((N, width), dtype=np.uint8)
-    VM = np.zeros((n, N, n), dtype=np.int64)
-    for k in range(n):
-        for i in range(N):
-            for j in range(n):
-                acc = 0
-                for t in range(n):
-                    acc += V[i, t] * M[k, t, j]
-                VM[k, i, j] = acc % p
-    for i in prange(N):
-        row = np.zeros(width, dtype=np.uint8)
-        for j in range(N):
-            commutes = True
-            for k in range(n):
-                acc = dv[i, k] - dv[j, k]
-                for t in range(n):
-                    acc += VM[k, i, t] * V[j, t]
-                if acc % p != 0:
-                    commutes = False
-                    break
-            if commutes:
-                row[j >> 3] |= np.uint8(128 >> (j & 7))
-        packed[i] = row
-    return packed
-
-
-def commute_rows_numba(T, La, Lb, V, p):
-    n = V.shape[1]
-    M = np.stack([(T[:, :, k] - T[:, :, k].T) % p for k in range(n)])
-    dv = (V @ ((La - Lb) % p)) % p
-    return _commute_rows_nb(M, dv, V, p)
-
-
-def bulk_multiply(T, La, Lb, A, B, p):
-    if HAS_NUMBA and len(A) > 2048:
-        return _bulk_multiply_nb(T, La, Lb, A, B, p)
-    return bulk_multiply_numpy(T, La, Lb, A, B, p)
-
-
 def commute_rows(T, La, Lb, V, p):
-    if HAS_NUMBA:
-        return commute_rows_numba(T, La, Lb, V, p)
-    return commute_rows_numpy(T, La, Lb, V, p)
+    """One commutant key row per vector: rows i and j are equal iff V[i]
+    and V[j] commute with the same vectors, and a row is all zero iff V[i]
+    commutes with all of K^n.
+
+    For fixed v, w -> v*w - w*v is affine in w: w @ D_v + c_v with
+    D_v[j,k] = sum_i v_i (T[i,j,k] - T[j,i,k]) + Lb[j,k] - La[j,k] and
+    c_v = v @ (La - Lb). w = v solves D_v^T w = -c_v, so the system is
+    consistent and the reduced row echelon form of its augmented matrix
+    identifies the solution set exactly. Returns (N, n*(n+1)) int64.
+    """
+    N, n = V.shape
+    S = (T - T.transpose(1, 0, 2)) % p
+    D = (np.einsum("ni,ijk->njk", V, S) + (Lb - La)) % p
+    c = (V @ ((La - Lb) % p)) % p
+    M = np.concatenate([D.transpose(0, 2, 1), (-c % p)[:, :, None]], axis=2)
+    return _rref(M, p).reshape(N, n * (n + 1))
+
+
+def _rref(M, p):
+    """Reduced row echelon form of every matrix in the stack M (K, r, c),
+    in place, all matrices eliminated together column by column."""
+    K, rows, cols = M.shape
+    inv = inverse_table(p)
+    below = np.arange(rows)
+    top = np.zeros(K, dtype=np.int64)  # next pivot row of each matrix
+    for col in range(cols):
+        cand = (M[:, :, col] != 0) & (below >= top[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        ks = np.nonzero(has)[0]
+        at = cand[ks].argmax(axis=1)
+        to = top[ks]
+        pivot = M[ks, at]
+        M[ks, at] = M[ks, to]
+        pivot = pivot * inv[pivot[:, col]][:, None] % p
+        factor = M[ks, :, col]
+        factor[np.arange(len(ks)), to] = 0
+        M[ks] = (M[ks] - factor[:, :, None] * pivot[:, None, :]) % p
+        M[ks, to] = pivot
+        top[ks] += 1
+    return M

@@ -13,12 +13,13 @@ associator analysis.
 """
 
 import itertools
+import math
 import random
 from collections import namedtuple
 from fractions import Fraction
 
 from .poly import Polynomial
-from .field import QQ, format_scalar
+from .field import QQ, _vec_json
 from .algebra import (
     BUILTIN_NAMES,
     PARAM_LETTERS,
@@ -170,10 +171,6 @@ def label_str(model, v):
     if is_zero_vector(v):
         return "zero"
     return str(ratio_stratum_of(v, model.strata_rule, model.field))
-
-
-def _vec_json(v):
-    return [format_scalar(x) for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +497,7 @@ def check_sa3(model, strata=None, plan=None):
                     "clause": f"chain_orderings_m{m}",
                     "vectors": [_vec_json(base)] + [_vec_json(v)
                                                     for v in mults]})
-        per_m[str(m)] = {"orderings": _factorial(m), "trials": trials,
+        per_m[str(m)] = {"orderings": math.factorial(m), "trials": trials,
                          "agreed": agreed}
     clauses["chain_orderings"] = per_m
     all_ok = clauses["lps_pointwise"]["ok"] and chain_ok and sym_ok is not False
@@ -512,13 +509,6 @@ def check_sa3(model, strata=None, plan=None):
         verdict = SAMPLES
     return {"axiom": "SA3", "verdict": verdict, "clauses": clauses,
             "witnesses": witnesses}
-
-
-def _factorial(m):
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,8 @@ def cmd_kex(args):
         recovery_summary = {
             "tried": recovery["tried"],
             "hits": len(recovery["hits"]),
-            "recovered_true_key": any(
+            # a session that did not agree has no shared key to recover
+            "recovered_true_key": transcript.agreed and any(
                 h["in_stratum"] and h["key"] == tuple(transcript.s12)
                 for h in recovery["hits"]),
         }

@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from .algebra import is_zero_vector, multiply
-from .field import format_scalar
+from .field import _vec_json
 from .strata import SPACE_CAP, _as_operation, space_matrix, to_dense_arrays
 from ._kernels import bulk_multiply
 
@@ -50,10 +50,6 @@ def _labeler(partition):
         return UNLABELED if got is None else str(got)
 
     return label
-
-
-def _vec_json(v):
-    return [format_scalar(x) for x in v]
 
 
 def _require_nonzero(v, what):

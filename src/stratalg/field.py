@@ -234,3 +234,7 @@ def format_scalar(x):
     if isinstance(x, FieldElement):
         x = x.value
     return str(x)
+
+
+def _vec_json(v):
+    return [format_scalar(x) for x in v]

@@ -15,16 +15,12 @@ import numpy as np
 
 from .algebra import is_zero_vector, left_chain, model_to_json, multiply
 from .axioms import label_str
-from .field import format_scalar
+from .field import _vec_json
 from .strata import space_matrix, to_dense_arrays
 from ._kernels import bulk_multiply
 
 # Exhaustive recovery is capped at this many candidate chains.
 BRUTE_FORCE_CAP = 10 ** 6
-
-
-def _vec_json(v):
-    return [format_scalar(x) for x in v]
 
 
 # ---------------------------------------------------------------------------

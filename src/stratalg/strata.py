@@ -5,7 +5,6 @@ Vectors inside this module are tuples of canonical residues (plain ints)
 when a prime field is in play; the numpy kernels chew those in bulk.
 """
 
-import hashlib
 import itertools
 from collections import namedtuple
 from fractions import Fraction
@@ -13,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
+from ._kernels import inverse_table
 from .field import Field, FieldElement
 # the rule constants are re-exported here, not moved: algebra's built-in
 # models use them and this module imports algebra, so moving them is a cycle
@@ -192,13 +192,6 @@ def _residue(c, p):
     return int(v) % p
 
 
-def inverse_table(p):
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, -1, p)
-    return inv
-
-
 def label_indices(V, p, rule):
     """Numeric stratum label per row of V. Single ratio: index in [0, p],
     p meaning infinity. Ratio pair: first*(p+1) + second with the same
@@ -247,18 +240,13 @@ class StratumPartition:
         self.strata = strata  # list of (label str, list of int tuples)
         self.exceptional = exceptional
         self.provenance = provenance
-        self._index = {}
+        self._index = dict.fromkeys(exceptional, "exceptional")
         for label, members in strata:
             for m in members:
                 self._index[m] = label
 
     def label_of(self, v):
-        v = tuple(int(_as_value(x)) % self.p for x in v)
-        if v in self._index:
-            return self._index[v]
-        if v in set(self.exceptional):
-            return "exceptional"
-        return None
+        return self._index.get(tuple(int(_as_value(x)) % self.p for x in v))
 
     def sizes(self):
         return {label: len(members) for label, members in self.strata}
@@ -309,36 +297,28 @@ def discover_strata(op, p):
     """Cluster nonzero vectors by commutant equality.
 
     commutant(v) = {w != 0 : v*w = w*v}; equal commutants share a stratum.
-    Central vectors (commutant is the whole space) go to the exceptional
-    ledger unless everything is central. Rows are fingerprinted, then
-    verified exactly inside each fingerprint bucket.
+    Each commutant is keyed exactly by the reduced row echelon form of the
+    affine system it solves (see _kernels.commute_rows). Central vectors
+    (zero key: the commutant is the whole space) go to the exceptional
+    ledger unless everything is central.
+
+    Equal keys mean equal commutants for every p, the zero vector included:
+    two affine solution sets that differ only in 0 would have p**a and
+    p**b + 1 points, which forces p = 2 and the sets {u} and {0, u}, both
+    owned by the one vector u. The zero key differs from "commutes with
+    every nonzero w" only on F_2^1, whose single vector forms one stratum
+    under either rule.
     """
     op = _as_operation(op)
     n = op.n
     T, La, Lb = to_dense_arrays(op, p)
     V = space_matrix(p, n)
-    N = len(V)
-    rows = _kernels.commute_rows(T, La, Lb, V, p)
-    buckets = {}
-    for i in range(N):
-        fp = hashlib.blake2b(rows[i].tobytes(), digest_size=16).digest()
-        buckets.setdefault(fp, []).append(i)
-    groups = []
-    for fp in buckets:
-        idxs = buckets[fp]
-        # exact verification inside the bucket; collisions split here
-        by_bytes = {}
-        for i in idxs:
-            by_bytes.setdefault(rows[i].tobytes(), []).append(i)
-        groups.extend(by_bytes.values())
-    all_ones = np.packbits(np.ones(N, dtype=bool)).tobytes()
-    central_group = None
-    strata_groups = []
-    for g in groups:
-        if rows[g[0]].tobytes() == all_ones:
-            central_group = g
-        else:
-            strata_groups.append(g)
+    keys = _kernels.commute_rows(T, La, Lb, V, p)
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key.tobytes(), []).append(i)
+    central_group = groups.pop(bytes(keys[0].nbytes), None)
+    strata_groups = list(groups.values())
     members = lambda g: sorted(tuple(int(x) for x in V[i]) for i in g)
     if central_group is not None and not strata_groups:
         strata_groups = [central_group]

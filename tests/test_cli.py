@@ -215,6 +215,19 @@ def test_kex_text_and_exit_code(capsys):
                    "recovered true key: True\n")
 
 
+def test_kex_recover_on_a_failed_session(capsys):
+    # seed 17 hits a zero product while announcing: there is no shared key
+    rc, out, _ = run(capsys, ["kex", "--builtin", "parametric3",
+                              "--params", "2,3,1,4,1,2", "--field", "fp:5",
+                              "--seed", "17", "--lengths", "2,2",
+                              "--recover", "--json"])
+    assert rc == 1
+    obj = json.loads(out)
+    assert obj["agreed"] is False
+    assert obj["failure"] == "zero product while announcing"
+    assert obj["recovery"]["recovered_true_key"] is False
+
+
 def test_kex_json(capsys):
     argv = ["kex", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
             "--field", "fp:19", "--seed", "4", "--json"]

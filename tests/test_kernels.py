@@ -1,13 +1,13 @@
-"""Bulk kernels: numba and numpy paths must agree exactly."""
+"""Bulk F_p kernels against the scalar definitions, and frozen discovery
+output."""
 
-import os
-import subprocess
-import sys
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from stratalg import Field, builtin_model, multiply, vector
+from stratalg import Field, builtin_model, discover_strata, multiply, vector
 from stratalg import _kernels
 from stratalg.strata import space_matrix, to_dense_arrays
 
@@ -31,58 +31,101 @@ def test_bulk_multiply_matches_scalar_multiply(name, params, p, n):
     model = builtin_model(name, params=params, field=Field(p))
     T, La, Lb = to_dense_arrays(model.operation, p)
     rng = np.random.default_rng(0)
-    A = rng.integers(0, p, size=(200, n))
-    B = rng.integers(0, p, size=(200, n))
+    A = rng.integers(0, p, size=(3000, n))
+    B = rng.integers(0, p, size=(3000, n))
     want = bulk_reference(model, A, B)
-    got_np = _kernels.bulk_multiply_numpy(T, La, Lb, A, B, p)
-    assert np.array_equal(got_np, want)
-    if _kernels.HAS_NUMBA:
-        got_nb = _kernels._bulk_multiply_nb(T, La, Lb, A, B, p)
-        assert np.array_equal(got_nb, want)
+    assert np.array_equal(_kernels.bulk_multiply(T, La, Lb, A, B, p), want)
 
 
-def test_bulk_multiply_dispatch_thresholds(f7):
-    model = builtin_model("parametric3", params=(2, 3, 5, 1, 4, 6), field=f7)
-    T, La, Lb = to_dense_arrays(model.operation, 7)
-    rng = np.random.default_rng(1)
-    A = rng.integers(0, 7, size=(3000, 3))
-    B = rng.integers(0, 7, size=(3000, 3))
-    got = _kernels.bulk_multiply(T, La, Lb, A, B, 7)
-    assert np.array_equal(got, _kernels.bulk_multiply_numpy(T, La, Lb, A, B, 7))
+# n = 3 switches to exact Python ints at n**2 * p**2 >= 2**63, that is from
+# p = 1012333500 on; 34359738337 (about 2**35) wrapped every row in int64
+@pytest.mark.parametrize("p", [1012333499, 1012333519, 34359738337])
+def test_bulk_multiply_is_exact_past_the_int64_bound(p):
+    rng = np.random.default_rng(p)
+    params = tuple(int(x) for x in rng.integers(0, p, size=6))
+    model = builtin_model("nonlinear3", params=params, field=Field(p))
+    T, La, Lb = to_dense_arrays(model.operation, p)
+    A = rng.integers(0, p, size=(50, 3))
+    B = rng.integers(0, p, size=(50, 3))
+    want = bulk_reference(model, A, B)
+    assert np.array_equal(_kernels.bulk_multiply(T, La, Lb, A, B, p), want)
 
 
-def test_commute_rows_paths_agree(f7):
-    model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6), field=f7)
-    T, La, Lb = to_dense_arrays(model.operation, 7)
-    V = space_matrix(7, 3)
-    got_np = _kernels.commute_rows_numpy(T, La, Lb, V, 7)
-    # spot-check packed bits against the definition a*b == b*a
-    AB = _kernels.bulk_multiply_numpy(T, La, Lb, V[:1].repeat(len(V), 0), V, 7)
-    BA = _kernels.bulk_multiply_numpy(T, La, Lb, V, V[:1].repeat(len(V), 0), 7)
-    commute0 = (AB == BA).all(axis=1)
-    assert np.array_equal(np.unpackbits(got_np[0])[:len(V)].astype(bool),
-                          commute0)
-    if _kernels.HAS_NUMBA:
-        got_nb = _kernels.commute_rows_numba(T, La, Lb, V, 7)
-        assert np.array_equal(got_np, got_nb)
+def random_operation(rng, p, n, central):
+    """Dense (T, La, Lb) whose commutator parts T - T^t and La - Lb are
+    sparse, so that commutants come in classes of several sizes. With
+    central set, e_0 commutes with everything."""
+    sparse = lambda shape: (rng.integers(0, p, size=shape)
+                            * (rng.random(shape) < 0.3))
+    X = rng.integers(0, p, size=(n, n, n))
+    Y = sparse((n, n, n))
+    dL = sparse((n, n))
+    if central:
+        Y[0] = Y[:, 0] = dL[:] = 0
+    T = (X + X.transpose(1, 0, 2) + Y) % p
+    La = rng.integers(0, p, size=(n, n))
+    return T, La, (La + dL) % p
 
 
-def test_numba_flag_forces_the_numpy_path(tmp_path):
-    code = (
-        "import stratalg._kernels as k\n"
-        "from stratalg import Field, builtin_model, discover_strata\n"
-        "assert not k.HAS_NUMBA\n"
-        "m = builtin_model('nonlinear3', params=(2, 3, 5, 1, 4, 6),"
-        " field=Field(7))\n"
-        "part = discover_strata(m, 7)\n"
-        "print(sorted(part.sizes().values()), len(part.exceptional))\n"
-    )
-    env = dict(os.environ, STRATALG_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
-                          field=Field(7))
-    from stratalg import discover_strata
-    part = discover_strata(model, 7)
-    want = f"{sorted(part.sizes().values())} {len(part.exceptional)}"
-    assert out.stdout.strip() == want
+def commutation_table(T, La, Lb, V, W, p, chunk=128):
+    """Brute force: entry [i, j] says V[i] * W[j] == W[j] * V[i]."""
+    table = np.empty((len(V), len(W)), dtype=bool)
+    for start in range(0, len(V), chunk):
+        Vc = V[start:start + chunk]
+        A = np.repeat(Vc, len(W), axis=0)
+        B = np.tile(W, (len(Vc), 1))
+        AB = _kernels.bulk_multiply(T, La, Lb, A, B, p)
+        BA = _kernels.bulk_multiply(T, La, Lb, B, A, p)
+        table[start:start + chunk] = (AB == BA).all(axis=1).reshape(
+            len(Vc), len(W))
+    return table
+
+
+def test_commute_rows_paths_agree():
+    """Commutant keys against a brute-force commutation table over all of
+    K^n, on seeded random operations with linear parts."""
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3, 4):
+            rng = np.random.default_rng(10 * p + n)
+            V = space_matrix(p, n)
+            W = np.vstack([np.zeros((1, n), dtype=np.int64), V])
+            for central in (False, True):
+                if p ** n > 1000 and not central:
+                    continue  # 7**4 alone: its table has 5.8M pairs
+                T, La, Lb = random_operation(rng, p, n, central)
+                keys = _kernels.commute_rows(T, La, Lb, V, p)
+                table = commutation_table(T, La, Lb, V, W, p)
+                _, key_class = np.unique(keys, axis=0, return_inverse=True)
+                _, row_class = np.unique(table, axis=0, return_inverse=True)
+                # equal keys iff equal rows: the class maps are one-to-one
+                pairs = set(zip(key_class.ravel(), row_class.ravel()))
+                assert len(pairs) == len(set(key_class.ravel()))
+                assert len(pairs) == len(set(row_class.ravel()))
+                assert np.array_equal(~keys.any(axis=1), table.all(axis=1))
+
+
+# SHA-256 of discover_strata(...).to_json(full=True), frozen from the
+# commutation-bitset implementation that the commutant keys replaced
+GOLDEN_DISCOVERY = [
+    ("nonlinear3", (2, 3, 1, 4, 1, 2), 5,
+     "a9a5c34dfae295e0e488d2e5fcbd9ffd8787ced7981800ed12e01e9ae72e4dc1"),
+    ("nonlinear3", (2, 3, 5, 1, 4, 6), 2,
+     "7c992c6cfad19272275640d330e4bd87a3f0dcbb11775c4022de54eadef7a57c"),
+    ("nonlinear3", (2, 3, 5, 1, 4, 6), 7,
+     "4862eb3ff3b3b764baab3f1f23fa05f0151a5d5c183a13426449271de09e3b6e"),
+    ("nonlinear3", (2, 3, 5, 1, 4, 6), 19,
+     "c3ed2a885ab2074a81114d2cf8651295667b3deb7402d9ad95df4fa9a006b2e7"),
+    ("parametric4", (2, 3, 5, 7, 11, 13), 5,
+     "6357daa2e0714c1c22e8587c7f36bed5c46476079c1e73c313163e3c241a0cfc"),
+    ("basic3", None, 3,
+     "87cd9ed2f408c5753f4e69203c5cd211c3ea2cb42b12848b67c7cae4c7a2503f"),
+]
+
+
+@pytest.mark.parametrize("name,params,p,digest", GOLDEN_DISCOVERY,
+                         ids=[f"{g[0]}-{g[2]}" for g in GOLDEN_DISCOVERY])
+def test_discovery_matches_golden_digest(name, params, p, digest):
+    model = builtin_model(name, params=params, field=Field(p))
+    report = discover_strata(model, p).to_json(full=True)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
