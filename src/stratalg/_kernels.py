@@ -23,6 +23,16 @@ def inverse_table(p):
     return inv
 
 
+def lex_indices(V, p):
+    """Position of each row of V (N, n) in the lexicographic order of K^n,
+    sum_c V[:, c] * p**(n-1-c). Exact Python ints (dtype=object) once
+    p**n >= 2**63, where int64 would wrap."""
+    n = np.shape(V)[1]
+    dtype = object if p ** n >= 1 << 63 else np.int64
+    powers = np.array([p ** e for e in range(n - 1, -1, -1)], dtype=dtype)
+    return np.asarray(V, dtype=dtype) @ powers
+
+
 def bulk_multiply(T, La, Lb, A, B, p):
     """Row-paired products: out[m] = A[m] * B[m] under the operation
     (T, La, Lb). Shapes: T (n,n,n) indexed [i,j,k]; La, Lb (n,n) indexed

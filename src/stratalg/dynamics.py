@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import is_zero_vector, multiply
 from .field import _vec_json
 from .strata import SPACE_CAP, _as_operation, space_matrix, to_dense_arrays
-from ._kernels import bulk_multiply
+from ._kernels import bulk_multiply, lex_indices
 
 ZERO_LABEL = "zero"
 UNLABELED = "unlabeled"
@@ -285,14 +285,6 @@ class TransitionGraph:
         return "\n".join(lines)
 
 
-def _lex_indices(members, p, n):
-    powers = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    arr = np.asarray(list(members), dtype=np.int64)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return arr @ powers
-
-
 def _dense_label_codes(partition):
     """codes[lex index of v] = label id, -1 where unlabeled (zero).
     Returns (codes, labels)."""
@@ -305,7 +297,7 @@ def _dense_label_codes(partition):
     if partition.exceptional:
         groups.append(("exceptional", partition.exceptional))
     for label, members in groups:
-        codes[_lex_indices(members, p, n)] = len(labels)
+        codes[lex_indices(np.reshape(members, (-1, n)), p)] = len(labels)
         labels.append(label)
     return codes, labels
 
@@ -321,7 +313,6 @@ def transition_graph(op, partition, plan):
     codes, labels = _dense_label_codes(partition)
     T, La, Lb = to_dense_arrays(op, p)
     V = space_matrix(p, n)
-    powers = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     nlab = len(labels)
     vcodes = codes[1:]  # V row r holds the vector with lex index r + 1
@@ -332,7 +323,7 @@ def transition_graph(op, partition, plan):
     def pair_counts(A, B, ca, cq):
         """(edge tally, zero-product count) for row-paired products."""
         prod = bulk_multiply(T, La, Lb, A, B, p)
-        cp = codes[prod @ powers]
+        cp = codes[lex_indices(prod, p)]
         keep = cp >= 0
         key = (ca[keep] * nlab + cq[keep]) * nlab + cp[keep]
         return (np.bincount(key, minlength=nlab ** 3),
@@ -341,7 +332,9 @@ def transition_graph(op, partition, plan):
     if space <= EXHAUSTIVE_SPACE:
         mode = "exhaustive"
         pairs = nonzero ** 2
-        block = max(1, (1 << 21) // nonzero)
+        # at most 2**16 pairs per bulk_multiply call: its (rows, n, n)
+        # product tensor and einsum temporaries set the peak memory
+        block = max(1, (1 << 16) // nonzero)
         for lo in range(0, nonzero, block):
             hi = min(nonzero, lo + block)
             counts, zeros = pair_counts(

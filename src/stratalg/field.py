@@ -22,19 +22,32 @@ def xgcd(x, y):
     return old_r, old_s, old_t
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n):
-    """Trial division, good enough below 2**61 for the sizes we accept."""
+    """Deterministic Miller-Rabin with the prime bases 2..37: exact for
+    every n < 3.18 * 10**23 (Sorenson & Webster, 2015), far above
+    MAX_PRIME; beyond that a strong probable-prime test."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

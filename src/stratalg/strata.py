@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import inverse_table
-from .field import Field, FieldElement
+from .field import FieldElement
 # the rule constants are re-exported here, not moved: algebra's built-in
 # models use them and this module imports algebra, so moving them is a cycle
 from .algebra import multiply, is_zero_vector, RATIO_RULE_3D, RATIO_RULE_4D
@@ -361,136 +361,101 @@ def verify_closure(op, members, field, constraint=None, rng=None,
     closed means no product lands strictly outside: products inside the set
     count as inside; products satisfying the constraint without being
     members (boundary) and exact zeros are tallied separately and do not
-    break closure.
+    break closure. Witnesses are tuples of values (residues or Fractions),
+    keyed in the order commutative, closed, associative.
     """
     members = [tuple(int(_as_value(x)) % field.p if field.is_prime_field
                      else _as_value(x) for x in v) for v in members]
     if not members:
         raise ValueError("empty member set")
-    m = len(members)
-    pair_mode = "exhaustive" if m * m <= 10 ** 6 else "randomized"
-    triple_mode = "exhaustive" if m ** 3 <= 10 ** 7 else "randomized"
-    if field.is_prime_field:
-        return _verify_closure_fp(op, members, field.p, constraint, rng,
-                                  pair_mode, triple_mode, triple_samples)
-    return _verify_closure_generic(op, members, field, constraint, rng,
-                                   pair_mode, triple_mode, triple_samples)
-
-
-def _verify_closure_fp(op, members, p, constraint, rng, pair_mode,
-                       triple_mode, triple_samples):
-    T, La, Lb = to_dense_arrays(op, p)
-    M = np.array(members, dtype=np.int64)
-    m = len(members)
-    member_set = set(members)
-    if pair_mode == "exhaustive":
-        ia, ib = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        ia = ia.ravel()
-        ib = ib.ravel()
+    M, product, is_member = _closure_arithmetic(op, members, field)
+    m, n = M.shape
+    if m * m <= 10 ** 6:
+        pair_mode = "exhaustive"
+        ia, ib = np.divmod(np.arange(m * m), m)
+        AB = product(M[ia], M[ib])
+        BA = AB.reshape(m, m, n).transpose(1, 0, 2).reshape(m * m, n)
     else:
+        pair_mode = "randomized"
         ia = np.array([rng.randrange(m) for _ in range(10 ** 5)])
         ib = np.array([rng.randrange(m) for _ in range(10 ** 5)])
-    A = M[ia]
-    B = M[ib]
-    AB = _kernels.bulk_multiply(T, La, Lb, A, B, p)
-    BA = _kernels.bulk_multiply(T, La, Lb, B, A, p)
-    commutative = True
-    comm_witness = None
-    bad = np.nonzero((AB != BA).any(axis=1))[0]
-    if len(bad):
-        commutative = False
-        i = int(bad[0])
-        comm_witness = (members[ia[i]], members[ib[i]])
-    inside = boundary = zero = outside = 0
-    closed = True
-    close_witness = None
-    for row, prod in zip(range(len(AB)), AB):
-        t = tuple(int(x) for x in prod)
-        if t in member_set:
-            inside += 1
-        elif not any(t):
-            zero += 1
-        elif constraint is not None and constraint(t):
-            boundary += 1
-        else:
-            outside += 1
-            if close_witness is None:
-                closed = False
-                close_witness = (members[ia[row]], members[ib[row]], t)
-    associative = True
-    assoc_witness = None
-    if triple_mode == "exhaustive":
-        triples = itertools.product(range(m), repeat=3)
-        count = m ** 3
+        AB, BA = product(M[ia], M[ib]), product(M[ib], M[ia])
+    inside = is_member(AB)
+    zero = ~inside & ~(AB != 0).any(axis=1)
+    rest = np.flatnonzero(~(inside | zero))
+    outside = [r for r in rest if constraint is None
+               or not constraint(tuple(AB[r].tolist()))]
+    witnesses = {}
+    r = _first_mismatch(AB, BA)
+    if r is not None:
+        witnesses["commutative"] = (members[ia[r]], members[ib[r]])
+    if outside:
+        r = outside[0]
+        witnesses["closed"] = (members[ia[r]], members[ib[r]],
+                               tuple(AB[r].tolist()))
+    bad = None
+    if m ** 3 <= 10 ** 7:  # so m <= 215 and AB is the whole pair table
+        triple_mode, count = "exhaustive", m ** 3
+        C = np.tile(M, (m, 1))
+        for i in range(m):  # lexicographic (i, j, k), m**2 rows at a time
+            r = _first_mismatch(
+                product(AB[i * m:(i + 1) * m].repeat(m, axis=0), C),
+                product(np.broadcast_to(M[i], AB.shape), AB))
+            if r is not None:
+                bad = (i, *divmod(r, m))
+                break
     else:
-        triples = ((rng.randrange(m), rng.randrange(m), rng.randrange(m))
-                   for _ in range(triple_samples))
-        count = triple_samples
-    fobj = Field(p)
-    fm = [tuple(fobj.element(x) for x in v) for v in members]
-    for i, j, k in triples:
-        u = multiply(op, multiply(op, fm[i], fm[j]), fm[k])
-        v = multiply(op, fm[i], multiply(op, fm[j], fm[k]))
-        if u != v:
-            associative = False
-            assoc_witness = (members[i], members[j], members[k])
-            break
-    landings = Landings(inside, boundary, zero, outside)
-    witnesses = {k: v for k, v in (("commutative", comm_witness),
-                                   ("closed", close_witness),
-                                   ("associative", assoc_witness)) if v}
+        triple_mode, count = "randomized", triple_samples
+        # a triple-by-triple loop stops drawing at the first failure, and
+        # later checks share rng, so the stream is rewound to just after it
+        state = rng.getstate()
+        i, j, k = np.array([rng.randrange(m) for _ in range(3 * count)],
+                           dtype=np.int64).reshape(count, 3).T
+        f = _first_mismatch(product(product(M[i], M[j]), M[k]),
+                            product(M[i], product(M[j], M[k])))
+        if f is not None:
+            bad = i[f], j[f], k[f]
+            rng.setstate(state)
+            for _ in range(3 * (f + 1)):
+                rng.randrange(m)
+    if bad is not None:
+        witnesses["associative"] = tuple(members[x] for x in bad)
+    landings = Landings(int(inside.sum()), len(rest) - len(outside),
+                        int(zero.sum()), len(outside))
     counts = {"pairs": len(AB), "pair_mode": pair_mode,
               "triples": count, "triple_mode": triple_mode}
-    return ClosureReport(closed, commutative, associative, landings,
-                         witnesses, counts)
+    return ClosureReport("closed" not in witnesses,
+                         "commutative" not in witnesses,
+                         "associative" not in witnesses,
+                         landings, witnesses, counts)
 
 
-def _verify_closure_generic(op, members, field, constraint, rng, pair_mode,
-                            triple_mode, triple_samples):
-    fm = [tuple(field.element(x) for x in v) for v in members]
+def _closure_arithmetic(op, members, field):
+    """(member matrix, row-paired product, membership mask of product rows)
+    for verify_closure: the numpy kernel and lex indices over F_p, scalar
+    multiply and a tuple set over Q."""
+    if field.is_prime_field:
+        p = field.p
+        T, La, Lb = to_dense_arrays(op, p)
+        M = np.array(members, dtype=np.int64)
+        keys = _kernels.lex_indices(M, p)
+        return (M, lambda A, B: _kernels.bulk_multiply(T, La, Lb, A, B, p),
+                lambda P: np.isin(_kernels.lex_indices(P, p), keys))
     member_set = set(members)
-    inside = boundary = zero = outside = 0
-    closed = commutative = True
-    witnesses = {}
-    for a in fm:
-        for b in fm:
-            ab = multiply(op, a, b)
-            if multiply(op, b, a) != ab and "commutative" not in witnesses:
-                commutative = False
-                witnesses["commutative"] = (a, b)
-            t = tuple(x.value for x in ab)
-            if t in member_set:
-                inside += 1
-            elif is_zero_vector(ab):
-                zero += 1
-            elif constraint is not None and constraint(t):
-                boundary += 1
-            else:
-                outside += 1
-                if "closed" not in witnesses:
-                    closed = False
-                    witnesses["closed"] = (a, b, t)
-    associative = True
-    m = len(fm)
-    if triple_mode == "exhaustive":
-        triples = itertools.product(range(m), repeat=3)
-        count = m ** 3
-    else:
-        triples = ((rng.randrange(m), rng.randrange(m), rng.randrange(m))
-                   for _ in range(triple_samples))
-        count = triple_samples
-    for i, j, k in triples:
-        u = multiply(op, multiply(op, fm[i], fm[j]), fm[k])
-        v = multiply(op, fm[i], multiply(op, fm[j], fm[k]))
-        if u != v:
-            associative = False
-            witnesses["associative"] = (members[i], members[j], members[k])
-            break
-    counts = {"pairs": m * m, "pair_mode": pair_mode,
-              "triples": count, "triple_mode": triple_mode}
-    return ClosureReport(closed, commutative, associative,
-                         Landings(inside, boundary, zero, outside),
-                         witnesses, counts)
+
+    def product(A, B):
+        rows = [[_as_value(x) for x in multiply(op, a, b)]
+                for a, b in zip(A.tolist(), B.tolist())]
+        return np.array(rows, dtype=object).reshape(-1, op.n)
+
+    return (np.array(members, dtype=object), product,
+            lambda P: np.array([tuple(r) in member_set for r in P.tolist()],
+                               dtype=bool))
+
+
+def _first_mismatch(X, Y):
+    bad = np.flatnonzero((X != Y).any(axis=1))
+    return int(bad[0]) if len(bad) else None
 
 
 def constraint_for_label(rule, label, p):

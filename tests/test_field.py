@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals and prime fields."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,25 @@ def test_is_prime_small():
                       47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103,
                       107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163,
                       167, 173, 179, 181, 191, 193, 197, 199}
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if trial_division(n)]
+    # a Carmichael number and strong pseudoprimes to the bases 2; 2, 3, 5, 7;
+    # and 2 through 11
+    for n in (561, 2047, 3215031751, 3474749660383):
+        assert not is_prime(n)
+
+
+def test_field_accepts_a_61_bit_prime_quickly():
+    start = time.perf_counter()
+    assert Field(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1
 
 
 def test_field_construction_validation():

@@ -51,6 +51,19 @@ def test_bulk_multiply_is_exact_past_the_int64_bound(p):
     assert np.array_equal(_kernels.bulk_multiply(T, La, Lb, A, B, p), want)
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (7, 4), (2147483659, 3)])
+def test_lex_indices_count_in_lexicographic_order(p, n):
+    """Python-int reference; p = 2147483659 and n = 3 pass 2**63."""
+    rng = np.random.default_rng(p + n)
+    V = rng.integers(0, p, size=(50, n))
+    want = [sum(int(x) * p ** (n - 1 - c) for c, x in enumerate(row))
+            for row in V]
+    assert list(_kernels.lex_indices(V, p)) == want
+    if p ** n <= 10 ** 4:
+        assert np.array_equal(_kernels.lex_indices(space_matrix(p, n), p),
+                              np.arange(1, p ** n))
+
+
 def random_operation(rng, p, n, central):
     """Dense (T, La, Lb) whose commutator parts T - T^t and La - Lb are
     sparse, so that commutants come in classes of several sizes. With

@@ -1,5 +1,6 @@
 """Stratum labels, enumeration, discovery, closure, stability."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from stratalg import (
+    AffineOperation,
     BracketTree,
     Field,
+    StructureTensor,
     builtin_model,
     discover_strata,
     enumerate_space,
@@ -26,6 +29,8 @@ from stratalg import algebra, strata
 from stratalg.algebra import RATIO_RULE_3D, RATIO_RULE_4D
 from stratalg.strata import (
     INFINITY,
+    ClosureReport,
+    Landings,
     RatioPair,
     RatioPoint,
     constraint_for_label,
@@ -210,6 +215,172 @@ def test_verify_closure_reports_witnesses(f7):
         uv = multiply(model.operation, vector(f7, u), vector(f7, w))
         vu = multiply(model.operation, vector(f7, w), vector(f7, u))
         assert uv != vu
+
+
+def scalar_product(entries, linear_a, linear_b, n, p):
+    """a*b one term at a time in Python ints (mod p) or Fractions (p None),
+    independent of the numpy kernel and of FieldElement."""
+    reduce = (lambda x: x % p) if p else (lambda x: x)
+
+    def mul(a, b):
+        out = [0] * n
+        for (i, j, k), c in entries.items():
+            out[k] += c * a[i] * b[j]
+        for (i, k), c in linear_a.items():
+            out[k] += c * a[i]
+        for (j, k), c in linear_b.items():
+            out[k] += c * b[j]
+        return tuple(reduce(x) for x in out)
+
+    return mul
+
+
+def closure_reference(mul, members, constraint, rng, triple_samples):
+    """The scalar closure check: one product per drawn pair and per triple,
+    pairs then triples drawn from rng in that order, and the triple loop
+    stops drawing at the first non-associative triple."""
+    m = len(members)
+    if m * m <= 10 ** 6:
+        pair_mode = "exhaustive"
+        pairs = list(itertools.product(range(m), repeat=2))
+    else:
+        pair_mode = "randomized"
+        ia = [rng.randrange(m) for _ in range(10 ** 5)]
+        ib = [rng.randrange(m) for _ in range(10 ** 5)]
+        pairs = list(zip(ia, ib))
+    member_set = set(members)
+    inside = boundary = zero = outside = 0
+    comm = close = assoc = None
+    for i, j in pairs:
+        t = mul(members[i], members[j])
+        if comm is None and t != mul(members[j], members[i]):
+            comm = (members[i], members[j])
+        if t in member_set:
+            inside += 1
+        elif not any(t):
+            zero += 1
+        elif constraint is not None and constraint(t):
+            boundary += 1
+        else:
+            outside += 1
+            close = close or (members[i], members[j], t)
+    if m ** 3 <= 10 ** 7:
+        triple_mode, count = "exhaustive", m ** 3
+        triples = itertools.product(range(m), repeat=3)
+    else:
+        triple_mode, count = "randomized", triple_samples
+        triples = ((rng.randrange(m), rng.randrange(m), rng.randrange(m))
+                   for _ in range(triple_samples))
+    for i, j, k in triples:
+        a, b, c = members[i], members[j], members[k]
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            assoc = (a, b, c)
+            break
+    witnesses = {k: w for k, w in (("commutative", comm), ("closed", close),
+                                   ("associative", assoc)) if w}
+    counts = {"pairs": len(pairs), "pair_mode": pair_mode,
+              "triples": count, "triple_mode": triple_mode}
+    return ClosureReport(close is None, comm is None, assoc is None,
+                         Landings(inside, boundary, zero, outside),
+                         witnesses, counts)
+
+
+def random_closure_case(rng, p, n, kind):
+    """(entries, linear_a, linear_b) of a seeded operation. "random" is
+    dense and rarely commutative or associative; "diag" is the
+    coordinatewise product plus (a*b)_0 += a_{n-1} b_{n-1}, commutative and
+    non-associative only on triples whose middle factor has b_{n-1} != 0."""
+    draw = (lambda: rng.randrange(p)) if p else \
+        (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    if kind == "random":
+        entries = {key: draw() for key in itertools.product(range(n), repeat=3)
+                   if rng.random() < 0.4}
+        entries.setdefault((0, 0, 0), 1)
+        lin = lambda: {key: draw() for key in
+                       itertools.product(range(n), repeat=2)
+                       if rng.random() < 0.2}
+        return entries, lin(), lin()
+    entries = {(i, i, i): 1 for i in range(n)}
+    key = (n - 1, n - 1, 0)
+    entries[key] = entries.get(key, 0) + 1
+    return entries, {}, {}
+
+
+def closure_members(rng, p, n, m, kind):
+    """m distinct nonzero vectors; for "diag" about an eighth have a nonzero
+    last coordinate, so that non-associative triples are rare."""
+    if p is None:
+        pool = [v for v in itertools.product(range(-2, 3), repeat=n) if any(v)]
+        return [tuple(Fraction(x, 2) for x in v) for v in rng.sample(pool, m)]
+    if p ** n <= 10 ** 5:
+        pool = [v for v in itertools.product(range(p), repeat=n) if any(v)]
+        if kind == "diag":
+            good = [v for v in pool if not v[-1]]
+            bad = [v for v in pool if v[-1]]
+            k = max(m // 8, m - len(good))
+            return rng.sample(rng.sample(good, m - k) + rng.sample(bad, k), m)
+        return rng.sample(pool, m)
+    seen = set()
+    while len(seen) < m:
+        v = tuple(rng.randrange(p) for _ in range(n))
+        if any(v):
+            seen.add(v)
+    return sorted(seen)
+
+
+def closure_cases():
+    """(p, n, m, kind): every (p, n) with p in {2, 3, 5, 7} and n in 1..4;
+    member counts that reach both pair modes and both triple modes."""
+    for p, n in itertools.product((2, 3, 5, 7), (1, 2, 3, 4)):
+        space = p ** n - 1
+        for kind in ("random", "diag"):
+            yield p, n, min(space, 12), kind
+            if space >= 216:
+                yield p, n, 216, kind  # 216**3 > 10**7: sampled triples
+        if space >= 1001:
+            yield p, n, 1001, "random"  # 1001**2 > 10**6: sampled pairs
+    big = 2147483659  # above 2**31: exact Python ints from n = 2 on
+    for n in (1, 2, 3):
+        yield big, n, 10, "random"
+    yield big, 1, 1001, "diag"
+    yield None, 2, 12, "random"
+    yield None, 3, 8, "diag"
+
+
+@pytest.mark.parametrize("p,n,m,kind", list(closure_cases()))
+def test_verify_closure_matches_scalar_reference(p, n, m, kind):
+    rng = random.Random(f"{p}:{n}:{m}:{kind}")
+    entries, linear_a, linear_b = random_closure_case(rng, p, n, kind)
+    members = closure_members(rng, p, n, m, kind)
+    field = Field(p)
+    el = lambda d: {key: field.element(c) for key, c in d.items()}
+    op = AffineOperation(StructureTensor(n, el(entries)), el(linear_a),
+                         el(linear_b), zero=field.zero())
+    constraint = (lambda t: not t[-1]) if kind == "random" else None
+    seed = rng.random()
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got = verify_closure(op, members, field, constraint=constraint,
+                         rng=got_rng, triple_samples=300)
+    want = closure_reference(scalar_product(entries, linear_a, linear_b, n, p),
+                             members, constraint, want_rng, 300)
+    assert got == want
+    assert list(got.witnesses) == list(want.witnesses)
+    assert got_rng.random() == want_rng.random()
+
+
+def test_verify_closure_over_q_samples_pairs_past_the_cap(q_field):
+    """Q follows the pair modes too: 1001**2 > 10**6 pairs are sampled,
+    and witnesses hold values, not FieldElements."""
+    op = AffineOperation(StructureTensor(1, {(0, 0, 0): q_field.one()}),
+                         zero=q_field.zero())
+    members = [(Fraction(k, 2),) for k in range(1, 1002)]
+    report = verify_closure(op, members, q_field, rng=random.Random(5))
+    assert report.counts == {"pairs": 10 ** 5, "pair_mode": "randomized",
+                             "triples": 1000, "triple_mode": "randomized"}
+    assert sum(report.landings) == 10 ** 5
+    assert report.commutative and report.associative and not report.closed
+    (a,), (b,), (prod,) = report.witnesses["closed"]
+    assert type(prod) is Fraction and prod == a * b
 
 
 def test_constraint_sets_contain_their_stratum(f7):
