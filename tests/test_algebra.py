@@ -9,6 +9,7 @@ from stratalg import (
     AffineOperation,
     BracketTree,
     Field,
+    FieldElement,
     MatrixFormulation,
     ModelSpec,
     StructureTensor,
@@ -270,3 +271,76 @@ def test_operation_rejects_wrong_arity(f7):
     op = builtin_model("basic3", field=f7).operation
     with pytest.raises(ValueError):
         multiply(op, vector(f7, (1, 2)), vector(f7, (1, 2, 3)))
+
+
+def scalar_multiply(op, a, b):
+    """Reference: the duck-typed per-entry loop, as multiply ran before
+    operations over a field were compiled to plain coefficients."""
+    if len(a) != op.n or len(b) != op.n:
+        raise ValueError(f"operand length != {op.n}")
+    out = [op.zero] * op.n
+    for (i, j, k), c in op.bilinear.entries.items():
+        out[k] = out[k] + c * a[i] * b[j]
+    for (i, k), c in op.linear_a.items():
+        out[k] = out[k] + c * a[i]
+    for (j, k), c in op.linear_b.items():
+        out[k] = out[k] + c * b[j]
+    return tuple(out)
+
+
+def random_scalar(field, rng):
+    """An int or a Fraction whose denominator is a unit of the field."""
+    dens = [d for d in range(1, 9) if field.p is None or d % field.p]
+    num = rng.randint(-(1 << 70), 1 << 70) if rng.random() < 0.2 \
+        else rng.randint(-60, 60)
+    den = rng.choice(dens)
+    return num if den == 1 else Fraction(num, den)
+
+
+def random_operation(field, rng, n, affine):
+    def coeff():
+        return field.element(random_scalar(field, rng))
+
+    entries = {(i, j, k): coeff() for i in range(n) for j in range(n)
+               for k in range(n) if rng.random() < 0.6}
+    entries[(0, 0, 0)] = field.one()  # every operand coordinate 0 is read
+    linear_a = linear_b = None
+    if affine:
+        linear_a = {(i, k): coeff() for i in range(n) for k in range(n)
+                    if rng.random() < 0.5}
+        linear_b = {(j, k): coeff() for j in range(n) for k in range(n)
+                    if rng.random() < 0.5}
+    return AffineOperation(StructureTensor(n, entries), linear_a, linear_b,
+                           zero=field.zero())
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2147483659, 2 ** 61 - 1, None],
+                         ids=lambda p: f"F_{p}" if p else "Q")
+def test_multiply_matches_the_scalar_loop(p):
+    field = Field(p)
+    rng = random.Random(f"multiply:{p}")
+    for n in range(1, 5):
+        for affine in (False, True):
+            op = random_operation(field, rng, n, affine)
+            for _ in range(6):
+                raw_a = [random_scalar(field, rng) for _ in range(n)]
+                raw_b = [random_scalar(field, rng) for _ in range(n)]
+                a, b = vector(field, raw_a), vector(field, raw_b)
+                want = scalar_multiply(op, a, b)
+                for x, y in ((a, b), (raw_a, raw_b), (a, raw_b),
+                             (raw_a, tuple(b))):
+                    got = multiply(op, x, y)
+                    assert got == want
+                    assert all(type(v) is FieldElement and v.field == field
+                               and v.value == w.value
+                               for v, w in zip(got, want))
+                    assert got == scalar_multiply(op, x, y)
+            foreign = vector(Field(5) if p != 5 else Field(7), [1] * n)
+            with pytest.raises(ValueError):
+                multiply(op, foreign, a)
+            with pytest.raises(ValueError):
+                multiply(op, a, foreign)
+            with pytest.raises(ValueError):
+                multiply(op, a + a[:1], b)
+            with pytest.raises(ValueError):
+                multiply(op, a, b[1:])

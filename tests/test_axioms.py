@@ -247,12 +247,28 @@ GOLDEN_REPORTS = [
      "6da2c2eafcba3f15d40f64c650ebe0961d975a40fd28995037aab0a1fb44a765"),
     ("nonlinear3", (2, 3, 1, 4, 1, 2), 5, 30, 3, True,
      "b73cc90c8e41fd412980472a332add9d01c022795e19b25868059ae02cf2b9b1"),
+    # over Q (p None), frozen from the per-entry FieldElement multiply and
+    # the one-ordering-at-a-time SA3 chains; params are criterion 07's draws
+    ("parametric3", (28, 20, 14, 15, 27, 29), None, 60, 1, False,
+     "7154b13ea864cb188417ba30650185ab228ef4544571ebb0c7f5c280287042f0"),
+    ("parametric3", (11, 4, 7, 8, 24, 9), None, 60, 2, False,
+     "fb50f87b293341fafaaf0af98a20d83ac11334e5c6a37b12a2f7aaec8ac92d95"),
+    ("parametric3", (4, 14, 16, 6, 8, 2), None, 60, 3, False,
+     "e35ac0d5e31a6307a783ce3d82bcfcc327b8682f2a606aac4299275745f00725"),
+    ("parametric4", (28, 20, 14, 15, 27, 29), None, 60, 1, False,
+     "5850dad679f451cdfc76d7a7ed59adab8d3b7890dada2bfd5f2342fa1ad4ec74"),
+    ("parametric4", (11, 4, 7, 8, 24, 9), None, 60, 2, False,
+     "ca74d4c1a8d3e26531d0210dcdc1e7d4dbb4176b1059b8ee36b6544d4efe2f86"),
+    ("parametric4", (4, 14, 16, 6, 8, 2), None, 60, 3, False,
+     "3d5fcb54961cdd5662fc0a85a819dc31377f065957cc51df207f85464846abfc"),
+    ("broken3", None, None, 30, 6, False,
+     "8c3b1092ac62e3e3acea1372bc1caba72972cb7d710effa54de93ec0a4681295"),
 ]
 
 
 @pytest.mark.parametrize(
     "name,params,p,samples,seed,discover,digest", GOLDEN_REPORTS,
-    ids=[f"{g[0]}-{g[2]}" + ("-discovered" if g[5] else "")
+    ids=[f"{g[0]}-{g[2] or f'Q-{g[4]}'}" + ("-discovered" if g[5] else "")
          for g in GOLDEN_REPORTS])
 def test_axiom_report_matches_golden_digest(name, params, p, samples, seed,
                                             discover, digest):
@@ -288,3 +304,29 @@ def test_case_analysis_shapes(f19):
         assert rep[key], key
     assert 0 <= Fraction(rep["case2"]["noncommutative_rate"]) <= 1
     assert Fraction(rep["case5"]["bracketing_differs_rate"]) >= GENERIC_RATE
+
+
+# SHA-256 of json.dumps(case_analysis(...), sort_keys=True), frozen like the
+# Q reports above; broken3/F_7 agrees on only one of 30 case-4 chain sets.
+GOLDEN_CASES = [
+    ("parametric3", (28, 20, 14, 15, 27, 29), None, 30, 4,
+     "352887275c69bf9c46b308811760f9ff7f4afb1599058f3f8f37494d5fce062d"),
+    ("nonlinear3", (2, 3, 5, 1, 4, 6), 19, 30, 8,
+     "0e20627f6e1ac0d08db1d5721f324a608556b238dcbcbeb26f7ebb2d94e606db"),
+    ("broken3", None, 7, 30, 4,
+     "4779fd26c9db6275b3b06cc6a45c50d1c37682546b02a9fd6bf5ee25d97eb26c"),
+]
+
+
+@pytest.mark.parametrize("name,params,p,samples,seed,digest", GOLDEN_CASES,
+                         ids=[f"{g[0]}-{g[2] or 'Q'}" for g in GOLDEN_CASES])
+def test_case_analysis_matches_golden_digest(name, params, p, samples, seed,
+                                             digest):
+    field = Field(p)
+    if name == "broken3":
+        model = broken_basic3(field)
+    else:
+        model = builtin_model(name, params=params, field=field)
+    report = case_analysis(model, plan=SamplingPlan(samples=samples, seed=seed))
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

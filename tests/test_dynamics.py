@@ -1,6 +1,8 @@
 """Orbits, chain paths, permutation experiments, transition graphs."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -20,6 +22,7 @@ from stratalg import (
     vector,
 )
 from stratalg.dynamics import ZERO_LABEL, _labeler
+from stratalg.field import format_scalar
 from stratalg.strata import INFINITY
 
 
@@ -182,6 +185,64 @@ def test_permutation_invariance_validation(nonlinear19, f19):
     res = permutation_invariance(nonlinear19.operation, start, [q, q, r],
                                  part5)
     assert res["orderings"] == 3
+
+
+# (orderings, invariant, SHA-256 of json.dumps(result, sort_keys=True,
+# default=format_scalar)) for seeded F_19 multisets, frozen from the loop
+# that evaluated every distinct ordering on its own. The last co-stratal set
+# and the second blind one repeat entries.
+GOLDEN_INVARIANCE = [
+    (2, True,
+     "aba983562fde2a800a3e8adbd6a1233540cc424acbb24e9a1958d504eec6ef71"),
+    (6, True,
+     "48633ccfcdb1f1cc5a3b776763d2b4724d860651f4380011ac7853370d886887"),
+    (24, True,
+     "bbb30290975f801d42965d709b3064c5e1277816944d45a954a3431bf6965050"),
+    (120, True,
+     "c44eeeceb494ee4fca190d48e06d2aba65a1a3470f96f9cf92e9e93970cbfd5d"),
+    (30, True,
+     "94e3042010da85af650d080b535c78957a019daf7cbf4aa8d27fb2f680393ef8"),
+    (6, False,
+     "239f91cf49dadff826f459ce40c34446369cdd6fe8ab2d1c91a57511b311f10e"),
+    (12, False,
+     "8b043b77461728b079a4f96819129d2f6652b790771047b21483b4e905edfd66"),
+    (120, False,
+     "efad5b5db838f3c4bab93c317363b4d8583bb8c588902732d2991b4ca1a10277"),
+]
+
+
+def test_permutation_invariance_matches_golden_digests(nonlinear19, f19):
+    part = ratio_partition(nonlinear19)
+    blind = builtin_model("parametric3", params=(2, 3, 5, 1, 4, 6),
+                          field=f19).operation
+    rng = random.Random("permutation-golden")
+
+    def start():
+        return vector(f19, [rng.randrange(1, 19) for _ in range(3)])
+
+    got = []
+
+    def record(res):
+        text = json.dumps(res, sort_keys=True, default=format_scalar)
+        got.append((res["orderings"], res["invariant"],
+                    hashlib.sha256(text.encode()).hexdigest()))
+
+    for k, m in enumerate((2, 3, 4, 5, 5)):
+        _label, members = part.strata[rng.randrange(len(part.strata))]
+        mults = [vector(f19, members[rng.randrange(len(members))])
+                 for _ in range(m)]
+        if k == 4:
+            mults[3], mults[4] = mults[0], mults[1]
+        record(permutation_invariance(nonlinear19.operation, start(), mults,
+                                      part))
+    for m in (3, 4, 5):
+        mults = [vector(f19, [rng.randrange(19) for _ in range(3)])
+                 for _ in range(m)]
+        if m == 4:
+            mults[2] = mults[0]
+        record(permutation_invariance(blind, start(), mults,
+                                      lambda v: "all"))
+    assert got == GOLDEN_INVARIANCE
 
 
 @pytest.mark.parametrize("p,name,params", [
