@@ -6,6 +6,7 @@ evaluate through the same code paths, which is what lets the symbolic
 identity checks reuse the numeric machinery.
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -123,15 +124,67 @@ class AffineOperation:
                 raise ValueError("zero scalar required for an empty tensor")
             zero = _zero_like(some)
         self.zero = zero
+        self.plain = _compile(self)
 
     @property
     def is_bilinear(self):
         return not self.linear_a and not self.linear_b
 
 
+PlainOperation = namedtuple("PlainOperation", "field den rows")
+
+
+def _compile(op):
+    """Plain form of an operation over one field, else None (Polynomials):
+    rows[k] lists (i, j, c) with (a*b)_k = sum c a_i b_j / den for operands
+    extended by a_n = b_n = 1 (so linear terms are bilinear), c an int."""
+    n = op.n
+    terms = [(i, j, k, c) for (i, j, k), c in op.bilinear.entries.items()]
+    terms += [(i, n, k, c) for (i, k), c in op.linear_a.items()]
+    terms += [(n, j, k, c) for (j, k), c in op.linear_b.items()]
+    field = getattr(op.zero, "field", None)
+    if not isinstance(op.zero, FieldElement) or any(
+            not isinstance(c, FieldElement) or c.field != field
+            for *_, c in terms):
+        return None
+    den = math.lcm(*(c.value.denominator for *_, c in terms))
+    rows = [[] for _ in range(n)]
+    for i, j, k, c in terms:
+        if c:
+            rows[k].append((i, j, int(c.value * den)))
+    return PlainOperation(field, den, rows)
+
+
+def multiply_values(op, av, bv):
+    """a*b on plain values for a compiled operation: residues mod p, or
+    ints and Fractions over Q, scaled to integer numerators over the lcm of
+    their denominators, summed in ints and divided once (as in Bareiss)."""
+    field, den, rows = op.plain
+    p = field.p
+    da = db = 1
+    if p is None:
+        da = math.lcm(*(x.denominator for x in av))
+        db = math.lcm(*(x.denominator for x in bv))
+        av = [x.numerator * (da // x.denominator) for x in av]
+        bv = [x.numerator * (db // x.denominator) for x in bv]
+    av, bv = [*av, da], [*bv, db]
+    out = []
+    for row in rows:
+        s = 0
+        for i, j, c in row:
+            s += c * av[i] * bv[j]
+        out.append(s % p if p else Fraction(s, den * da * db))
+    return out
+
+
 def multiply(op, a, b):
     if len(a) != op.n or len(b) != op.n:
         raise ValueError(f"operand length != {op.n}")
+    if op.plain is not None:
+        f = op.plain.field
+        av, bv = ([x.value if type(x) is FieldElement and x.field is f
+                   else f.element(x).value for x in v] for v in (a, b))
+        return tuple([FieldElement(f, x) for x in multiply_values(op, av, bv)])
     out = [op.zero] * op.n
     for (i, j, k), c in op.bilinear.entries.items():
         out[k] = out[k] + c * a[i] * b[j]
@@ -148,6 +201,29 @@ def left_chain(op, b, multipliers):
     for m in multipliers:
         acc = multiply(op, acc, m)
     return acc
+
+
+# Longest chain whose orderings are enumerated: m multipliers have up to m!
+# orderings (720 at 6), so each step up multiplies the work by about m.
+MAX_CHAIN = 6
+
+
+def chain_orderings(op, base, mults):
+    """[(ordering, left chain of base by it)] for each distinct ordering of
+    the multiset mults, in the order itertools.permutations first yields it.
+    Orderings share prefix products and skip values already tried at a
+    level: 5 distinct multipliers take 325 products, not 600."""
+    mults = tuple(mults)
+    if not mults:
+        return [((), base)]
+    out, tried = [], []
+    for idx, q in enumerate(mults):
+        if q not in tried:
+            tried.append(q)
+            rest = mults[:idx] + mults[idx + 1:]
+            out += [((q,) + o, v) for o, v in
+                    chain_orderings(op, multiply(op, base, q), rest)]
+    return out
 
 
 def commutator(op, a, b):

@@ -12,7 +12,6 @@ documented closed forms against direct expansion, and the five-scenario
 associator analysis.
 """
 
-import itertools
 import math
 import random
 from collections import namedtuple
@@ -22,9 +21,11 @@ from .poly import Polynomial
 from .field import QQ, _vec_json
 from .algebra import (
     BUILTIN_NAMES,
+    MAX_CHAIN,
     PARAM_LETTERS,
     associativity_check,
     associator,
+    chain_orderings,
     commutator,
     coordinate_vars,
     is_zero_vector,
@@ -51,6 +52,8 @@ GENERIC_RATE = Fraction(95, 100)  # "generic" = at least this share of samples
 # persistent violations count against the rate. Coincidences that disappear
 # under rescaling are listed as exceptions, never silently dropped.
 RETEST_SCALES = 8
+RESOLUTIONS = {"transient": "coincidence: cleared by rescaling",
+               "persistent": "persistent"}
 
 
 def _generic_trial(first_ok, retest):
@@ -74,6 +77,9 @@ class SamplingPlan:
             raise ValueError(f"unknown sampling mode {mode!r}")
         if mode == "randomized" and samples < 1:
             raise ValueError("randomized plans need samples >= 1")
+        # SA4 brackets chains of at least three multipliers
+        if not 3 <= chain_length_max <= MAX_CHAIN:
+            raise ValueError(f"chain length bound must be in 3..{MAX_CHAIN}")
         self.mode = mode
         self.samples = samples
         self.seed = seed
@@ -369,20 +375,13 @@ def check_sa2(model, strata=None, plan=None):
         da, db = sample_distinct_directions(field, rng, n - 1, 2)
         ok0, note, pair = sa2_point(da, db)
         ok, kind = _generic_trial(ok0, lambda: sa2_point(da, db)[0])
-        if ok:
-            ok_count += 1
-            if kind == "transient" and len(exceptions) < 10:
-                exceptions.append({"trial": t, "a": _vec_json(pair[0]),
-                                   "b": _vec_json(pair[1]), "note": note,
-                                   "resolution": "coincidence: cleared by "
-                                                 "rescaling"})
-        else:
-            if len(exceptions) < 10:
-                exceptions.append({"trial": t, "a": _vec_json(pair[0]),
-                                   "b": _vec_json(pair[1]), "note": note,
-                                   "resolution": "persistent"})
-            if first_fail is None:
-                first_fail = pair
+        ok_count += ok
+        if kind and len(exceptions) < 10:
+            exceptions.append({"trial": t, "a": _vec_json(pair[0]),
+                               "b": _vec_json(pair[1]), "note": note,
+                               "resolution": RESOLUTIONS[kind]})
+        if not ok and first_fail is None:
+            first_fail = pair
     rate = Fraction(ok_count, trials)
     triple = _non_associative_triple(model, plan.rng("SA2:triple"),
                                      plan.samples)
@@ -487,8 +486,7 @@ def check_sa3(model, strata=None, plan=None):
             da, db = sample_distinct_directions(field, rng, n - 1, 2)
             base = sample_on_direction(field, rng, da)
             mults = [sample_on_direction(field, rng, db) for _ in range(m)]
-            values = {left_chain(op, base, perm)
-                      for perm in itertools.permutations(mults)}
+            values = {v for _, v in chain_orderings(op, base, mults)}
             if len(values) == 1:
                 agreed += 1
             elif chain_ok:
@@ -553,7 +551,7 @@ def check_sa4(model, strata=None, plan=None):
     ok_count = total = 0
     exceptions = []
     first_fail = None
-    trials = max(20, plan.samples // (plan.chain_length_max - 2 or 1))
+    trials = max(20, plan.samples // (plan.chain_length_max - 2))
     for m in range(3, plan.chain_length_max + 1):
         for t in range(trials):
             da, db = sample_distinct_directions(field, rng, n - 1, 2)
@@ -562,24 +560,15 @@ def check_sa4(model, strata=None, plan=None):
                 ok0, why, cfg = sa4_point(da, db, m, split)
                 ok, kind = _generic_trial(
                     ok0, lambda: sa4_point(da, db, m, split)[0])
-                if ok:
-                    ok_count += 1
-                    if kind == "transient" and len(exceptions) < 10:
-                        exceptions.append({
-                            "m": m, "split": split, "trial": t, "note": why,
-                            "base": _vec_json(cfg[0]),
-                            "multipliers": [_vec_json(v) for v in cfg[1]],
-                            "resolution": "coincidence: cleared by "
-                                          "rescaling"})
-                else:
-                    if len(exceptions) < 10:
-                        exceptions.append({
-                            "m": m, "split": split, "trial": t, "note": why,
-                            "base": _vec_json(cfg[0]),
-                            "multipliers": [_vec_json(v) for v in cfg[1]],
-                            "resolution": "persistent"})
-                    if first_fail is None:
-                        first_fail = (cfg[0], cfg[1], split)
+                ok_count += ok
+                if kind and len(exceptions) < 10:
+                    exceptions.append({
+                        "m": m, "split": split, "trial": t, "note": why,
+                        "base": _vec_json(cfg[0]),
+                        "multipliers": [_vec_json(v) for v in cfg[1]],
+                        "resolution": RESOLUTIONS[kind]})
+                if not ok and first_fail is None:
+                    first_fail = (cfg[0], cfg[1], split)
     rate = Fraction(ok_count, total)
     clauses = {"bracket_sensitivity": {"rate": str(rate),
                                        "ok": rate >= GENERIC_RATE,
@@ -953,8 +942,7 @@ def case_analysis(model, plan=None):
         da, db = sample_distinct_directions(field, rng, n - 1, 2)
         a = sample_on_direction(field, rng, da)
         mults = [sample_on_direction(field, rng, db) for _ in range(3)]
-        values = {left_chain(op, a, perm)
-                  for perm in itertools.permutations(mults)}
+        values = {v for _, v in chain_orderings(op, a, mults)}
         if len(values) == 1:
             agreed += 1
     report["case4"] = {"permutation_agreement_rate":

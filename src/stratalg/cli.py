@@ -343,7 +343,7 @@ def build_parser():
     p.add_argument("--symbolic", action="store_true",
                    help="prefer symbolic proofs where available")
     p.add_argument("--chain-max", type=int, default=5,
-                   help="longest multiplier chain to test")
+                   help="longest multiplier chain to test (3..6)")
     p.set_defaults(fn=cmd_axioms)
 
     p = sub.add_parser("strata", help="enumerate or discover strata")

@@ -8,11 +8,10 @@ aggregated stratum-transition graphs with DOT/JSON export.
 
 import json
 from collections import Counter
-from itertools import permutations
 
 import numpy as np
 
-from .algebra import is_zero_vector, multiply
+from .algebra import MAX_CHAIN, chain_orderings, is_zero_vector, multiply
 from .field import _vec_json
 from .strata import SPACE_CAP, _as_operation, space_matrix, to_dense_arrays
 from ._kernels import bulk_multiply, lex_indices
@@ -26,9 +25,6 @@ EXHAUSTIVE_SPACE = 10 ** 4
 
 # Sampled-mode pair budget (pairs drawn with the plan's seed).
 SAMPLED_PAIRS = 10 ** 5
-
-# Exhaustive permutation experiments are capped at 6! = 720 orderings.
-MAX_MULTISET = 6
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,7 @@ def chain_path(op, start, multipliers, partition):
 
 def permutation_invariance(op, start, multiset, partition):
     """Evaluate the left chain over every ordering of `multiset`
-    (all from one stratum; at most MAX_MULTISET entries) and compare
+    (all from one stratum; at most MAX_CHAIN entries) and compare
     the final values exactly.
 
     Returns {"invariant", "final", "orderings", "counterexample"}.
@@ -193,10 +189,10 @@ def permutation_invariance(op, start, multiset, partition):
     op = _as_operation(op)
     if len(multiset) == 0:
         raise ValueError("empty multiplier multiset")
-    if len(multiset) > MAX_MULTISET:
+    if len(multiset) > MAX_CHAIN:
         raise ValueError(
             f"multiset of {len(multiset)} needs {len(multiset)}! chain "
-            f"evaluations; at most {MAX_MULTISET} supported")
+            f"evaluations; at most {MAX_CHAIN} supported")
     _require_nonzero(start, "start")
     label = _labeler(partition)
 
@@ -209,15 +205,9 @@ def permutation_invariance(op, start, multiset, partition):
             f"multipliers span strata {sorted(stratum)}; "
             "order independence holds per stratum only")
 
-    start = tuple(start)
     finals = {}
-    seen = set()
-    orderings = [o for o in permutations(multiset)
-                 if not (o in seen or seen.add(o))]
-    for ordering in orderings:
-        v = start
-        for q in ordering:
-            v = tuple(multiply(op, v, q))
+    orderings = chain_orderings(op, tuple(start), multiset)
+    for ordering, v in orderings:
         finals.setdefault(v, ordering)
 
     identity_final = next(iter(finals)) if len(finals) == 1 else None
@@ -229,7 +219,6 @@ def permutation_invariance(op, start, multiset, partition):
     }
     if not result["invariant"]:
         (va, oa), (vb, ob) = list(finals.items())[:2]
-        result["final"] = None
         result["counterexample"] = {
             "ordering_a": list(oa), "final_a": va,
             "ordering_b": list(ob), "final_b": vb,

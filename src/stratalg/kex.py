@@ -13,8 +13,9 @@ import random
 
 import numpy as np
 
-from .algebra import is_zero_vector, left_chain, model_to_json, multiply
+from .algebra import is_zero_vector, left_chain, model_to_json
 from .axioms import label_str
+from .dynamics import chain_path
 from .field import _vec_json
 from .strata import space_matrix, to_dense_arrays
 from ._kernels import bulk_multiply
@@ -127,15 +128,9 @@ class SessionTranscript:
 def _walk(model, start, multipliers):
     """Left chain with per-step labels; stops at a zero product.
     Returns (final, labels, truncated)."""
-    v = tuple(start)
-    labels = [label_str(model, v)]
-    for q in multipliers:
-        v = tuple(multiply(model.operation, v, q))
-        if is_zero_vector(v):
-            labels.append("zero")
-            return v, labels, True
-        labels.append(label_str(model, v))
-    return v, labels, False
+    walk = chain_path(model.operation, start, multipliers,
+                      lambda v: label_str(model, v))
+    return walk.final, walk.labels, walk.truncated
 
 
 def run_exchange(alice, bob):

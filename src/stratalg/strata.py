@@ -16,7 +16,8 @@ from ._kernels import inverse_table
 from .field import FieldElement
 # the rule constants are re-exported here, not moved: algebra's built-in
 # models use them and this module imports algebra, so moving them is a cycle
-from .algebra import multiply, is_zero_vector, RATIO_RULE_3D, RATIO_RULE_4D
+from .algebra import multiply, multiply_values, is_zero_vector, \
+    RATIO_RULE_3D, RATIO_RULE_4D
 
 SPACE_CAP = 1 << 24  # p**n above this refuses to enumerate
 
@@ -433,7 +434,7 @@ def verify_closure(op, members, field, constraint=None, rng=None,
 def _closure_arithmetic(op, members, field):
     """(member matrix, row-paired product, membership mask of product rows)
     for verify_closure: the numpy kernel and lex indices over F_p, scalar
-    multiply and a tuple set over Q."""
+    multiply_values and a tuple set over Q."""
     if field.is_prime_field:
         p = field.p
         T, La, Lb = to_dense_arrays(op, p)
@@ -444,7 +445,7 @@ def _closure_arithmetic(op, members, field):
     member_set = set(members)
 
     def product(A, B):
-        rows = [[_as_value(x) for x in multiply(op, a, b)]
+        rows = [multiply_values(op, a, b)
                 for a, b in zip(A.tolist(), B.tolist())]
         return np.array(rows, dtype=object).reshape(-1, op.n)
 

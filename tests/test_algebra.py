@@ -1,5 +1,6 @@
 """Structure tensors, matrix formulations, builtin models, identities."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,7 +31,9 @@ from stratalg import (
     symbolic_model,
     vector,
 )
-from stratalg.algebra import MAX_DIMENSION, PARAM_LETTERS
+from stratalg import algebra
+from stratalg.algebra import MAX_DIMENSION, PARAM_LETTERS, chain_orderings, \
+    multiply_values
 
 # The 3-dimensional base model, written out entry by entry.
 BASIC3_ENTRIES = {
@@ -327,6 +330,9 @@ def test_multiply_matches_the_scalar_loop(p):
                 raw_b = [random_scalar(field, rng) for _ in range(n)]
                 a, b = vector(field, raw_a), vector(field, raw_b)
                 want = scalar_multiply(op, a, b)
+                assert multiply_values(op, [x.value for x in a],
+                                       [y.value for y in b]) == \
+                    [w.value for w in want]
                 for x, y in ((a, b), (raw_a, raw_b), (a, raw_b),
                              (raw_a, tuple(b))):
                     got = multiply(op, x, y)
@@ -344,3 +350,25 @@ def test_multiply_matches_the_scalar_loop(p):
                 multiply(op, a + a[:1], b)
             with pytest.raises(ValueError):
                 multiply(op, a, b[1:])
+
+
+def test_chain_orderings_match_every_permutation(f19, monkeypatch):
+    op = builtin_model("parametric3", params=(2, 3, 5, 1, 4, 6),
+                       field=f19).operation
+    rng = random.Random(5)
+    for m in range(1, 6):
+        mults = [rand_vec(f19, rng, 3) for _ in range(m)]
+        if m >= 4:
+            mults[-1] = mults[0]
+        base = rand_vec(f19, rng, 3)
+        distinct = []
+        for o in itertools.permutations(mults):
+            if o not in distinct:
+                distinct.append(o)
+        want = [(o, left_chain(op, base, o)) for o in distinct]
+        assert chain_orderings(op, base, mults) == want
+    calls = []
+    monkeypatch.setattr(algebra, "multiply",
+                        lambda *args: calls.append(1) or multiply(*args))
+    chain_orderings(op, base, [rand_vec(f19, rng, 3) for _ in range(5)])
+    assert len(calls) == 5 + 20 + 60 + 120 + 120

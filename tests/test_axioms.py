@@ -47,6 +47,9 @@ def test_sampling_plan_validation():
         SamplingPlan(mode="guess")
     with pytest.raises(ValueError):
         SamplingPlan(samples=0)
+    for bound in (2, 7):
+        with pytest.raises(ValueError):
+            SamplingPlan(chain_length_max=bound)
     plan = SamplingPlan(seed=3)
     # independent deterministic streams per tag
     assert plan.rng("x").random() == plan.rng("x").random()
@@ -247,6 +250,12 @@ GOLDEN_REPORTS = [
      "6da2c2eafcba3f15d40f64c650ebe0961d975a40fd28995037aab0a1fb44a765"),
     ("nonlinear3", (2, 3, 1, 4, 1, 2), 5, 30, 3, True,
      "b73cc90c8e41fd412980472a332add9d01c022795e19b25868059ae02cf2b9b1"),
+    # persistent exceptions: SA2 on basic3/F_3, SA4 on a bracket-degenerate
+    # nonlinear3/F_17 draw
+    ("basic3", None, 3, 10, 0, False,
+     "30f84500b275118406e7e4e1ae93873560a1a4c0add6b68fa8800225dfafdd70"),
+    ("nonlinear3", (14, 2, 4, 7, 11, 13), 17, 20, 3, False,
+     "62e9043d3c03a02ea409a4d24f951f5946ec359c9d67a9d3d2779f73116a0a7c"),
     # over Q (p None), frozen from the per-entry FieldElement multiply and
     # the one-ordering-at-a-time SA3 chains; params are criterion 07's draws
     ("parametric3", (28, 20, 14, 15, 27, 29), None, 60, 1, False,

@@ -86,6 +86,16 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 2 and "params" in err
 
 
+def test_axioms_chain_max_outside_three_to_six(capsys):
+    # 2 left SA4 without a chain (a division by zero); 7 runs 7! orderings
+    for bound in ("2", "7"):
+        rc, out, err = run(capsys, ["axioms", "--builtin", "parametric3",
+                                    "--params", "2,3,5,7,11,13",
+                                    "--chain-max", bound])
+        assert rc == 2 and out == ""
+        assert err == "error: chain length bound must be in 3..6\n"
+
+
 def test_axioms_text_report(capsys):
     rc, out, _ = run(capsys, ["axioms", "--builtin", "basic3",
                               "--samples", "60"])
