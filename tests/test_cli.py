@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, text reports, JSON determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -287,3 +288,42 @@ def test_model_file_round_trip(capsys, tmp_path):
     rc, out, _ = run(capsys, ["check-assoc", "--model", str(ref)])
     assert rc == 0
     assert out == "The operation is associative.\n"
+
+
+# SHA-256 of the stdout of each command, frozen from the implementation that
+# kept stratum members as tuples in a dict and formed a product tensor per
+# pair: the exhaustive F_11 and sampled F_23 transition graphs, a 50-step
+# trajectory, a trajectory through the exceptional ledger of a discovered
+# partition, and two declared partitions with every member listed
+GOLDEN_OUTPUTS = [
+    (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
+      "--field", "fp:11", "--json", "--seed", "3"],
+     "ad69e5343abb4304d20fccba4ade7a062ae8f5178ca65d7a505b34e1d692d94d"),
+    (["orbit", "--builtin", "nonlinear3", "--params", "3,1,6,2,5,4",
+      "--field", "fp:23", "--json", "--seed", "10"],
+     "901bfc919d8c320d0a78ac10a4f1e2b99906ac6b7b510c98ac8e2cfbb605893d"),
+    (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
+      "--field", "fp:19", "--start", "1,2,3", "--q", "4,5,6",
+      "--steps", "50", "--json"],
+     "ddd2f57d0513ba4718a64b0eef3b17f76c2fd18331bb6268b33c39d86df10c5f"),
+    (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
+      "--field", "fp:7", "--discover", "--start", "1,0,0", "--q", "2,1,3",
+      "--steps", "50", "--json"],
+     "c34c3143f4a559a130efc60826767e2c70d97cde90a08aced26b534819af4e08"),
+    (["strata", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
+      "--field", "fp:7", "--json", "--full"],
+     "69559e8c152973c4f12c77ad13829562565cda1dde34541ea9e49b7af2b3bf12"),
+    (["strata", "--builtin", "parametric4", "--params", "2,3,5,7,11,13",
+      "--field", "fp:5", "--json", "--full"],
+     "fe2854d0c2a906797b3e3f12e4f3cea5219d9e0fe256508dcee8bf17d1b8d663"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_OUTPUTS,
+    ids=["graph-f11", "graph-f23", "trajectory-f19", "trajectory-f7-discover",
+         "strata-nonlinear3-f7", "strata-parametric4-f5"])
+def test_output_matches_golden_digest(capsys, argv, digest):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -170,6 +170,28 @@ def test_discovery_matches_declared_ratios(f7):
     assert strata.RATIO_RULE_4D is algebra.RATIO_RULE_4D
 
 
+def test_partitions_agree_details_are_frozen(f7):
+    """The detail strings of an agreement, a stratum spanning labels and a
+    label split across strata, frozen from the implementation that kept
+    members as tuples in a dict."""
+    model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6), field=f7)
+    assert partitions_agree(discover_strata(model, 7), model) == (
+        True, "8 strata matched one-to-one")
+    one = f7.one()
+    diag = StructureTensor(3, {(i, i, i): one for i in range(3)})
+    assert partitions_agree(
+        discover_strata(AffineOperation(diag, zero=f7.zero()), 7),
+        model) == (False, "discovered stratum S0 spans ratio labels "
+                          "[0, 1, 2, 3, 4, 5, 6, 7]")
+    rng = random.Random(5)
+    generic = StructureTensor(3, {
+        (i, j, k): f7.element(rng.randrange(7))
+        for i in range(3) for j in range(3) for k in range(3)})
+    assert partitions_agree(
+        discover_strata(AffineOperation(generic, zero=f7.zero()), 7),
+        model) == (False, "ratio label inf split across S1 and S8")
+
+
 def test_discovery_of_a_commutative_operation_is_one_group(f5):
     # a*b with a diagonal tensor is commutative: every vector is central,
     # so discovery reports a single stratum and no exceptional ledger
