@@ -3,17 +3,23 @@
 Everything here works on numpy arrays of residues in [0, p), one numpy
 path per kernel.
 
-bulk_multiply sums n**2 products of two residues, so int64 holds every
-intermediate only while n**2 * p**2 < 2**63. Above that bound it runs the
-same expression on exact Python ints (dtype=object) instead of wrapping.
+Products are a*w = w @ L_a + a @ La with the left table L_a = a @ T + Lb.
+Each of a @ T + Lb, w @ L_a and a @ La sums n products of residues (plus a
+residue) and is reduced mod p before the next sum, so it stays below
+n * p**2. bulk_multiply keeps int64 while n**2 * p**2 < 2**63 and runs the
+same expressions on exact Python ints (dtype=object) above that bound.
 commute_rows runs on enumerable spaces only (p**n <= 2**24), where every
-intermediate stays below n * p**2 <= 2**48.
+intermediate stays below n * p**2 <= 2**48; there a label array with one
+int32 per vector (StratumPartition.codes) takes 64 MB.
 """
 
 import numpy as np
 
 # perfbench/worker.py records this flag in every run.
 HAS_NUMBA = False
+
+# vectors per commute_rows elimination: this, not p**n, bounds its stacks
+COMMUTE_CHUNK = 1 << 16
 
 
 def inverse_table(p):
@@ -33,6 +39,18 @@ def lex_indices(V, p):
     return np.asarray(V, dtype=dtype) @ powers
 
 
+def lex_digits(idx, p, n):
+    """The rows (len(idx), n) at lex indices idx: lex_indices inverted."""
+    return np.asarray(idx)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+
+
+def left_tables(T, Lb, A, p):
+    """(N,n,n) residues L[m] with A[m] * w = w @ L[m] + A[m] @ La, that is
+    L[m, j, k] = sum_i A[m, i] T[i, j, k] + Lb[j, k]."""
+    n = T.shape[0]
+    return ((A @ T.reshape(n, n * n)).reshape(-1, n, n) + Lb) % p
+
+
 def bulk_multiply(T, La, Lb, A, B, p):
     """Row-paired products: out[m] = A[m] * B[m] under the operation
     (T, La, Lb). Shapes: T (n,n,n) indexed [i,j,k]; La, Lb (n,n) indexed
@@ -41,13 +59,10 @@ def bulk_multiply(T, La, Lb, A, B, p):
     if n * n * p * p >= 1 << 63:
         T, La, Lb, A, B = (np.asarray(x, dtype=object)
                            for x in (T, La, Lb, A, B))
-    AB = (A[:, :, None] * B[:, None, :]) % p
-    out = np.einsum("ijk,nij->nk", T, AB) % p
+    out = np.matmul(B[:, None, :], left_tables(T, Lb, A, p))[:, 0] % p
     if La.any():
-        out = (out + A @ La) % p
-    if Lb.any():
-        out = (out + B @ Lb) % p
-    return out % p
+        out = (out + A @ La % p) % p
+    return out
 
 
 def commute_rows(T, La, Lb, V, p):
@@ -63,17 +78,22 @@ def commute_rows(T, La, Lb, V, p):
     """
     N, n = V.shape
     S = (T - T.transpose(1, 0, 2)) % p
-    D = (np.einsum("ni,ijk->njk", V, S) + (Lb - La)) % p
-    c = (V @ ((La - Lb) % p)) % p
-    M = np.concatenate([D.transpose(0, 2, 1), (-c % p)[:, :, None]], axis=2)
-    return _rref(M, p).reshape(N, n * (n + 1))
-
-
-def _rref(M, p):
-    """Reduced row echelon form of every matrix in the stack M (K, r, c),
-    in place, all matrices eliminated together column by column."""
-    K, rows, cols = M.shape
     inv = inverse_table(p)
+    M = np.empty((N, n, n + 1), dtype=np.int64)  # eliminated in place
+    for lo in range(0, N, COMMUTE_CHUNK):
+        W = V[lo:lo + COMMUTE_CHUNK]
+        D = (np.einsum("ni,ijk->njk", W, S) + (Lb - La)) % p
+        M[lo:lo + len(W), :, :n] = D.transpose(0, 2, 1)
+        M[lo:lo + len(W), :, n] = (W @ (Lb - La)) % p  # -c_v
+        _rref(M[lo:lo + len(W)], p, inv)
+    return M.reshape(N, n * (n + 1))
+
+
+def _rref(M, p, inv):
+    """Reduced row echelon form of every matrix in the stack M (K, r, c),
+    in place, all eliminated together column by column (inv: the table of
+    inverses mod p)."""
+    K, rows, cols = M.shape
     below = np.arange(rows)
     top = np.zeros(K, dtype=np.int64)  # next pivot row of each matrix
     for col in range(cols):

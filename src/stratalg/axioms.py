@@ -36,7 +36,7 @@ from .algebra import (
     symbolic_model,
 )
 from .strata import ratio_partition, ratio_stratum_of, verify_closure, \
-    constraint_for_label, SPACE_CAP
+    constraint_for_label, directions_proportional, SPACE_CAP
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -146,15 +146,6 @@ def sample_direction(field, rng, tail_len):
         d = tuple(_sample_scalar(field, rng) for _ in range(tail_len))
         if not all(not x for x in d):
             return d
-
-
-def directions_proportional(d, e):
-    k = len(d)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if d[i] * e[j] != d[j] * e[i]:
-                return False
-    return True
 
 
 def sample_distinct_directions(field, rng, tail_len, count):

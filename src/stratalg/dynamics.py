@@ -13,8 +13,8 @@ import numpy as np
 
 from .algebra import MAX_CHAIN, chain_orderings, is_zero_vector, multiply
 from .field import _vec_json
-from .strata import SPACE_CAP, _as_operation, space_matrix, to_dense_arrays
-from ._kernels import bulk_multiply, lex_indices
+from .strata import _as_operation, space_matrix, to_dense_arrays
+from ._kernels import bulk_multiply, left_tables, lex_indices
 
 ZERO_LABEL = "zero"
 UNLABELED = "unlabeled"
@@ -26,6 +26,10 @@ EXHAUSTIVE_SPACE = 10 ** 4
 # Sampled-mode pair budget (pairs drawn with the plan's seed).
 SAMPLED_PAIRS = 10 ** 5
 
+# Label triples up to this count are tallied with a dense bincount, more
+# through a sort: a dense tally of 600 labels would take 1.7 GB.
+DENSE_TALLY = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # labeling helpers
@@ -34,10 +38,7 @@ SAMPLED_PAIRS = 10 ** 5
 def _labeler(partition):
     """Vector -> stratum label. Accepts a StratumPartition or any
     callable; the zero vector is always labeled ZERO_LABEL."""
-    if callable(partition) and not hasattr(partition, "label_of"):
-        fn = partition
-    else:
-        fn = partition.label_of
+    fn = getattr(partition, "label_of", partition)
 
     def label(v):
         if is_zero_vector(v):
@@ -255,40 +256,18 @@ class TransitionGraph:
             "pairs": self.pairs,
             "zero_products": self.zero_products,
             "nodes": list(self.nodes),
-            "edges": [
-                {"from": a, "via": b, "to": c, "count": self.edges[key]}
-                for key in sorted(self.edges)
-                for a, b, c in [key]
-            ],
+            "edges": [{"from": a, "via": b, "to": c, "count": count}
+                      for (a, b, c), count in sorted(self.edges.items())],
         }
 
     def to_dot(self):
         lines = ["digraph transitions {", "  rankdir=LR;"]
         for node in self.nodes:
             lines.append(f'  "{node}";')
-        for a, via, c in sorted(self.edges):
-            count = self.edges[(a, via, c)]
-            lines.append(
-                f'  "{a}" -> "{c}" [label="via {via} (x{count})"];')
+        for (a, via, c), count in sorted(self.edges.items()):
+            lines.append(f'  "{a}" -> "{c}" [label="via {via} (x{count})"];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def _dense_label_codes(partition):
-    """codes[lex index of v] = label id, -1 where unlabeled (zero).
-    Returns (codes, labels)."""
-    p, n = partition.p, partition.n
-    if p ** n > SPACE_CAP:
-        raise ValueError(f"state space {p}^{n} too large to enumerate")
-    codes = np.full(p ** n, -1, dtype=np.int64)
-    labels = []
-    groups = list(partition.strata)
-    if partition.exceptional:
-        groups.append(("exceptional", partition.exceptional))
-    for label, members in groups:
-        codes[lex_indices(np.reshape(members, (-1, n)), p)] = len(labels)
-        labels.append(label)
-    return codes, labels
 
 
 def transition_graph(op, partition, plan):
@@ -296,58 +275,55 @@ def transition_graph(op, partition, plan):
     transitions (label(a), label(q)) -> label(a*q). All pairs when the
     state space has at most EXHAUSTIVE_SPACE vectors; otherwise
     SAMPLED_PAIRS pairs drawn with the plan's seed. Deterministic."""
-    op = _as_operation(op)
     p, n = partition.p, partition.n
     space = p ** n
-    codes, labels = _dense_label_codes(partition)
+    codes, labels = partition.codes, partition.labels
     T, La, Lb = to_dense_arrays(op, p)
     V = space_matrix(p, n)
 
     nlab = len(labels)
-    vcodes = codes[1:]  # V row r holds the vector with lex index r + 1
-    nonzero = space - 1
-    tally = np.zeros(nlab * nlab * nlab, dtype=np.int64)
+    # exact keys: nlab**3 passes 2**63 only for 2M+ (discovered) labels
+    vcodes = codes[1:].astype(np.int64 if nlab ** 3 < 1 << 63 else object)
+    nonzero = space - 1  # V row r has lex index r + 1
+    counts = Counter()
     zero_products = 0
 
-    def pair_counts(A, B, ca, cq):
-        """(edge tally, zero-product count) for row-paired products."""
-        prod = bulk_multiply(T, La, Lb, A, B, p)
-        cp = codes[lex_indices(prod, p)]
+    def tally(ca, cq, prod):
+        """Count the products prod (..., n) of operands with codes ca, cq."""
+        nonlocal zero_products
+        cp = codes[lex_indices(prod.reshape(-1, n), p)]
         keep = cp >= 0
-        key = (ca[keep] * nlab + cq[keep]) * nlab + cp[keep]
-        return (np.bincount(key, minlength=nlab ** 3),
-                int((~keep).sum()))
+        key = (((ca * nlab + cq) * nlab).ravel() + cp)[keep]
+        if nlab ** 3 <= DENSE_TALLY:
+            got = np.bincount(key, minlength=nlab ** 3)
+            key, got = np.flatnonzero(got), got[got != 0]
+        else:
+            key, got = np.unique(key, return_counts=True)
+        counts.update(dict(zip(key.tolist(), got.tolist())))
+        zero_products += int(keep.size - keep.sum())
 
     if space <= EXHAUSTIVE_SPACE:
-        mode = "exhaustive"
-        pairs = nonzero ** 2
-        # at most 2**16 pairs per bulk_multiply call: its (rows, n, n)
-        # product tensor and einsum temporaries set the peak memory
+        mode, pairs = "exhaustive", nonzero ** 2
+        # blocks of at most 2**16 pairs bound the (block, nonzero, n)
+        # products and their temporaries
         block = max(1, (1 << 16) // nonzero)
         for lo in range(0, nonzero, block):
-            hi = min(nonzero, lo + block)
-            counts, zeros = pair_counts(
-                np.repeat(V[lo:hi], nonzero, axis=0),
-                np.tile(V, (hi - lo, 1)),
-                np.repeat(vcodes[lo:hi], nonzero),
-                np.tile(vcodes, hi - lo))
-            tally += counts
-            zero_products += zeros
+            A = V[lo:lo + block]
+            tally(vcodes[lo:lo + block, None], vcodes,
+                  (V @ left_tables(T, Lb, A, p) + (A @ La % p)[:, None]) % p)
     else:
-        mode = "sampled"
-        pairs = min(SAMPLED_PAIRS, nonzero ** 2)
+        mode, pairs = "sampled", min(SAMPLED_PAIRS, nonzero ** 2)
         rng = np.random.default_rng(plan.seed)
         ia = rng.integers(0, nonzero, size=pairs)
         iq = rng.integers(0, nonzero, size=pairs)
-        counts, zero_products = pair_counts(
-            V[ia], V[iq], vcodes[ia], vcodes[iq])
-        tally += counts
+        tally(vcodes[ia], vcodes[iq],
+              bulk_multiply(T, La, Lb, V[ia], V[iq], p))
 
     edges = {}
-    for flat in np.flatnonzero(tally):
-        ai, rem = divmod(int(flat), nlab * nlab)
+    for flat in sorted(counts):
+        ai, rem = divmod(flat, nlab * nlab)
         qi, ci = divmod(rem, nlab)
-        edges[(labels[ai], labels[qi], labels[ci])] = int(tally[flat])
+        edges[(labels[ai], labels[qi], labels[ci])] = counts[flat]
     return TransitionGraph(p, list(labels), edges, mode, pairs,
                            zero_products, plan.seed)
 

@@ -8,6 +8,7 @@ when a prime field is in play; the numpy kernels chew those in bulk.
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .algebra import multiply, multiply_values, is_zero_vector, \
 SPACE_CAP = 1 << 24  # p**n above this refuses to enumerate
 
 INFINITY = "inf"
+EXCEPTIONAL = "exceptional"
 
 
 class RatioPoint:
@@ -128,40 +130,34 @@ def _zero_scalar(field):
     return Fraction(0)
 
 
+def directions_proportional(d, e):
+    """Do the coordinate sequences d and e span one line (all pairwise
+    cross products vanish)? Field elements compare in their field, so
+    residues over F_p are proportional mod p."""
+    return all(d[i] * e[j] == d[j] * e[i]
+               for i, j in itertools.combinations(range(len(d)), 2))
+
+
 def tails_proportional(v, w, rule):
     """Ground truth for co-stratality: the rule coordinates of v and w are
-    proportional (all pairwise cross products vanish). Equivalent to equal
-    canonical labels except inside the lumped (inf, 0) ratio-pair label,
-    which this predicate splits correctly."""
+    proportional. Equivalent to equal canonical labels except inside the
+    lumped (inf, 0) ratio-pair label, which this predicate splits
+    correctly."""
     coords = rule["coords"]
-    xs = [_as_value(v[c]) for c in coords]
-    ys = [_as_value(w[c]) for c in coords]
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            if xs[i] * ys[j] != xs[j] * ys[i]:
-                return False
-    return True
+    return directions_proportional([v[c] for c in coords],
+                                   [w[c] for c in coords])
 
 
 def enumerate_space(p, n):
-    """All p**n - 1 nonzero residue vectors, lexicographic."""
-    if p ** n > SPACE_CAP:
-        raise ValueError(f"{p}**{n} exceeds enumeration cap 2**24")
-    for v in itertools.product(range(p), repeat=n):
-        if any(v):
-            yield v
+    """All p**n - 1 nonzero residue vectors as tuples, lexicographic."""
+    return map(tuple, space_matrix(p, n).tolist())
 
 
 def space_matrix(p, n):
     """enumerate_space as an (p**n - 1, n) int64 matrix."""
     if p ** n > SPACE_CAP:
         raise ValueError(f"{p}**{n} exceeds enumeration cap 2**24")
-    idx = np.arange(1, p ** n, dtype=np.int64)
-    cols = []
-    for c in range(n - 1, -1, -1):
-        cols.append(idx % p)
-        idx //= p
-    return np.stack(cols[::-1], axis=1)
+    return _kernels.lex_digits(np.arange(1, p ** n), p, n)
 
 
 def _as_operation(op):
@@ -172,15 +168,11 @@ def to_dense_arrays(op, p):
     """Dense int64 (T, La, Lb) reduced mod p for the kernels."""
     op = _as_operation(op)
     n = op.n
-    T = np.zeros((n, n, n), dtype=np.int64)
-    for (i, j, k), c in op.bilinear.entries.items():
-        T[i, j, k] = _residue(c, p)
-    La = np.zeros((n, n), dtype=np.int64)
-    for (i, k), c in op.linear_a.items():
-        La[i, k] = _residue(c, p)
-    Lb = np.zeros((n, n), dtype=np.int64)
-    for (j, k), c in op.linear_b.items():
-        Lb[j, k] = _residue(c, p)
+    T, La, Lb = (np.zeros((n,) * d, dtype=np.int64) for d in (3, 2, 2))
+    for dense, entries in ((T, op.bilinear.entries), (La, op.linear_a),
+                           (Lb, op.linear_b)):
+        for index, c in entries.items():
+            dense[index] = _residue(c, p)
     return T, La, Lb
 
 
@@ -198,20 +190,14 @@ def label_indices(V, p, rule):
     p meaning infinity. Ratio pair: first*(p+1) + second with the same
     convention per slot."""
     inv = inverse_table(p)
-    coords = rule["coords"]
+    cols = [V[:, c] for c in rule["coords"]]
     if rule["kind"] == "ratio":
-        x = V[:, coords[0]]
-        y = V[:, coords[1]]
+        x, y = cols
         return np.where(y != 0, (x * inv[y]) % p, p)
-    v1 = V[:, coords[0]]
-    v2 = V[:, coords[1]]
-    v3 = V[:, coords[2]]
+    v1, v2, v3 = cols
     second = np.where(v3 != 0, (v2 * inv[v3]) % p, p)
-    first = np.where(
-        v2 != 0,
-        (v1 * inv[v2]) % p,
-        np.where((v3 != 0) & (v1 == 0), 0, p),
-    )
+    first = np.where(v2 != 0, (v1 * inv[v2]) % p,
+                     np.where((v3 != 0) & (v1 == 0), 0, p))
     return first * (p + 1) + second
 
 
@@ -233,65 +219,85 @@ ClosureReport = namedtuple(
 
 class StratumPartition:
     """Disjoint labeled strata plus an exceptional ledger covering
-    F_p^n minus zero."""
+    F_p^n minus zero.
 
-    def __init__(self, p, n, strata, exceptional, provenance):
+    codes[i] is the position in labels of the vector with lex index i (-1
+    at the zero vector); a nonempty ledger is the last label, EXCEPTIONAL.
+    The constructor takes the codes of the nonzero vectors. The member
+    lists strata and exceptional are built on first use, in lex order."""
+
+    def __init__(self, p, n, codes, labels, provenance):
         self.p = p
         self.n = n
-        self.strata = strata  # list of (label str, list of int tuples)
-        self.exceptional = exceptional
+        self.codes = np.concatenate([[-1], codes]).astype(np.int32)
+        self.labels = labels
         self.provenance = provenance
-        self._index = dict.fromkeys(exceptional, "exceptional")
-        for label, members in strata:
-            for m in members:
-                self._index[m] = label
+        self._k = len(labels) - (labels[-1:] == [EXCEPTIONAL])  # strata
+
+    @cached_property
+    def _groups(self):
+        order = np.argsort(self.codes, kind="stable")
+        bounds = np.cumsum(np.bincount(self.codes + 1,
+                                       minlength=len(self.labels) + 1))
+        cols = _kernels.lex_digits(order, self.p, self.n).T.tolist()
+        return [list(zip(*(c[lo:hi] for c in cols)))
+                for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())]
+
+    @property
+    def strata(self):
+        """(label, member tuples) per stratum."""
+        return list(zip(self.labels[:self._k], self._groups))
+
+    @property
+    def exceptional(self):
+        return self._groups[-1] if self._k < len(self.labels) else []
 
     def label_of(self, v):
-        return self._index.get(tuple(int(_as_value(x)) % self.p for x in v))
+        idx = 0
+        for x in v:
+            idx = idx * self.p + int(_as_value(x)) % self.p
+        code = self.codes[idx] if len(v) == self.n else -1
+        return self.labels[code] if code >= 0 else None
 
     def sizes(self):
-        return {label: len(members) for label, members in self.strata}
+        counts = np.bincount(self.codes[1:], minlength=self._k)
+        return dict(zip(self.labels[:self._k], counts.tolist()))
 
     def total(self):
-        """Number of stratum members, excluding the exceptional ledger.
-
-        For every partition, total() + len(exceptional) == p**n - 1.
-        """
-        return sum(len(m) for _, m in self.strata)
+        """Stratum members, not the ledger: total() + len(exceptional)
+        == p**n - 1."""
+        return sum(self.sizes().values())
 
     def to_json(self, full=False):
         strata = []
         for label, members in self.strata:
             entry = {"label": label, "size": len(members)}
             if full or len(members) <= 10 ** 4:
-                entry["members"] = [list(map(int, m)) for m in members]
+                entry["members"] = [list(m) for m in members]
             strata.append(entry)
         return {
             "p": self.p,
             "n": self.n,
             "provenance": self.provenance,
             "strata": strata,
-            "exceptional": [list(map(int, m)) for m in self.exceptional],
+            "exceptional": [list(m) for m in self.exceptional],
         }
 
 
 def ratio_partition(model, p=None):
     """Enumerated partition of F_p^n by the model's declarative rule."""
-    field = model.field
-    p = p or field.p
+    p = p or model.field.p
     if p is None:
         raise ValueError("ratio_partition needs a prime field")
     rule = model.strata_rule
     if rule is None:
         raise ValueError(f"model {model.name} declares no strata rule")
-    V = space_matrix(p, model.dimension)
-    idx = label_indices(V, p, rule)
-    groups = {}
-    for row, lab in zip(V, idx):
-        groups.setdefault(int(lab), []).append(tuple(int(x) for x in row))
-    strata = [(label_index_to_str(lab, p, rule), groups[lab])
-              for lab in sorted(groups)]
-    return StratumPartition(p, model.dimension, strata, [], "declared-ratio")
+    idx = label_indices(space_matrix(p, model.dimension), p, rule)
+    present = np.bincount(idx) > 0  # label indices are small: no sort
+    labels = [label_index_to_str(i, p, rule)
+              for i in np.flatnonzero(present).tolist()]
+    return StratumPartition(p, model.dimension, (np.cumsum(present) - 1)[idx],
+                            labels, "declared-ratio")
 
 
 def discover_strata(op, p):
@@ -301,7 +307,8 @@ def discover_strata(op, p):
     Each commutant is keyed exactly by the reduced row echelon form of the
     affine system it solves (see _kernels.commute_rows). Central vectors
     (zero key: the commutant is the whole space) go to the exceptional
-    ledger unless everything is central.
+    ledger unless everything is central. Strata are named S0, S1, ... in
+    the lex order of their first members.
 
     Equal keys mean equal commutants for every p, the zero vector included:
     two affine solution sets that differ only in 0 would have p**a and
@@ -310,47 +317,51 @@ def discover_strata(op, p):
     every nonzero w" only on F_2^1, whose single vector forms one stratum
     under either rule.
     """
-    op = _as_operation(op)
-    n = op.n
-    T, La, Lb = to_dense_arrays(op, p)
-    V = space_matrix(p, n)
-    keys = _kernels.commute_rows(T, La, Lb, V, p)
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key.tobytes(), []).append(i)
-    central_group = groups.pop(bytes(keys[0].nbytes), None)
-    strata_groups = list(groups.values())
-    members = lambda g: sorted(tuple(int(x) for x in V[i]) for i in g)
-    if central_group is not None and not strata_groups:
-        strata_groups = [central_group]
-        central_group = None
-    strata_members = sorted((members(g) for g in strata_groups),
-                            key=lambda ms: ms[0])
-    strata = [(f"S{i}", ms) for i, ms in enumerate(strata_members)]
-    exceptional = members(central_group) if central_group else []
-    return StratumPartition(p, n, strata, exceptional, "discovered")
+    V = space_matrix(p, _as_operation(op).n)
+    keys = _kernels.commute_rows(*to_dense_arrays(op, p), V, p)
+    # group equal keys by a stable row sort (np.unique(axis=0) is ~25x
+    # slower at p = 101); residues are nonnegative: the zero key sorts first
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    group = np.empty(len(keys), dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    first = order[starts]  # the least lex index of each group
+    central = int(not ranked[0].any() and len(first) > 1)
+    rank = np.full(len(first), len(first) - central)  # the ledger goes last
+    rank[np.argsort(first[central:]) + central] = range(len(first) - central)
+    labels = [f"S{i}" for i in range(len(first) - central)]
+    return StratumPartition(p, V.shape[1], rank[group],
+                            labels + [EXCEPTIONAL] * central, "discovered")
 
 
 def partitions_agree(discovered, model):
     """Do the discovered strata and the declarative ratio labels induce the
     same equivalence on the non-exceptional vectors? Returns (bool, detail).
+    Strata are checked in order; the first that spans several ratio labels
+    or shares its label with an earlier stratum is reported.
     """
-    p = discovered.p
-    rule = model.strata_rule
-    V = space_matrix(p, discovered.n)
-    idx = label_indices(V, p, rule)
-    ratio_of = {tuple(int(x) for x in row): int(l) for row, l in zip(V, idx)}
-    seen_ratio = {}
-    for label, ms in discovered.strata:
-        ratios = {ratio_of[m] for m in ms}
-        if len(ratios) != 1:
-            return False, f"discovered stratum {label} spans ratio labels {sorted(ratios)}"
-        r = ratios.pop()
-        if r in seen_ratio:
-            return False, (f"ratio label {label_index_to_str(r, p, rule)} split "
-                           f"across {seen_ratio[r]} and {label}")
-        seen_ratio[r] = label
-    return True, f"{len(discovered.strata)} strata matched one-to-one"
+    p, rule, k = discovered.p, model.strata_rule, discovered._k
+    span = (p + 1) ** 2  # above every ratio label index
+    code = discovered.codes[1:].astype(np.int64)
+    pairs = code * span + label_indices(space_matrix(p, discovered.n), p, rule)
+    # distinct (stratum, ratio label) pairs, sorted (np.unique's first call
+    # adds ~0.5 MB to peak RSS); strata before `clean` have one label each
+    pairs = np.sort(pairs[code < k])
+    distinct = np.concatenate([[True], pairs[1:] != pairs[:-1]])
+    s, r = np.divmod(pairs[distinct], span)
+    spans = np.flatnonzero(np.bincount(s, minlength=k) > 1)
+    clean = spans[0] if len(spans) else k
+    labels, seen = discovered.labels, {}
+    for j, ratio in enumerate(r[:clean].tolist()):
+        i = seen.setdefault(ratio, j)
+        if i != j:
+            return False, (f"ratio label {label_index_to_str(ratio, p, rule)}"
+                           f" split across {labels[i]} and {labels[j]}")
+    if clean < k:
+        return False, (f"discovered stratum {labels[clean]} spans ratio "
+                       f"labels {r[s == clean].tolist()}")
+    return True, f"{k} strata matched one-to-one"
 
 
 def verify_closure(op, members, field, constraint=None, rng=None,

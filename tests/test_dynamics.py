@@ -1,13 +1,21 @@
 """Orbits, chain paths, permutation experiments, transition graphs."""
 
 import hashlib
+import itertools
 import json
 import random
+import tracemalloc
+from collections import Counter
+
+import numpy as np
 
 import pytest
 
 from stratalg import (
+    AffineOperation,
+    Field,
     SamplingPlan,
+    StructureTensor,
     builtin_model,
     chain_path,
     discover_strata,
@@ -21,6 +29,7 @@ from stratalg import (
     transition_graph,
     vector,
 )
+from stratalg import dynamics
 from stratalg.dynamics import ZERO_LABEL, _labeler
 from stratalg.field import format_scalar
 from stratalg.strata import INFINITY
@@ -326,3 +335,135 @@ def test_transition_graph_with_discovered_partition(f7):
     g = transition_graph(model, discovered, SamplingPlan(seed=0))
     assert "exceptional" in g.nodes
     assert sum(g.edges.values()) + g.zero_products == g.pairs
+
+
+def scalar_transition_counts(op, partition, field):
+    """Every ordered pair of nonzero vectors through the scalar multiply
+    and label_of: (edge counts, zero products)."""
+    space = [vector(field, v) for v in
+             itertools.product(range(field.p), repeat=partition.n) if any(v)]
+    labels = [partition.label_of(v) for v in space]
+    edges = Counter()
+    zeros = 0
+    for a, la in zip(space, labels):
+        for q, lq in zip(space, labels):
+            prod = multiply(op, a, q)
+            if all(x == 0 for x in prod):
+                zeros += 1
+            else:
+                edges[(la, lq, partition.label_of(prod))] += 1
+    return dict(edges), zeros
+
+
+def random_affine_operation(field, n, seed):
+    rng = random.Random(seed)
+    p = field.p
+    draw = lambda: field.element(rng.randrange(p))
+    idx = range(n)
+    return AffineOperation(
+        StructureTensor(n, {(i, j, k): draw()
+                            for i in idx for j in idx for k in idx}),
+        {(i, k): draw() for i in idx for k in idx},
+        {(j, k): draw() for j in idx for k in idx},
+        zero=field.zero())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exhaustive_transition_scan_matches_the_scalar_loop(p):
+    """The blocked left-table scan against multiply and label_of over all
+    pairs: declared and discovered partitions of nonlinear3 (affine), and
+    the discovered partition of a dense affine operation on K^2."""
+    f = Field(p)
+    model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6), field=f)
+    dense = random_affine_operation(f, 2, p)
+    for op, part in ((model.operation, ratio_partition(model)),
+                     (model.operation, discover_strata(model, p)),
+                     (dense, discover_strata(dense, p))):
+        g = transition_graph(op, part, SamplingPlan(seed=0))
+        assert g.mode == "exhaustive"
+        assert g.nodes == part.labels
+        assert (g.edges, g.zero_products) == scalar_transition_counts(
+            op, part, f)
+
+
+def test_sampled_transition_scan_matches_the_scalar_loop(f23, monkeypatch):
+    """Sampled mode labels the scalar products of the pairs drawn from
+    numpy's generator with the plan's seed (3,000 pairs here)."""
+    monkeypatch.setattr(dynamics, "SAMPLED_PAIRS", 3000)
+    model = builtin_model("nonlinear3", params=(3, 1, 6, 2, 5, 4), field=f23)
+    part = ratio_partition(model)
+    g = transition_graph(model, part, SamplingPlan(seed=4))
+    assert (g.mode, g.pairs) == ("sampled", 3000)
+    rng = np.random.default_rng(4)
+    ia, iq = (rng.integers(0, 23 ** 3 - 1, size=3000) + 1 for _ in "aq")
+    digits = lambda i: vector(f23, (i // 529, i // 23 % 23, i % 23))
+    edges = Counter()
+    zeros = 0
+    for i, j in zip(ia.tolist(), iq.tolist()):
+        a, q = digits(i), digits(j)
+        prod = multiply(model.operation, a, q)
+        if all(x == 0 for x in prod):
+            zeros += 1
+        else:
+            edges[(part.label_of(a), part.label_of(q),
+                   part.label_of(prod))] += 1
+    assert (g.edges, g.zero_products) == (dict(edges), zeros)
+
+
+def test_one_dimensional_discovery_and_dynamics():
+    """n = 1: a*b = a + 2b commutes only with itself, so every nonzero
+    scalar is its own stratum; F_2^1 has a single vector."""
+    f = Field(5)
+    op = AffineOperation(StructureTensor(1, {}), {(0, 0): f.one()},
+                         {(0, 0): f.element(2)}, zero=f.zero())
+    part = discover_strata(op, 5)
+    assert part.strata == [(f"S{i}", [(i + 1,)]) for i in range(4)]
+    assert part.exceptional == []
+    assert [part.label_of((x,)) for x in range(5)] == [None, "S0", "S1",
+                                                        "S2", "S3"]
+    g = transition_graph(op, part, SamplingPlan(seed=0))
+    assert (g.edges, g.zero_products) == scalar_transition_counts(op, part, f)
+    tr = orbit(op, vector(f, (1,)), vector(f, (1,)), 10, part)
+    assert tr.labels == ["S0", "S2", ZERO_LABEL] and tr.truncated
+    f2 = Field(2)
+    one = AffineOperation(StructureTensor(1, {(0, 0, 0): f2.one()}),
+                          zero=f2.zero())
+    part2 = discover_strata(one, 2)
+    assert part2.strata == [("S0", [(1,)])] and part2.exceptional == []
+    g2 = transition_graph(one, part2, SamplingPlan(seed=0))
+    assert g2.edges == {("S0", "S0", "S0"): 1} and g2.zero_products == 0
+
+
+def test_sorted_tally_matches_the_dense_tally(f23, monkeypatch):
+    """Past DENSE_TALLY label triples the edges are counted through a sort;
+    both tallies give the same graphs, exhaustive and sampled."""
+    f7 = Field(7)
+    dense_op = random_affine_operation(f7, 3, 7)
+    cases = [(dense_op, discover_strata(dense_op, 7))]
+    for f, params in ((f7, (2, 3, 5, 1, 4, 6)), (f23, (3, 1, 6, 2, 5, 4))):
+        model = builtin_model("nonlinear3", params=params, field=f)
+        cases += [(model.operation, ratio_partition(model))]
+    want = [transition_graph(op, part, SamplingPlan(seed=2)).to_json()
+            for op, part in cases]
+    assert len(cases[0][1].labels) > 50  # 50**3 label triples
+    monkeypatch.setattr(dynamics, "DENSE_TALLY", 0)
+    assert [transition_graph(op, part, SamplingPlan(seed=2)).to_json()
+            for op, part in cases] == want
+
+
+def test_many_labels_keep_the_tally_small(monkeypatch):
+    """parametric4 over F_23 has 532 labels: a dense tally of all label
+    triples would take 1.2 GB, the sorted one takes a few MB."""
+    monkeypatch.setattr(dynamics, "SAMPLED_PAIRS", 2000)
+    model = builtin_model("parametric4", params=(2, 3, 5, 7, 11, 13),
+                          field=Field(23))
+    part = ratio_partition(model)
+    assert len(part.labels) ** 3 > dynamics.DENSE_TALLY
+    tracemalloc.start()
+    try:
+        g = transition_graph(model, part, SamplingPlan(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert sum(g.edges.values()) + g.zero_products == g.pairs == 2000

@@ -51,6 +51,51 @@ def test_bulk_multiply_is_exact_past_the_int64_bound(p):
     assert np.array_equal(_kernels.bulk_multiply(T, La, Lb, A, B, p), want)
 
 
+def defining_sums(T, La, Lb, A, B, p):
+    """(a*b)_k = sum T[i,j,k] a_i b_j + sum La[i,k] a_i + sum Lb[j,k] b_j,
+    row by row on Python ints."""
+    n = T.shape[0]
+    T, La, Lb = T.tolist(), La.tolist(), Lb.tolist()
+    return [[(sum(T[i][j][k] * a[i] * b[j]
+                  for i in range(n) for j in range(n))
+              + sum(La[i][k] * a[i] + Lb[i][k] * b[i] for i in range(n)))
+             % p for k in range(n)]
+            for a, b in zip(A.tolist(), B.tolist())]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_left_tables_give_the_defining_sums(p, n):
+    """w @ left_tables(a) + a @ La is a*w, on dense operations with both
+    linear parts, and bulk_multiply agrees row by row."""
+    rng = np.random.default_rng(100 * p + n)
+    T = rng.integers(0, p, size=(n, n, n))
+    La, Lb = rng.integers(0, p, size=(2, n, n))
+    A, B = rng.integers(0, p, size=(2, 200, n))
+    want = defining_sums(T, La, Lb, A, B, p)
+    L = _kernels.left_tables(T, Lb, A, p)
+    assert L.shape == (200, n, n) and 0 <= L.min() and L.max() < p
+    got = (np.matmul(B[:, None, :], L)[:, 0] + A @ La) % p
+    assert got.tolist() == want
+    assert _kernels.bulk_multiply(T, La, Lb, A, B, p).tolist() == want
+
+
+# the largest prime with n**2 * p**2 < 2**63 for each n: the last int64
+# case, with every residue at p - 1 so each sum is as large as it gets
+@pytest.mark.parametrize("n,p", [(1, 3037000493), (2, 1518500213),
+                                 (4, 759250111)])
+def test_bulk_multiply_is_exact_at_the_int64_bound(n, p):
+    rng = np.random.default_rng(n)
+    T = np.full((n, n, n), p - 1, dtype=np.int64)
+    La = np.full((n, n), p - 1, dtype=np.int64)
+    Lb = La.copy()
+    A = np.vstack([np.full((1, n), p - 1), rng.integers(0, p, size=(20, n))])
+    B = np.vstack([np.full((1, n), p - 1), rng.integers(0, p, size=(20, n))])
+    got = _kernels.bulk_multiply(T, La, Lb, A, B, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == defining_sums(T, La, Lb, A, B, p)
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (7, 4), (2147483659, 3)])
 def test_lex_indices_count_in_lexicographic_order(p, n):
     """Python-int reference; p = 2147483659 and n = 3 pass 2**63."""
@@ -115,6 +160,25 @@ def test_commute_rows_paths_agree():
                 assert len(pairs) == len(set(key_class.ravel()))
                 assert len(pairs) == len(set(row_class.ravel()))
                 assert np.array_equal(~keys.any(axis=1), table.all(axis=1))
+
+
+def test_commute_rows_chunks_give_identical_keys(monkeypatch):
+    """Eliminating a few vectors at a time, with a ragged last chunk,
+    changes no key and no discovered partition."""
+    rng = np.random.default_rng(3)
+    model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
+                          field=Field(7))
+    cases = [random_operation(rng, p, n, central)
+             for p, n, central in ((5, 3, True), (3, 4, False))]
+    cases.append(to_dense_arrays(model.operation, 7))
+    whole = [_kernels.commute_rows(T, La, Lb, space_matrix(p, T.shape[0]), p)
+             for (T, La, Lb), p in zip(cases, (5, 3, 7))]
+    report = discover_strata(model, 7).to_json(full=True)
+    monkeypatch.setattr(_kernels, "COMMUTE_CHUNK", 7)
+    for (T, La, Lb), p, want in zip(cases, (5, 3, 7), whole):
+        got = _kernels.commute_rows(T, La, Lb, space_matrix(p, T.shape[0]), p)
+        assert np.array_equal(got, want)
+    assert discover_strata(model, 7).to_json(full=True) == report
 
 
 # SHA-256 of discover_strata(...).to_json(full=True), frozen from the

@@ -25,7 +25,7 @@ from stratalg import (
     vector,
     verify_closure,
 )
-from stratalg import algebra, strata
+from stratalg import algebra, axioms, strata
 from stratalg.algebra import RATIO_RULE_3D, RATIO_RULE_4D
 from stratalg.strata import (
     INFINITY,
@@ -84,6 +84,18 @@ def test_tails_proportional_splits_the_lumped_corner():
     c, d = (9, 6, 3, 1), (0, 12, 6, 2)
     assert ratio_stratum_of(c, rule) == ratio_stratum_of(d, rule)
     assert tails_proportional(c, d, rule)
+
+
+def test_tails_proportional_reduces_mod_p(f5):
+    """(0,1,3) and (0,2,1) share label 2 over F_5: 1*1 = 3*2 mod 5."""
+    rule = RATIO_RULE_3D
+    v, w = vector(f5, (0, 1, 3)), vector(f5, (0, 2, 1))
+    assert str(ratio_stratum_of(v, rule, f5)) == "2"
+    assert ratio_stratum_of(v, rule, f5) == ratio_stratum_of(w, rule, f5)
+    assert tails_proportional(v, w, rule)
+    assert not tails_proportional(v, vector(f5, (0, 1, 1)), rule)
+    # one implementation serves the axiom samplers too
+    assert axioms.directions_proportional is strata.directions_proportional
 
 
 def test_enumeration_agrees_with_space_matrix():
@@ -168,6 +180,76 @@ def test_discovery_matches_declared_ratios(f7):
     # strata re-exports the rule constants rather than keeping copies
     assert strata.RATIO_RULE_3D is algebra.RATIO_RULE_3D
     assert strata.RATIO_RULE_4D is algebra.RATIO_RULE_4D
+
+
+def check_partition_views(part):
+    """codes, labels, strata, exceptional, sizes and label_of describe one
+    partition: members in lex order, each labeled by its own stratum."""
+    p, n = part.p, part.n
+    assert part.codes.dtype == np.int32 and part.codes.shape == (p ** n,)
+    assert part.codes[0] == -1 and part.label_of((0,) * n) is None
+    listed = [label for label, _ in part.strata]
+    if part.exceptional:
+        listed.append("exceptional")
+    assert listed == part.labels
+    assert part.sizes() == {l: len(m) for l, m in part.strata}
+    assert part.total() + len(part.exceptional) == p ** n - 1
+    groups = part.strata + [("exceptional", part.exceptional)]
+    every = sorted(m for _, ms in groups for m in ms)
+    assert every == list(enumerate_space(p, n))
+    for label, members in groups:
+        assert members == sorted(members)
+        assert all(type(x) is int for m in members for x in m)
+        assert all(part.label_of(m) == label for m in members)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_ratio_partition_matches_scalar_labels(p):
+    f = Field(p)
+    for name, params in (("basic3", None),
+                         ("parametric4", (2, 3, 5, 7, 11, 13))):
+        model = builtin_model(name, params=params, field=f)
+        part = ratio_partition(model)
+        check_partition_views(part)
+        for v in enumerate_space(p, model.dimension):
+            want = str(ratio_stratum_of(v, model.strata_rule, f))
+            assert part.label_of(vector(f, v)) == want
+            assert part.label_of([x + p for x in v]) == want
+
+
+def test_ratio_partition_over_f2():
+    part = ratio_partition(builtin_model("basic3", field=Field(2)))
+    assert part.sizes() == {"0": 2, "1": 2, INFINITY: 3}
+    assert part.strata[0] == ("0", [(0, 0, 1), (1, 0, 1)])
+    assert part.label_of((3, 2, 1)) == "0"  # reduces to (1, 0, 1)
+    assert part.label_of((1, 1)) is None  # wrong length
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_discovered_partition_views_agree(p):
+    f = Field(p)
+    for model in (builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
+                                field=f),
+                  builtin_model("parametric4", params=(2, 3, 5, 7, 11, 13),
+                                field=f)):
+        part = discover_strata(model, p)
+        check_partition_views(part)
+        firsts = [members[0] for _, members in part.strata]
+        assert firsts == sorted(firsts)
+        assert [l for l, _ in part.strata] == [
+            f"S{i}" for i in range(len(part.strata))]
+
+
+def test_discovery_over_f2():
+    """nonlinear3's parameters reduce to a commutative operation mod 2:
+    one stratum, which spans every ratio label."""
+    model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
+                          field=Field(2))
+    part = discover_strata(model, 2)
+    assert part.strata == [("S0", list(enumerate_space(2, 3)))]
+    assert part.label_of((1, 0, 1)) == "S0"
+    assert partitions_agree(part, model) == (
+        False, "discovered stratum S0 spans ratio labels [0, 1, 2]")
 
 
 def test_partitions_agree_details_are_frozen(f7):
