@@ -26,10 +26,6 @@ EXHAUSTIVE_SPACE = 10 ** 4
 # Sampled-mode pair budget (pairs drawn with the plan's seed).
 SAMPLED_PAIRS = 10 ** 5
 
-# Label triples up to this count are tallied with a dense bincount, more
-# through a sort: a dense tally of 600 labels would take 1.7 GB.
-DENSE_TALLY = 1 << 20
-
 
 # ---------------------------------------------------------------------------
 # labeling helpers
@@ -38,7 +34,10 @@ DENSE_TALLY = 1 << 20
 def _labeler(partition):
     """Vector -> stratum label. Accepts a StratumPartition or any
     callable; the zero vector is always labeled ZERO_LABEL."""
-    fn = getattr(partition, "label_of", partition)
+    if callable(partition) and not hasattr(partition, "label_of"):
+        fn = partition
+    else:
+        fn = partition.label_of
 
     def label(v):
         if is_zero_vector(v):
@@ -256,16 +255,21 @@ class TransitionGraph:
             "pairs": self.pairs,
             "zero_products": self.zero_products,
             "nodes": list(self.nodes),
-            "edges": [{"from": a, "via": b, "to": c, "count": count}
-                      for (a, b, c), count in sorted(self.edges.items())],
+            "edges": [
+                {"from": a, "via": b, "to": c, "count": self.edges[key]}
+                for key in sorted(self.edges)
+                for a, b, c in [key]
+            ],
         }
 
     def to_dot(self):
         lines = ["digraph transitions {", "  rankdir=LR;"]
         for node in self.nodes:
             lines.append(f'  "{node}";')
-        for (a, via, c), count in sorted(self.edges.items()):
-            lines.append(f'  "{a}" -> "{c}" [label="via {via} (x{count})"];')
+        for a, via, c in sorted(self.edges):
+            count = self.edges[(a, via, c)]
+            lines.append(
+                f'  "{a}" -> "{c}" [label="via {via} (x{count})"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -275,6 +279,7 @@ def transition_graph(op, partition, plan):
     transitions (label(a), label(q)) -> label(a*q). All pairs when the
     state space has at most EXHAUSTIVE_SPACE vectors; otherwise
     SAMPLED_PAIRS pairs drawn with the plan's seed. Deterministic."""
+    op = _as_operation(op)
     p, n = partition.p, partition.n
     space = p ** n
     codes, labels = partition.codes, partition.labels
@@ -282,48 +287,49 @@ def transition_graph(op, partition, plan):
     V = space_matrix(p, n)
 
     nlab = len(labels)
-    # exact keys: nlab**3 passes 2**63 only for 2M+ (discovered) labels
-    vcodes = codes[1:].astype(np.int64 if nlab ** 3 < 1 << 63 else object)
-    nonzero = space - 1  # V row r has lex index r + 1
-    counts = Counter()
+    vcodes = codes[1:].astype(np.int64)  # V row r has lex index r + 1
+    nonzero = space - 1
+    tally = np.zeros(nlab * nlab * nlab, dtype=np.int64)
     zero_products = 0
 
-    def tally(ca, cq, prod):
-        """Count the products prod (..., n) of operands with codes ca, cq."""
-        nonlocal zero_products
+    def pair_counts(prod, ca, cq):
+        """(edge tally, zero-product count) for the products prod (..., n)
+        of operands with codes ca, cq (broadcast to prod's leading shape)."""
         cp = codes[lex_indices(prod.reshape(-1, n), p)]
         keep = cp >= 0
         key = (((ca * nlab + cq) * nlab).ravel() + cp)[keep]
-        if nlab ** 3 <= DENSE_TALLY:
-            got = np.bincount(key, minlength=nlab ** 3)
-            key, got = np.flatnonzero(got), got[got != 0]
-        else:
-            key, got = np.unique(key, return_counts=True)
-        counts.update(dict(zip(key.tolist(), got.tolist())))
-        zero_products += int(keep.size - keep.sum())
+        return (np.bincount(key, minlength=nlab ** 3),
+                int((~keep).sum()))
 
     if space <= EXHAUSTIVE_SPACE:
-        mode, pairs = "exhaustive", nonzero ** 2
+        mode = "exhaustive"
+        pairs = nonzero ** 2
         # blocks of at most 2**16 pairs bound the (block, nonzero, n)
         # products and their temporaries
         block = max(1, (1 << 16) // nonzero)
         for lo in range(0, nonzero, block):
             A = V[lo:lo + block]
-            tally(vcodes[lo:lo + block, None], vcodes,
-                  (V @ left_tables(T, Lb, A, p) + (A @ La % p)[:, None]) % p)
+            prod = (V @ left_tables(T, Lb, A, p)
+                    + (A @ La % p)[:, None]) % p
+            counts, zeros = pair_counts(prod, vcodes[lo:lo + block, None],
+                                        vcodes)
+            tally += counts
+            zero_products += zeros
     else:
-        mode, pairs = "sampled", min(SAMPLED_PAIRS, nonzero ** 2)
+        mode = "sampled"
+        pairs = min(SAMPLED_PAIRS, nonzero ** 2)
         rng = np.random.default_rng(plan.seed)
         ia = rng.integers(0, nonzero, size=pairs)
         iq = rng.integers(0, nonzero, size=pairs)
-        tally(vcodes[ia], vcodes[iq],
-              bulk_multiply(T, La, Lb, V[ia], V[iq], p))
+        counts, zero_products = pair_counts(
+            bulk_multiply(T, La, Lb, V[ia], V[iq], p), vcodes[ia], vcodes[iq])
+        tally += counts
 
     edges = {}
-    for flat in sorted(counts):
-        ai, rem = divmod(flat, nlab * nlab)
+    for flat in np.flatnonzero(tally):
+        ai, rem = divmod(int(flat), nlab * nlab)
         qi, ci = divmod(rem, nlab)
-        edges[(labels[ai], labels[qi], labels[ci])] = counts[flat]
+        edges[(labels[ai], labels[qi], labels[ci])] = int(tally[flat])
     return TransitionGraph(p, list(labels), edges, mode, pairs,
                            zero_products, plan.seed)
 

@@ -149,8 +149,12 @@ def tails_proportional(v, w, rule):
 
 
 def enumerate_space(p, n):
-    """All p**n - 1 nonzero residue vectors as tuples, lexicographic."""
-    return map(tuple, space_matrix(p, n).tolist())
+    """All p**n - 1 nonzero residue vectors, lexicographic."""
+    if p ** n > SPACE_CAP:
+        raise ValueError(f"{p}**{n} exceeds enumeration cap 2**24")
+    for v in itertools.product(range(p), repeat=n):
+        if any(v):
+            yield v
 
 
 def space_matrix(p, n):
@@ -168,11 +172,15 @@ def to_dense_arrays(op, p):
     """Dense int64 (T, La, Lb) reduced mod p for the kernels."""
     op = _as_operation(op)
     n = op.n
-    T, La, Lb = (np.zeros((n,) * d, dtype=np.int64) for d in (3, 2, 2))
-    for dense, entries in ((T, op.bilinear.entries), (La, op.linear_a),
-                           (Lb, op.linear_b)):
-        for index, c in entries.items():
-            dense[index] = _residue(c, p)
+    T = np.zeros((n, n, n), dtype=np.int64)
+    for (i, j, k), c in op.bilinear.entries.items():
+        T[i, j, k] = _residue(c, p)
+    La = np.zeros((n, n), dtype=np.int64)
+    for (i, k), c in op.linear_a.items():
+        La[i, k] = _residue(c, p)
+    Lb = np.zeros((n, n), dtype=np.int64)
+    for (j, k), c in op.linear_b.items():
+        Lb[j, k] = _residue(c, p)
     return T, La, Lb
 
 
@@ -190,14 +198,20 @@ def label_indices(V, p, rule):
     p meaning infinity. Ratio pair: first*(p+1) + second with the same
     convention per slot."""
     inv = inverse_table(p)
-    cols = [V[:, c] for c in rule["coords"]]
+    coords = rule["coords"]
     if rule["kind"] == "ratio":
-        x, y = cols
+        x = V[:, coords[0]]
+        y = V[:, coords[1]]
         return np.where(y != 0, (x * inv[y]) % p, p)
-    v1, v2, v3 = cols
+    v1 = V[:, coords[0]]
+    v2 = V[:, coords[1]]
+    v3 = V[:, coords[2]]
     second = np.where(v3 != 0, (v2 * inv[v3]) % p, p)
-    first = np.where(v2 != 0, (v1 * inv[v2]) % p,
-                     np.where((v3 != 0) & (v1 == 0), 0, p))
+    first = np.where(
+        v2 != 0,
+        (v1 * inv[v2]) % p,
+        np.where((v3 != 0) & (v1 == 0), 0, p),
+    )
     return first * (p + 1) + second
 
 
@@ -264,8 +278,10 @@ class StratumPartition:
         return dict(zip(self.labels[:self._k], counts.tolist()))
 
     def total(self):
-        """Stratum members, not the ledger: total() + len(exceptional)
-        == p**n - 1."""
+        """Number of stratum members, excluding the exceptional ledger.
+
+        For every partition, total() + len(exceptional) == p**n - 1.
+        """
         return sum(self.sizes().values())
 
     def to_json(self, full=False):
@@ -286,7 +302,8 @@ class StratumPartition:
 
 def ratio_partition(model, p=None):
     """Enumerated partition of F_p^n by the model's declarative rule."""
-    p = p or model.field.p
+    field = model.field
+    p = p or field.p
     if p is None:
         raise ValueError("ratio_partition needs a prime field")
     rule = model.strata_rule
@@ -317,8 +334,11 @@ def discover_strata(op, p):
     every nonzero w" only on F_2^1, whose single vector forms one stratum
     under either rule.
     """
-    V = space_matrix(p, _as_operation(op).n)
-    keys = _kernels.commute_rows(*to_dense_arrays(op, p), V, p)
+    op = _as_operation(op)
+    n = op.n
+    T, La, Lb = to_dense_arrays(op, p)
+    V = space_matrix(p, n)
+    keys = _kernels.commute_rows(T, La, Lb, V, p)
     # group equal keys by a stable row sort (np.unique(axis=0) is ~25x
     # slower at p = 101); residues are nonnegative: the zero key sorts first
     order = np.lexsort(keys.T[::-1])
@@ -331,7 +351,7 @@ def discover_strata(op, p):
     rank = np.full(len(first), len(first) - central)  # the ledger goes last
     rank[np.argsort(first[central:]) + central] = range(len(first) - central)
     labels = [f"S{i}" for i in range(len(first) - central)]
-    return StratumPartition(p, V.shape[1], rank[group],
+    return StratumPartition(p, n, rank[group],
                             labels + [EXCEPTIONAL] * central, "discovered")
 
 
@@ -341,18 +361,19 @@ def partitions_agree(discovered, model):
     Strata are checked in order; the first that spans several ratio labels
     or shares its label with an earlier stratum is reported.
     """
-    p, rule, k = discovered.p, model.strata_rule, discovered._k
+    p = discovered.p
+    rule = model.strata_rule
+    k = discovered._k  # strata, not the ledger
     span = (p + 1) ** 2  # above every ratio label index
     code = discovered.codes[1:].astype(np.int64)
     pairs = code * span + label_indices(space_matrix(p, discovered.n), p, rule)
-    # distinct (stratum, ratio label) pairs, sorted (np.unique's first call
-    # adds ~0.5 MB to peak RSS); strata before `clean` have one label each
-    pairs = np.sort(pairs[code < k])
-    distinct = np.concatenate([[True], pairs[1:] != pairs[:-1]])
-    s, r = np.divmod(pairs[distinct], span)
+    # distinct (stratum, ratio label) pairs, sorted: strata before `clean`
+    # have one ratio label each
+    s, r = np.divmod(np.unique(pairs[code < k]), span)
     spans = np.flatnonzero(np.bincount(s, minlength=k) > 1)
     clean = spans[0] if len(spans) else k
-    labels, seen = discovered.labels, {}
+    labels = discovered.labels
+    seen = {}
     for j, ratio in enumerate(r[:clean].tolist()):
         i = seen.setdefault(ratio, j)
         if i != j:

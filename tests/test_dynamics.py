@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import random
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -432,38 +431,3 @@ def test_one_dimensional_discovery_and_dynamics():
     assert part2.strata == [("S0", [(1,)])] and part2.exceptional == []
     g2 = transition_graph(one, part2, SamplingPlan(seed=0))
     assert g2.edges == {("S0", "S0", "S0"): 1} and g2.zero_products == 0
-
-
-def test_sorted_tally_matches_the_dense_tally(f23, monkeypatch):
-    """Past DENSE_TALLY label triples the edges are counted through a sort;
-    both tallies give the same graphs, exhaustive and sampled."""
-    f7 = Field(7)
-    dense_op = random_affine_operation(f7, 3, 7)
-    cases = [(dense_op, discover_strata(dense_op, 7))]
-    for f, params in ((f7, (2, 3, 5, 1, 4, 6)), (f23, (3, 1, 6, 2, 5, 4))):
-        model = builtin_model("nonlinear3", params=params, field=f)
-        cases += [(model.operation, ratio_partition(model))]
-    want = [transition_graph(op, part, SamplingPlan(seed=2)).to_json()
-            for op, part in cases]
-    assert len(cases[0][1].labels) > 50  # 50**3 label triples
-    monkeypatch.setattr(dynamics, "DENSE_TALLY", 0)
-    assert [transition_graph(op, part, SamplingPlan(seed=2)).to_json()
-            for op, part in cases] == want
-
-
-def test_many_labels_keep_the_tally_small(monkeypatch):
-    """parametric4 over F_23 has 532 labels: a dense tally of all label
-    triples would take 1.2 GB, the sorted one takes a few MB."""
-    monkeypatch.setattr(dynamics, "SAMPLED_PAIRS", 2000)
-    model = builtin_model("parametric4", params=(2, 3, 5, 7, 11, 13),
-                          field=Field(23))
-    part = ratio_partition(model)
-    assert len(part.labels) ** 3 > dynamics.DENSE_TALLY
-    tracemalloc.start()
-    try:
-        g = transition_graph(model, part, SamplingPlan(seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 << 20
-    assert sum(g.edges.values()) + g.zero_products == g.pairs == 2000
