@@ -36,6 +36,8 @@ from stratalg.axioms import (
     HOLDS,
     SAMPLES,
     _generic_trial,
+    _symbolic_in_stratum,
+    _symbolic_lps_costratal,
     label_str,
     ratio_subs,
     shared_direction_subs,
@@ -125,6 +127,61 @@ def test_identity_suite_json_shape():
     assert "difference" in by_name["associator_reduced_4d"]
     assert "difference" not in by_name["commutator_direction_4d"]
     json.dumps(rows)  # serializable
+
+
+# SHA-256 of json.dumps(..., sort_keys=True) per built-in, frozen from the
+# Fraction-only Polynomial: the identity suite (its parametric4 difference
+# strings print polynomials), the (laws, residuals) pair of the SA1 proof,
+# the SA3 proof's result, and the printed product under the shared-direction
+# substitution plus the associator under the ratio substitution (the proofs
+# themselves all hold, so only these two pin what substitute computes).
+GOLDEN_SYMBOLIC = [
+    ("basic3",
+     "1cd501e2a79da903de28139b69eaa02e66fa80bd2754fa6d7401fd9e5c6c9410",
+     "56b097249b3189972e6aa4dd33b5da200234ff83f260b16a0bfaa36a0dc67f6a",
+     "cd4f4b3f8e224c5d08f5f6b27bf0d77a433278e098e884f172e6d3c2896f6493",
+     "3219c2ec15b76304aac84c48423ae8f2ba2d4c7cf2b50e78c2216773ceef8c12",
+     "717ef0c1ea2e9623a5696ee36e630b7f066230c9a9c9f7808a9da2bbe62daf4b"),
+    ("parametric3",
+     "1cd501e2a79da903de28139b69eaa02e66fa80bd2754fa6d7401fd9e5c6c9410",
+     "56b097249b3189972e6aa4dd33b5da200234ff83f260b16a0bfaa36a0dc67f6a",
+     "cd4f4b3f8e224c5d08f5f6b27bf0d77a433278e098e884f172e6d3c2896f6493",
+     "b12d9081b3bb5d6d2a6d0a83d36d5c2315ffc8ee6bc5c95a19994d8a01007fcf",
+     "c46716b59c6457c3f380e5d87369beb70c47e2cc9e34f9d4ceb84585a0a7f948"),
+    ("parametric4",
+     "0ac5c50736f15e54ca2f058c92b1dcf6c6e737464851ce338358e56ffc25a8b0",
+     "56b097249b3189972e6aa4dd33b5da200234ff83f260b16a0bfaa36a0dc67f6a",
+     "cd4f4b3f8e224c5d08f5f6b27bf0d77a433278e098e884f172e6d3c2896f6493",
+     "8e612cc7ee141f8e66b1163c64dc1be3828392e92123644d8f3f79f7294fa8cb",
+     "53f99adb2a2ec7157767a5d7f38c3fcdc7a3c46c8e3841631cf275af76cb0a49"),
+    ("nonlinear3",
+     "5ab1409fa973285d143160885f549ba1d4db57fa4ea2decb96fa624f7800ffe7",
+     "56b097249b3189972e6aa4dd33b5da200234ff83f260b16a0bfaa36a0dc67f6a",
+     "cd4f4b3f8e224c5d08f5f6b27bf0d77a433278e098e884f172e6d3c2896f6493",
+     "d0b260f9026d1bb77497a706a9f78336f54ab5a6a5cdd92fb4cc33e236ea5f0d",
+     "43998ad2a34464417c4b081d63528d54d61950d540be26e56d79b62d64f87aeb"),
+]
+
+
+@pytest.mark.parametrize("name,suite,in_stratum,lps_costratal,product,assoc",
+                         GOLDEN_SYMBOLIC, ids=[g[0] for g in GOLDEN_SYMBOLIC])
+def test_symbolic_outputs_match_golden_digests(name, suite, in_stratum,
+                                               lps_costratal, product, assoc):
+    def digest(obj):
+        text = json.dumps(obj, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    n = 4 if name == "parametric4" else 3
+    sm = symbolic_model(name)
+    assert digest(identity_suite_json(name)) == suite
+    assert digest(_symbolic_in_stratum(name, n)) == in_stratum
+    assert digest(_symbolic_lps_costratal(name, n)) == lps_costratal
+    binds = shared_direction_subs(n)
+    assert digest([repr(p.substitute(binds))
+                   for p in symbolic_components(sm, "product")]) == product
+    binds = ratio_subs(n, ("b", "c"))
+    assert digest([repr(p.substitute(binds))
+                   for p in symbolic_components(sm, "associator")]) == assoc
 
 
 def test_lps_vanishes_under_shared_ratio_symbols():
