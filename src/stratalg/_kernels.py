@@ -23,9 +23,23 @@ COMMUTE_CHUNK = 1 << 16
 
 
 def inverse_table(p):
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, -1, p)
+    """inv[x] = x**-1 mod p for every residue (inv[0] = 0): x**(p-2) by
+    repeated squaring over all residues at once, in place. Each product of
+    two residues stays below p**2 < 2**63; callers reach this only on
+    enumerable spaces (p**n <= 2**24), so p <= 2**24."""
+    if p * p >= 1 << 63:
+        raise ValueError(f"inverse table mod {p} would overflow int64")
+    inv = np.ones(p, dtype=np.int64)
+    base = np.arange(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv *= base
+            inv %= p
+        base *= base
+        base %= p
+        e >>= 1
+    inv[0] = 0
     return inv
 
 

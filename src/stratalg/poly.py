@@ -2,11 +2,12 @@
 
 A monomial is a tuple of (name, exponent) pairs sorted by name, exponents
 positive; the empty tuple is the constant monomial. Terms map monomials to
-nonzero Fraction coefficients, so structural equality is mathematical
-equality.
+nonzero coefficients, each an int when integral and a Fraction otherwise,
+so structural equality is still mathematical equality.
 """
 
 from fractions import Fraction
+from operator import itemgetter
 
 
 class DegreeError(Exception):
@@ -27,31 +28,47 @@ def _mono_mul(m1, m2):
     return tuple(sorted(exps.items()))
 
 
-def _mono_degree(m):
-    return sum(e for _, e in m)
+def _mono_degree(m, _exponent=itemgetter(1)):
+    return sum(map(_exponent, m))
+
+
+def _mul_terms(t1, t2):
+    """Product of two term dicts, unreduced: may hold zeros and integral
+    Fractions until _clean."""
+    out = {}
+    get = out.get
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            mono = _mono_mul(m1, m2)
+            out[mono] = get(mono, 0) + c1 * c2
+    return out
+
+
+def _clean(terms):
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    return {m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items() if c}
 
 
 class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[mono] = coeff
-        self.terms = clean
+        self.terms = _clean({m: Fraction(c) for m, c in (terms or {}).items()})
+
+    @staticmethod
+    def _of(terms):
+        p = Polynomial.__new__(Polynomial)
+        p.terms = terms
+        return p
 
     @staticmethod
     def const(value):
-        value = Fraction(value)
-        if not value:
-            return Polynomial()
         return Polynomial({(): value})
 
     @staticmethod
     def var(name):
-        return Polynomial({((name, 1),): Fraction(1)})
+        return Polynomial._of({((name, 1),): 1})
 
     @staticmethod
     def _lift(other):
@@ -68,7 +85,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(_mono_degree(m) for m in self.terms)
+        return max(map(_mono_degree, self.terms))
 
     def variables(self):
         names = set()
@@ -83,21 +100,13 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+            out[mono] = out.get(mono, 0) + coeff
+        return Polynomial._of(_clean(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = Polynomial._lift(other)
@@ -115,22 +124,13 @@ class Polynomial:
         other = Polynomial._lift(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        for mono in out:
-            if _mono_degree(mono) > MAX_DEGREE:
+        # a product of nonzero polynomials has exactly the sum of degrees
+        if self.terms and other.terms:
+            degree = self.degree() + other.degree()
+            if degree > MAX_DEGREE:
                 raise DegreeError(
-                    f"expansion reached degree {_mono_degree(mono)} > {MAX_DEGREE}")
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+                    f"expansion reached degree {degree} > {MAX_DEGREE}")
+        return Polynomial._of(_clean(_mul_terms(self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -157,27 +157,38 @@ class Polynomial:
 
     def substitute(self, bindings):
         """Simultaneous substitution name -> Polynomial/Fraction/int,
-        fully expanded."""
+        fully expanded. Each (name, exponent) power is computed once per
+        call, and every term is summed into one dict."""
         lifted = {}
         for name, val in bindings.items():
             v = Polynomial._lift(val)
             if v is None:
                 raise TypeError(f"cannot substitute {val!r} for {name}")
             lifted[name] = v
-        out = Polynomial()
+        powers, out = {}, {}
         for mono, coeff in self.terms.items():
-            term = Polynomial.const(coeff)
+            term = {(): coeff}
+            degree = 0
             for name, e in mono:
-                factor = lifted.get(name, Polynomial.var(name))
-                term = term * factor ** e
-            out = out + term
-        return out
+                if (name, e) not in powers:
+                    f = lifted.get(name, Polynomial.var(name)) ** e
+                    powers[name, e] = f.terms, f.degree()
+                factor, d = powers[name, e]
+                if term:  # a zero factor ends the degree count
+                    degree += d
+                    if degree > MAX_DEGREE:
+                        raise DegreeError(
+                            f"expansion reached degree {degree} > {MAX_DEGREE}")
+                    term = _mul_terms(term, factor)
+            for m, c in term.items():
+                out[m] = out.get(m, 0) + c
+        return Polynomial._of(_clean(out))
 
     def coefficient_of(self, monomial):
-        """Coefficient of a monomial given as {name: exp} or ((name, exp), ...)."""
+        """Coefficient, as a Fraction, of {name: exp} or ((name, exp), ...)."""
         if isinstance(monomial, dict):
             monomial = tuple(sorted((n, e) for n, e in monomial.items() if e))
-        return self.terms.get(tuple(monomial), Fraction(0))
+        return Fraction(self.terms.get(tuple(monomial), 0))
 
     def evaluate(self, assignment, field=None):
         """Evaluate with name -> value. Values may be Fractions, ints, or

@@ -116,6 +116,18 @@ def test_inverse_table(f7):
         assert (a * inv[a]) % 7 == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 16_777_213])
+def test_inverse_table_matches_pow(p):
+    # 16,777,213 is the largest prime below 2**24, the enumeration cap
+    inv = inverse_table(p)
+    assert inv.dtype == np.int64 and inv.shape == (p,) and inv[0] == 0
+    xs = range(1, p) if p < 1000 else np.random.default_rng(p).integers(
+        1, p, 2000).tolist() + [1, 2, p - 2, p - 1]
+    assert [int(inv[x]) for x in xs] == [pow(x, -1, p) for x in xs]
+    if p >= 1000:  # every residue, without a Python loop
+        assert not ((np.arange(p, dtype=np.int64) * inv % p)[1:] - 1).any()
+
+
 def test_label_indices_match_scalar_labels(f7):
     rule = RATIO_RULE_3D
     V = space_matrix(7, 3)
