@@ -56,6 +56,8 @@ class Field:
 
     def __init__(self, p=None):
         if p is not None:
+            if isinstance(p, float):
+                raise TypeError(f"modulus {p!r} is a float")
             p = int(p)
             if p >= MAX_PRIME:
                 raise ValueError(f"modulus {p} exceeds 2**61 cap")
@@ -73,6 +75,8 @@ class Field:
             if value.field != self:
                 raise ValueError(f"element of {value.field} used in {self}")
             return value
+        if isinstance(value, float):
+            raise TypeError(f"float {value!r} is not an exact scalar")
         if self.p is None:
             return FieldElement(self, Fraction(value))
         if isinstance(value, Fraction):

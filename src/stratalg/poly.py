@@ -54,7 +54,10 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = _clean({m: Fraction(c) for m, c in (terms or {}).items()})
+        terms = terms or {}
+        if any(isinstance(c, float) for c in terms.values()):
+            raise TypeError("float coefficients are not exact")
+        self.terms = _clean({m: Fraction(c) for m, c in terms.items()})
 
     @staticmethod
     def _of(terms):

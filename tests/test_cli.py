@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, text reports, JSON determinism."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from stratalg import builtin_model, model_to_json
-from stratalg.cli import main
+from stratalg.cli import build_parser, main
 
 APPENDIX_REPORT = """\
 The operation is not associative. 16 mismatches found:
@@ -288,6 +289,67 @@ def test_model_file_round_trip(capsys, tmp_path):
     rc, out, _ = run(capsys, ["check-assoc", "--model", str(ref)])
     assert rc == 0
     assert out == "The operation is associative.\n"
+
+
+def test_float_model_parameter_is_a_usage_error(capsys, tmp_path):
+    # a float parameter would truncate (0.5 -> 0 over F_7, where 1/2 is 4)
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"builtin": "nonlinear3",
+                                "field": {"kind": "Fp", "p": 7},
+                                "params": {"A": 0.5, "B": 3, "C": 5, "D": 1,
+                                           "E": 4, "F": 6}}))
+    rc, out, err = run(capsys, ["orbit", "--model", str(path), "--json"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: bad model file")
+
+
+P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
+
+# Flags come and go between neighbours, and every error sits between two
+# successful calls whichever way the list is run.
+IN_PROCESS_ARGVS = [
+    ["kex", *P3, "--seed", "1", "--lengths", "1,2", "--recover", "--json"],
+    ["kex", *P3],
+    ["strata", *P3, "--discover", "--json", "--full"],
+    ["axioms", "--builtin", "nosuch"],
+    ["strata", *P3],
+    ["axioms", *P3, "--samples", "20", "--seed", "3", "--json"],
+    ["axioms", *P3, "--chain-max", "2"],
+    ["axioms", *P3, "--discover"],
+    ["orbit", *P3, "--start", "1,2,1", "--q", "0,3,4", "--steps", "30",
+     "--json"],
+    ["orbit", *P3, "--start", "1,2,1", "--q", "0,3,4"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_in_process_calls_do_not_affect_each_other(capsys):
+    forward = [outcome(capsys, argv) for argv in IN_PROCESS_ARGVS]
+    backward = [outcome(capsys, argv) for argv in reversed(IN_PROCESS_ARGVS)]
+    assert forward == backward[::-1]
+    codes = [rc for rc, _, _ in forward]
+    assert codes == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0]
+    assert "invalid choice: 'nosuch'" in forward[3][2]
+    assert forward[6][2] == "error: chain length bound must be in 3..6\n"
+
+
+def test_parser_defaults_are_immutable():
+    # the parser is shared by every call in a process; a list, dict or set
+    # default could carry one call's values into the next
+    parser = build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, *sub.choices.values()):
+        defaults = [a.default for a in p._actions] + list(p._defaults.values())
+        assert not [d for d in defaults if isinstance(d, (list, dict, set))]
 
 
 # SHA-256 of the stdout of each command, frozen from the implementation that

@@ -70,6 +70,15 @@ def test_element_coercion():
         f7.element(Fraction(1, 7))
 
 
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        Field(7).element(0.5)  # int() would truncate it to 0; 1/2 is 4
+    with pytest.raises(TypeError):
+        Field().element(0.1)  # a binary Fraction, not 1/10
+    with pytest.raises(TypeError):
+        Field(7.0)
+
+
 def test_from_string():
     q = Field()
     assert q.from_string("3/2").value == Fraction(3, 2)

@@ -76,6 +76,13 @@ def test_construction_drops_zero_terms():
     assert bool(x) is True
 
 
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        Polynomial({(): 0.1})
+    with pytest.raises(TypeError):
+        Polynomial.const(0.5)
+
+
 def test_degree_and_variables():
     assert Polynomial().degree() == -1
     assert Polynomial.const(5).degree() == 0
