@@ -352,40 +352,72 @@ def test_parser_defaults_are_immutable():
         assert not [d for d in defaults if isinstance(d, (list, dict, set))]
 
 
-# SHA-256 of the stdout of each command, frozen from the implementation that
-# kept stratum members as tuples in a dict and formed a product tensor per
-# pair: the exhaustive F_11 and sampled F_23 transition graphs, a 50-step
-# trajectory, a trajectory through the exceptional ledger of a discovered
-# partition, and two declared partitions with every member listed
+# SHA-256 of the stdout of each command with its exit code. The first six
+# were frozen from the implementation that kept stratum members as tuples in
+# a dict and formed a product tensor per pair: the exhaustive F_11 and sampled
+# F_23 transition graphs, a 50-step trajectory, a trajectory through the
+# exceptional ledger of a discovered partition, and two declared partitions
+# with every member listed. The rest were frozen from the `json.dumps(...,
+# indent=2)` writer, one per JSON report: two discovered partitions (the
+# first with an exceptional ledger), an agreeing and a failed key exchange, a
+# recovery, axiom reports over Q and F_p, the identity suite and an
+# associativity report with mismatches
 GOLDEN_OUTPUTS = [
     (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
-      "--field", "fp:11", "--json", "--seed", "3"],
+      "--field", "fp:11", "--json", "--seed", "3"], 0,
      "ad69e5343abb4304d20fccba4ade7a062ae8f5178ca65d7a505b34e1d692d94d"),
     (["orbit", "--builtin", "nonlinear3", "--params", "3,1,6,2,5,4",
-      "--field", "fp:23", "--json", "--seed", "10"],
+      "--field", "fp:23", "--json", "--seed", "10"], 0,
      "901bfc919d8c320d0a78ac10a4f1e2b99906ac6b7b510c98ac8e2cfbb605893d"),
     (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
       "--field", "fp:19", "--start", "1,2,3", "--q", "4,5,6",
-      "--steps", "50", "--json"],
+      "--steps", "50", "--json"], 0,
      "ddd2f57d0513ba4718a64b0eef3b17f76c2fd18331bb6268b33c39d86df10c5f"),
     (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
       "--field", "fp:7", "--discover", "--start", "1,0,0", "--q", "2,1,3",
-      "--steps", "50", "--json"],
+      "--steps", "50", "--json"], 0,
      "c34c3143f4a559a130efc60826767e2c70d97cde90a08aced26b534819af4e08"),
     (["strata", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
-      "--field", "fp:7", "--json", "--full"],
+      "--field", "fp:7", "--json", "--full"], 0,
      "69559e8c152973c4f12c77ad13829562565cda1dde34541ea9e49b7af2b3bf12"),
     (["strata", "--builtin", "parametric4", "--params", "2,3,5,7,11,13",
-      "--field", "fp:5", "--json", "--full"],
+      "--field", "fp:5", "--json", "--full"], 0,
      "fe2854d0c2a906797b3e3f12e4f3cea5219d9e0fe256508dcee8bf17d1b8d663"),
+    (["strata", "--builtin", "nonlinear3", "--params", "2,3,1,4,1,2",
+      "--field", "fp:5", "--discover", "--json"], 0,
+     "e23d1540f7a8579ea90fddcf6a47e894601274b496b3e57513802fc9d8447941"),
+    (["strata", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
+      "--field", "fp:13", "--discover", "--json"], 0,
+     "6f1eebdc5e35bd2aecefde95eeef53561ed78585bc152f16e75d878031e9b90d"),
+    (["kex", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
+      "--field", "fp:19", "--seed", "4", "--json"], 0,
+     "118250118bedad7eb7daa124aff2c32c61819d870a53797905c247ef47eba3f2"),
+    (["kex", *P3, "--seed", "17", "--lengths", "2,2", "--json"], 1,
+     "2c431f136bc1fac8842ac3b9f87969ceba7fdef2477a6a3d7bc24d7e52dd2795"),
+    (["kex", *P3, "--seed", "1", "--lengths", "1,2", "--recover", "--json"],
+     0, "278ce464f6a074211f71af0df7a11da56f356d1b0ed05dbc40d7861697f744fc"),
+    (["axioms", "--builtin", "parametric3", "--params", "16,8,5,3,7,11",
+      "--samples", "40", "--seed", "5", "--json"], 0,
+     "ea5bbcdc053ba966cc77e24f8e669d1918a41073050ab79957f70badbe21d836"),
+    (["axioms", "--builtin", "parametric3", "--params", "2,3,5,1,4,6",
+      "--field", "fp:19", "--samples", "30", "--seed", "9", "--json"], 0,
+     "878535b67ef110460ddcc60219be7c22e16913b16d79a0fd651ec466e5231a84"),
+    (["identities", "--builtin", "parametric4", "--json"], 0,
+     "d77ef32eef0396761ec313673c94522c24ca41dbfe6a2255fc7c707636d43fc1"),
+    (["check-assoc", "--builtin", "parametric3", "--params", "16,8,5,3,7,11",
+      "--json"], 1,
+     "ad89435bea549beb274a4cd0111ac40dc6f5e360c8847d1c84fc8bf36b25ae57"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest", GOLDEN_OUTPUTS,
+    "argv,code,digest", GOLDEN_OUTPUTS,
     ids=["graph-f11", "graph-f23", "trajectory-f19", "trajectory-f7-discover",
-         "strata-nonlinear3-f7", "strata-parametric4-f5"])
-def test_output_matches_golden_digest(capsys, argv, digest):
+         "strata-nonlinear3-f7", "strata-parametric4-f5",
+         "discover-nonlinear3-f5-ledger", "discover-nonlinear3-f13",
+         "kex-agreed", "kex-failed", "kex-recover", "axioms-q", "axioms-f19",
+         "identities-parametric4", "check-assoc-mismatches"])
+def test_output_matches_golden_digest(capsys, argv, code, digest):
     rc, out, _ = run(capsys, argv)
-    assert rc == 0
+    assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
