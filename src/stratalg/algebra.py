@@ -610,6 +610,19 @@ def model_to_json(model):
     return obj
 
 
+_RULE_ARITY = {"ratio": 2, "ratio-pair": 3}
+
+
+def _bounded_int(x, lo, hi, what):
+    """x if it is an int (not a bool) in [lo, hi); model files are JSON,
+    where 3.7 would silently become 3 and -1 would index from the end."""
+    if type(x) is not int:
+        raise TypeError(f"{what} {x!r} is not an int")
+    if not lo <= x < hi:
+        raise ValueError(f"{what} {x} is outside [{lo}, {hi})")
+    return x
+
+
 def model_from_json(obj, field=None):
     if "builtin" in obj:
         f = field or Field.from_json(obj.get("field", {"kind": "Q"}))
@@ -619,22 +632,33 @@ def model_from_json(obj, field=None):
                       for k, v in params.items()}
         return builtin_model(obj["builtin"], params, f)
     f = field or Field.from_json(obj["field"])
-    n = int(obj["dimension"])
+    n = _bounded_int(obj["dimension"], 1, MAX_DIMENSION + 1, "dimension")
+
+    def scalar(c):
+        # a JSON float would be rounded or truncated before it is read
+        if type(c) not in (str, int):
+            raise TypeError(f"coefficient {c!r} is not a string or an int")
+        return f.from_string(str(c))
+
+    def key(e, names):
+        return tuple(_bounded_int(e[x], 0, n, f"index {x}") for x in names)
+
     opj = obj["operation"]
-    entries = {}
-    for e in opj.get("bilinear", []):
-        entries[(e["i"], e["j"], e["k"])] = f.from_string(str(e["c"]))
-    linear_a = {(e["i"], e["k"]): f.from_string(str(e["c"]))
-                for e in opj.get("linear_a", [])}
-    linear_b = {(e["j"], e["k"]): f.from_string(str(e["c"]))
-                for e in opj.get("linear_b", [])}
+    entries = {key(e, "ijk"): scalar(e["c"]) for e in opj.get("bilinear", [])}
+    linear_a = {key(e, "ik"): scalar(e["c"]) for e in opj.get("linear_a", [])}
+    linear_b = {key(e, "jk"): scalar(e["c"]) for e in opj.get("linear_b", [])}
     op = AffineOperation(StructureTensor(n, entries), linear_a, linear_b,
                          zero=f.zero())
     rule = obj.get("strata_rule")
     if rule:
-        rule = {"kind": rule["kind"], "coords": tuple(rule["coords"])}
+        coords = tuple(_bounded_int(c, 0, n, "strata_rule coord")
+                       for c in rule["coords"])
+        if len(coords) != _RULE_ARITY.get(rule["kind"]):
+            raise ValueError(f"strata_rule {rule!r} is not a ratio rule on "
+                             "2 coords or a ratio-pair rule on 3")
+        rule = {"kind": rule["kind"], "coords": coords}
     params = obj.get("params")
     if params:
-        params = {k: f.from_string(str(v)) for k, v in params.items()}
+        params = {k: scalar(v) for k, v in params.items()}
     return ModelSpec(obj.get("name", "custom"), n, f, op, strata_rule=rule,
                      params=params)

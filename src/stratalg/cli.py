@@ -14,6 +14,7 @@ parse error.
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (BUILTIN_NAMES, associativity_check, builtin_model,
                       format_assoc_report, make_params, model_from_json)
@@ -111,8 +112,39 @@ def emit(args, text):
         sys.stdout.write(out)
 
 
+def json_text(obj, indent="\n"):
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, with each
+    line after the first prefixed by indent[1:].
+
+    With indent, CPython's json runs its pure-Python encoder; this writes
+    exact ints, strs, bools, None and nonempty lists, tuples and str-keyed
+    dicts directly and hands anything else (floats, empty containers,
+    other keys, subclasses, unserialisable objects) to json.dumps."""
+    t = type(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is bool or obj is None:
+        return _LITERALS[obj]
+    inner = indent + "  "
+    if (t is list or t is tuple) and obj:
+        return ("[" + inner
+                + ("," + inner).join([json_text(x, inner) for x in obj])
+                + indent + "]")
+    if t is dict and obj and all(type(k) is str for k in obj):
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + json_text(v, inner)
+            for k, v in sorted(obj.items())]) + indent + "}")
+    # JSON text holds no raw newline: every "\n" is a line break
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
 def emit_json(args, obj):
-    emit(args, json.dumps(obj, sort_keys=True, indent=2))
+    emit(args, json_text(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -248,14 +248,20 @@ class StratumPartition:
         self.provenance = provenance
         self._k = len(labels) - (labels[-1:] == [EXCEPTIONAL])  # strata
 
-    @cached_property
-    def _groups(self):
+    def _grouped(self, as_members):
+        """Per label, its members in lex order (the zero vector, code -1,
+        is dropped); as_members turns the (p**n, n) digit rows of all
+        vectors, sorted by label, into a list."""
         order = np.argsort(self.codes, kind="stable")
         bounds = np.cumsum(np.bincount(self.codes + 1,
                                        minlength=len(self.labels) + 1))
-        cols = _kernels.lex_digits(order, self.p, self.n).T.tolist()
-        return [list(zip(*(c[lo:hi] for c in cols)))
+        members = as_members(_kernels.lex_digits(order, self.p, self.n))
+        return [members[lo:hi]
                 for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())]
+
+    @cached_property
+    def _groups(self):
+        return self._grouped(lambda rows: list(zip(*rows.T.tolist())))
 
     @property
     def strata(self):
@@ -285,18 +291,19 @@ class StratumPartition:
         return sum(self.sizes().values())
 
     def to_json(self, full=False):
+        groups = self._grouped(np.ndarray.tolist)
         strata = []
-        for label, members in self.strata:
+        for label, members in zip(self.labels[:self._k], groups):
             entry = {"label": label, "size": len(members)}
             if full or len(members) <= 10 ** 4:
-                entry["members"] = [list(m) for m in members]
+                entry["members"] = members
             strata.append(entry)
         return {
             "p": self.p,
             "n": self.n,
             "provenance": self.provenance,
             "strata": strata,
-            "exceptional": [list(m) for m in self.exceptional],
+            "exceptional": groups[-1] if self._k < len(self.labels) else [],
         }
 
 

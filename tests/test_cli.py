@@ -8,6 +8,7 @@ import pytest
 
 from stratalg import builtin_model, model_to_json
 from stratalg.cli import build_parser, main
+from stratalg.field import Field
 
 APPENDIX_REPORT = """\
 The operation is not associative. 16 mismatches found:
@@ -302,6 +303,46 @@ def test_float_model_parameter_is_a_usage_error(capsys, tmp_path):
     assert rc == 2 and out == ""
     assert err.startswith("error: bad model file")
 
+
+
+# (path into a model file, bad value): indices and coords outside [0, n) or
+# not ints, and float scalars, which JSON would round or truncate
+BAD_MODEL_FILES = [
+    (("operation", "linear_a", 0, "i"), 5),
+    (("operation", "linear_b", 0, "k"), -1),
+    (("operation", "bilinear", 0, "i"), 0.5),
+    (("operation", "bilinear", 0, "j"), True),
+    (("operation", "bilinear", 0, "c"), 0.5),
+    (("dimension",), 3.7),
+    (("strata_rule", "coords"), [1, -1]),
+    (("strata_rule", "coords"), [1, 5]),
+    (("strata_rule", "coords"), [0, 1, 2]),
+    (("strata_rule", "kind"), "slope"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value", BAD_MODEL_FILES,
+    ids=["linear-a-index-5", "linear-b-index-negative", "index-float",
+         "index-bool", "coefficient-float", "dimension-float",
+         "coord-negative", "coord-out-of-range", "ratio-on-three-coords",
+         "unknown-rule"])
+def test_bad_model_file_is_a_usage_error(capsys, tmp_path, path, value):
+    obj = model_to_json(builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
+                                      field=Field(7)))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(obj))
+    assert run(capsys, ["strata", "--model", str(good)])[0] == 0
+    node = obj
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    for command in ("strata", "axioms", "orbit", "check-assoc"):
+        rc, out, err = run(capsys, [command, "--model", str(bad)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bad model file")
 
 P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
 
