@@ -653,9 +653,10 @@ def model_from_json(obj, field=None):
     if rule:
         coords = tuple(_bounded_int(c, 0, n, "strata_rule coord")
                        for c in rule["coords"])
-        if len(coords) != _RULE_ARITY.get(rule["kind"]):
+        if len(set(coords)) != len(coords) or \
+                len(coords) != _RULE_ARITY.get(rule["kind"]):
             raise ValueError(f"strata_rule {rule!r} is not a ratio rule on "
-                             "2 coords or a ratio-pair rule on 3")
+                             "2 distinct coords or a ratio-pair rule on 3")
         rule = {"kind": rule["kind"], "coords": coords}
     params = obj.get("params")
     if params:

@@ -112,6 +112,9 @@ def emit(args, text):
         sys.stdout.write(out)
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
 def json_text(obj, indent="\n"):
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, with each
     line after the first prefixed by indent[1:].
@@ -138,9 +141,6 @@ def json_text(obj, indent="\n"):
             for k, v in sorted(obj.items())]) + indent + "}")
     # JSON text holds no raw newline: every "\n" is a line break
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
-
-
-_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def emit_json(args, obj):

@@ -317,6 +317,7 @@ BAD_MODEL_FILES = [
     (("strata_rule", "coords"), [1, -1]),
     (("strata_rule", "coords"), [1, 5]),
     (("strata_rule", "coords"), [0, 1, 2]),
+    (("strata_rule", "coords"), [1, 1]),
     (("strata_rule", "kind"), "slope"),
 ]
 
@@ -326,7 +327,7 @@ BAD_MODEL_FILES = [
     ids=["linear-a-index-5", "linear-b-index-negative", "index-float",
          "index-bool", "coefficient-float", "dimension-float",
          "coord-negative", "coord-out-of-range", "ratio-on-three-coords",
-         "unknown-rule"])
+         "repeated-coord", "unknown-rule"])
 def test_bad_model_file_is_a_usage_error(capsys, tmp_path, path, value):
     obj = model_to_json(builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
                                       field=Field(7)))
