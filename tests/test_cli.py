@@ -304,7 +304,6 @@ def test_float_model_parameter_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: bad model file")
 
 
-
 # (path into a model file, bad value): indices and coords outside [0, n) or
 # not ints, and float scalars, which JSON would round or truncate
 BAD_MODEL_FILES = [
@@ -344,6 +343,7 @@ def test_bad_model_file_is_a_usage_error(capsys, tmp_path, path, value):
         rc, out, err = run(capsys, [command, "--model", str(bad)])
         assert (rc, out) == (2, "")
         assert err.startswith("error: bad model file")
+
 
 P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
 
