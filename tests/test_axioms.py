@@ -277,6 +277,47 @@ def broken_basic3(field):
     return ModelSpec("broken3", 3, field, op, strata_rule=RATIO_RULE_3D)
 
 
+def affine_basic3(field):
+    """basic3 plus unequal linear terms in each argument: co-stratal
+    pairs stop commuting, so the sampled SA1 gate fails on the
+    commutator, and the chain-order difference stops vanishing."""
+    base = builtin_model("basic3", field=field).operation
+    e = field.element
+    op = AffineOperation(base.bilinear, {(0, 0): e(1), (1, 2): e(2)},
+                         {(2, 1): e(-3), (0, 0): e(1)}, zero=field.zero())
+    return ModelSpec("affine3", 3, field, op, strata_rule=RATIO_RULE_3D)
+
+
+SYM3_ENTRIES = {(0, 0, 0): 1, (1, 1, 0): 1, (2, 2, 0): 2, (1, 2, 0): 1,
+                (2, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1,
+                (0, 2, 2): 1, (2, 0, 2): 1, (2, 2, 2): 1}
+
+
+def symmetric3(field):
+    """A symmetric bilinear tensor with no symbolic twin: commutative and,
+    on co-stratal samples, associative, so the sampled gate and the
+    chain-order samples run to their full budget."""
+    entries = {k: field.element(c) for k, c in SYM3_ENTRIES.items()}
+    op = AffineOperation(StructureTensor(3, entries), zero=field.zero())
+    return ModelSpec("sym3", 3, field, op, strata_rule=RATIO_RULE_3D)
+
+
+def jordan3(field):
+    """symmetric3 plus the same linear term in both arguments: still
+    commutative, but the sampled gate fails on the associator."""
+    base = symmetric3(field).operation
+    lin = {(0, 0): field.one()}
+    op = AffineOperation(base.bilinear, lin, dict(lin), zero=field.zero())
+    return ModelSpec("jordan3", 3, field, op, strata_rule=RATIO_RULE_3D)
+
+
+CUSTOM_MODELS = {"broken3": broken_basic3, "affine3": affine_basic3,
+                 "sym3": symmetric3, "jordan3": jordan3}
+
+# 40-bit prime: p**3 exceeds SPACE_CAP, so SA1 takes the sampled gate
+BIG_PRIME = 1000000000039
+
+
 def test_broken_control_classifies_none_with_replayable_witness():
     field = Field()
     model = broken_basic3(field)
@@ -329,6 +370,26 @@ GOLDEN_REPORTS = [
      "3d5fcb54961cdd5662fc0a85a819dc31377f065957cc51df207f85464846abfc"),
     ("broken3", None, None, 30, 6, False,
      "8c3b1092ac62e3e3acea1372bc1caba72972cb7d710effa54de93ec0a4681295"),
+    # custom models (no symbolic twin) over Q and past SPACE_CAP, where SA1
+    # is the sampled gate with count=plan.samples; frozen from the
+    # FieldElement samplers and gate. affine3 fails the gate on the
+    # commutator, jordan3 on the associator, both fail lps_pointwise;
+    # sym3 passes every draw of the gate and of lps_pointwise
+    ("affine3", None, None, 30, 11, False,
+     "25bfa99ed78a2f9bb1101a28f3c323c6e377274faafef3eef3dfbbdc171833c4"),
+    ("affine3", None, BIG_PRIME, 30, 12, False,
+     "8204758fd8c920094a06491cba8fc3552a366049f611e8db096e890db0364be9"),
+    ("jordan3", None, None, 30, 13, False,
+     "61cc884a85daa2663de45ea7fa888c87e3c24f6b67a9697a2932474d5d211ff2"),
+    ("jordan3", None, BIG_PRIME, 30, 14, False,
+     "74c1dd26c67ebe8ec998c8024482a6b42b6af22825e89f639163a0eccae620c3"),
+    ("sym3", None, None, 30, 15, False,
+     "6591b89a0274a00d4f942c387c26e71ecdec09683c71926531af8e48127afee5"),
+    ("sym3", None, BIG_PRIME, 30, 16, False,
+     "7a58d9e67ca9dd847fc122b791701f84fe493878defacf39e3f4bed18b507e22"),
+    # a built-in past SPACE_CAP: the 100-draw gate behind the symbolic proof
+    ("nonlinear3", (2, 3, 5, 1, 4, 6), BIG_PRIME, 20, 17, False,
+     "15d1fe44ce9896ffd9d187ed02e85c818055201d38a32ef5b6aa092c93a1bdc4"),
 ]
 
 
@@ -339,8 +400,8 @@ GOLDEN_REPORTS = [
 def test_axiom_report_matches_golden_digest(name, params, p, samples, seed,
                                             discover, digest):
     field = Field(p)
-    if name == "broken3":
-        model = broken_basic3(field)
+    if name in CUSTOM_MODELS:
+        model = CUSTOM_MODELS[name](field)
     else:
         model = builtin_model(name, params=params, field=field)
     strata = discover_strata(model, p) if discover else None
