@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .poly import Polynomial
-from .field import QQ, _vec_json
+from .field import QQ, FieldElement, _vec_json
 from .algebra import (
     BUILTIN_NAMES,
     MAX_CHAIN,
@@ -32,6 +32,7 @@ from .algebra import (
     left_chain,
     lps,
     multiply,
+    multiply_values,
     symbolic_components,
     symbolic_model,
 )
@@ -55,6 +56,10 @@ RETEST_SCALES = 8
 RESOLUTIONS = {"transient": "coincidence: cleared by rescaling",
                "persistent": "persistent"}
 
+# Largest sampling budget. Run time grows linearly with it: parametric4
+# over Q with chains up to 6 took 21.6 s (32 MB ru_maxrss) at 2,000 samples.
+MAX_SAMPLES = 2000
+
 
 def _generic_trial(first_ok, retest):
     """True outcomes: (True, None) clean pass; (True, 'transient') pass after
@@ -77,6 +82,8 @@ class SamplingPlan:
             raise ValueError(f"unknown sampling mode {mode!r}")
         if mode == "randomized" and samples < 1:
             raise ValueError("randomized plans need samples >= 1")
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}")
         # SA4 brackets chains of at least three multipliers
         if not 3 <= chain_length_max <= MAX_CHAIN:
             raise ValueError(f"chain length bound must be in 3..{MAX_CHAIN}")
@@ -131,24 +138,42 @@ def _all_zero(polys):
 
 # ---------------------------------------------------------------------------
 # Seeded vector sampling
+# Draws are plain values (p None over Q), from the rng calls of
+# Field.sample(rng, 20); the public samplers wrap them in FieldElements.
 
-def _sample_scalar(field, rng):
-    return field.sample(rng, bound=20)
+def _draw(p, rng):
+    if p is not None:
+        return rng.randrange(p)
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
 
 
-def _sample_nonzero(field, rng):
-    return field.sample_nonzero(rng, bound=20)
+def _draw_direction(p, rng, tail_len):
+    while True:
+        d = [_draw(p, rng) for _ in range(tail_len)]
+        if any(d):
+            return d
+
+
+def _draw_on_direction(p, rng, d):
+    """Vector with tail direction d: head free, scale nonzero."""
+    head = _draw(p, rng)
+    s = _draw(p, rng)
+    while not s:
+        s = _draw(p, rng)
+    return [head] + [s * x % p if p else s * x for x in d]
+
+
+def _elements(field, values):
+    return tuple([FieldElement(field, x) for x in values])
 
 
 def sample_direction(field, rng, tail_len):
     """Nonzero tail direction."""
-    while True:
-        d = tuple(_sample_scalar(field, rng) for _ in range(tail_len))
-        if not all(not x for x in d):
-            return d
+    return _elements(field, _draw_direction(field.p, rng, tail_len))
 
 
 def sample_distinct_directions(field, rng, tail_len, count):
+    # on FieldElements: plain residues would compare cross products in Z
     dirs = [sample_direction(field, rng, tail_len)]
     while len(dirs) < count:
         d = sample_direction(field, rng, tail_len)
@@ -159,9 +184,8 @@ def sample_distinct_directions(field, rng, tail_len, count):
 
 def sample_on_direction(field, rng, direction):
     """Random vector with the given tail direction: head free, scale nonzero."""
-    head = _sample_scalar(field, rng)
-    s = _sample_nonzero(field, rng)
-    return (head,) + tuple(s * x for x in direction)
+    d = [field.element(x).value for x in direction]
+    return _elements(field, _draw_on_direction(field.p, rng, d))
 
 
 def label_str(model, v):
@@ -203,19 +227,22 @@ def _symbolic_in_stratum(name, n):
 
 def _sample_consistency_sa1(model, rng, count=100):
     """Value-level gate behind a symbolic 'holds': fresh co-stratal samples
-    must agree pointwise."""
+    must agree pointwise. Runs on plain values, so op.plain must exist (it
+    does over every field); FieldElements are built only for a witness."""
     op = model.operation
-    field = model.field
-    n = model.dimension
+    p = model.field.p
+
+    def fail(kind, *vs):
+        return False, (kind, *[_elements(model.field, v) for v in vs])
     for _ in range(count):
-        d = sample_direction(field, rng, n - 1)
-        a = sample_on_direction(field, rng, d)
-        b = sample_on_direction(field, rng, d)
-        c = sample_on_direction(field, rng, d)
-        if not is_zero_vector(commutator(op, a, b)):
-            return False, ("commutator", a, b)
-        if not is_zero_vector(associator(op, a, b, c)):
-            return False, ("associator", a, b, c)
+        d = _draw_direction(p, rng, model.dimension - 1)
+        a, b, c = (_draw_on_direction(p, rng, d) for _ in range(3))
+        ab = multiply_values(op, a, b)
+        if ab != multiply_values(op, b, a):
+            return fail("commutator", a, b)
+        if multiply_values(op, ab, c) != \
+                multiply_values(op, a, multiply_values(op, b, c)):
+            return fail("associator", a, b, c)
     return True, None
 
 
@@ -416,7 +443,7 @@ def _non_associative_triple(model, rng, samples):
         assert not is_zero_vector(associator(op, *basis))
         return {"status": HOLDS, "witness": [_vec_json(v) for v in basis]}
     for _ in range(samples):
-        vs = [tuple(_sample_scalar(field, rng) for _ in range(n))
+        vs = [_elements(field, [_draw(field.p, rng) for _ in range(n)])
               for _ in range(3)]
         if not is_zero_vector(associator(op, *vs)):
             return {"status": HOLDS, "witness": [_vec_json(v) for v in vs]}
@@ -436,6 +463,21 @@ def _symbolic_lps_costratal(name, n):
     return _all_zero(comps), [str(p) for p in comps if not p.is_zero()]
 
 
+def _lps_pointwise(model, rng, count):
+    """First drawn (a, b, c), b and c co-stratal, with (ab)c != (ac)b, or
+    None. On plain values, as in the SA1 gate."""
+    op = model.operation
+    field = model.field
+    for _ in range(count):
+        da, db = ([x.value for x in d] for d in sample_distinct_directions(
+            field, rng, model.dimension - 1, 2))
+        a, b, c = (_draw_on_direction(field.p, rng, d) for d in (da, db, db))
+        if multiply_values(op, multiply_values(op, a, b), c) != \
+                multiply_values(op, multiply_values(op, a, c), b):
+            return [_elements(field, v) for v in (a, b, c)]
+    return None
+
+
 def check_sa3(model, strata=None, plan=None):
     """(i) The chain-order difference operator vanishes for co-stratal
     multiplier pairs — proved symbolically when a symbolic twin exists,
@@ -453,16 +495,8 @@ def check_sa3(model, strata=None, plan=None):
         clauses["lps_symbolic"] = {"ok": sym_ok}
         if residuals:
             clauses["lps_symbolic"]["residuals"] = residuals
-    rng = plan.rng("SA3:lps")
-    lps_fail = None
-    for _ in range(min(plan.samples, 100)):
-        da, db = sample_distinct_directions(field, rng, n - 1, 2)
-        a = sample_on_direction(field, rng, da)
-        b = sample_on_direction(field, rng, db)
-        c = sample_on_direction(field, rng, db)
-        if not is_zero_vector(lps(op, a, b, c)):
-            lps_fail = (a, b, c)
-            break
+    lps_fail = _lps_pointwise(model, plan.rng("SA3:lps"),
+                              min(plan.samples, 100))
     clauses["lps_pointwise"] = {"ok": lps_fail is None}
     if lps_fail:
         witnesses.append({"clause": "lps_pointwise",

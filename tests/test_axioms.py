@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from stratalg import (
     vector,
     verify_identity_suite,
 )
-from stratalg.algebra import RATIO_RULE_3D
+from stratalg.algebra import RATIO_RULE_3D, associator, is_zero_vector, lps
 from stratalg.axioms import (
     DEGENERATE,
     FAILS,
@@ -36,12 +37,18 @@ from stratalg.axioms import (
     HOLDS,
     SAMPLES,
     _generic_trial,
+    _lps_pointwise,
+    _sample_consistency_sa1,
     _symbolic_in_stratum,
     _symbolic_lps_costratal,
     label_str,
     ratio_subs,
+    sample_direction,
+    sample_distinct_directions,
+    sample_on_direction,
     shared_direction_subs,
 )
+from stratalg.strata import directions_proportional
 
 
 def test_sampling_plan_validation():
@@ -457,3 +464,154 @@ def test_case_analysis_matches_golden_digest(name, params, p, samples, seed,
     report = case_analysis(model, plan=SamplingPlan(samples=samples, seed=seed))
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Differential test of the plain-value draws, SA1 gate and lps_pointwise
+# loop against in-test copies of the FieldElement versions they replaced.
+
+def old_sample_direction(field, rng, tail_len):
+    while True:
+        d = tuple(field.sample(rng, bound=20) for _ in range(tail_len))
+        if not all(not x for x in d):
+            return d
+
+
+def old_sample_distinct_directions(field, rng, tail_len, count, seen=None):
+    dirs = [old_sample_direction(field, rng, tail_len)]
+    while len(dirs) < count:
+        d = old_sample_direction(field, rng, tail_len)
+        if seen is not None:
+            seen += [(d, e) for e in dirs]
+        if all(not directions_proportional(d, e) for e in dirs):
+            dirs.append(d)
+    return dirs
+
+
+def old_sample_on_direction(field, rng, direction):
+    head = field.sample(rng, bound=20)
+    s = field.sample_nonzero(rng, bound=20)
+    return (head,) + tuple(s * x for x in direction)
+
+
+def old_gate(model, rng, count):
+    op, field, n = model.operation, model.field, model.dimension
+    for _ in range(count):
+        d = old_sample_direction(field, rng, n - 1)
+        a = old_sample_on_direction(field, rng, d)
+        b = old_sample_on_direction(field, rng, d)
+        c = old_sample_on_direction(field, rng, d)
+        if not is_zero_vector(commutator(op, a, b)):
+            return False, ("commutator", a, b)
+        if not is_zero_vector(associator(op, a, b, c)):
+            return False, ("associator", a, b, c)
+    return True, None
+
+
+def old_lps_pointwise(model, rng, count):
+    op, field, n = model.operation, model.field, model.dimension
+    for _ in range(count):
+        da, db = old_sample_distinct_directions(field, rng, n - 1, 2)
+        a = old_sample_on_direction(field, rng, da)
+        b = old_sample_on_direction(field, rng, db)
+        c = old_sample_on_direction(field, rng, db)
+        if not is_zero_vector(lps(op, a, b, c)):
+            return (a, b, c)
+    return None
+
+
+def exact(obj):
+    """obj with each FieldElement spelled out as (field, value type, value),
+    so equal results also agree in how their scalars are stored."""
+    if isinstance(obj, (tuple, list)):
+        return [exact(x) for x in obj]
+    if hasattr(obj, "field"):
+        return (repr(obj.field), type(obj.value).__name__, obj.value)
+    return obj
+
+
+DIFF_PRIMES = (2, 3, 7, 1000000000039, 2 ** 61 - 1, None)
+# bilinear: parametric3, parametric4, broken3 (gate fails on the
+# commutator), sym3; affine: nonlinear3, affine3 (commutator), jordan3
+# (associator)
+DIFF_MODELS = ("parametric3", "parametric4", "broken3", "sym3",
+               "nonlinear3", "affine3", "jordan3")
+
+
+def diff_model(name, field):
+    if name in CUSTOM_MODELS:
+        return CUSTOM_MODELS[name](field)
+    return builtin_model(name, params=(2, 3, 5, 1, 4, 6), field=field)
+
+
+def twin_rngs(*key):
+    return random.Random(repr(key)), random.Random(repr(key))
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES, ids=lambda p: f"F_{p}" if p else "Q")
+def test_samplers_match_the_field_element_samplers(p):
+    field = Field(p)
+    for tail_len in (1, 2, 3):
+        old, new = twin_rngs(p, tail_len)
+        for _ in range(40):
+            pairs = [
+                (old_sample_direction(field, old, tail_len),
+                 sample_direction(field, new, tail_len)),
+                (old_sample_distinct_directions(field, old, tail_len, 1),
+                 sample_distinct_directions(field, new, tail_len, 1))]
+            if tail_len > 1:  # all directions of length 1 are one line
+                pairs.append(
+                    (old_sample_distinct_directions(field, old, tail_len, 3),
+                     sample_distinct_directions(field, new, tail_len, 3)))
+            d = pairs[0][0]
+            pairs.append((old_sample_on_direction(field, old, d),
+                          sample_on_direction(field, new, d)))
+            for want, got in pairs:
+                assert exact(got) == exact(want)
+                assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES, ids=lambda p: f"F_{p}" if p else "Q")
+@pytest.mark.parametrize("name", DIFF_MODELS)
+def test_gate_and_lps_loop_match_the_field_element_loops(name, p):
+    field = Field(p)
+    model = diff_model(name, field)
+    for seed in range(4):
+        old, new = twin_rngs(name, p, seed, "gate")
+        got = _sample_consistency_sa1(model, new, count=30)
+        assert exact(got) == exact(old_gate(model, old, 30))
+        assert new.getstate() == old.getstate()
+        old, new = twin_rngs(name, p, seed, "lps")
+        got = _lps_pointwise(model, new, 30)
+        assert exact(got) == exact(old_lps_pointwise(model, old, 30))
+        assert new.getstate() == old.getstate()
+
+
+def test_gate_witnesses_cover_both_laws_and_lps():
+    """The models above reach every exit of the two loops."""
+    kinds = set()
+    for name in DIFF_MODELS:
+        for p in (7, 1000000000039, None):
+            model = diff_model(name, Field(p))
+            ok, wit = _sample_consistency_sa1(model, random.Random(0), 30)
+            kinds.add("holds" if ok else wit[0])
+            kinds.add(_lps_pointwise(model, random.Random(0), 30) is None)
+    assert kinds == {"holds", "commutator", "associator", True, False}
+
+
+def test_distinct_directions_reduce_cross_products_mod_p():
+    """Over F_7 a candidate proportional to an earlier direction mod 7 but
+    not in Z is redrawn, by the old and the new sampler alike."""
+    f7 = Field(7)
+    assert directions_proportional(vector(f7, (1, 3)), vector(f7, (3, 2)))
+    hits = 0
+    for seed in range(60):
+        old, new = twin_rngs("mod-p", seed)
+        seen = []
+        want = old_sample_distinct_directions(f7, old, 2, 3, seen)
+        assert exact(sample_distinct_directions(f7, new, 2, 3)) == exact(want)
+        assert new.getstate() == old.getstate()
+        for d, e in seen:
+            x, y = ([v.value for v in w] for w in (d, e))
+            hits += (directions_proportional(d, e)
+                     and x[0] * y[1] != x[1] * y[0])
+    assert hits
