@@ -624,21 +624,23 @@ def _bounded_int(x, lo, hi, what):
 
 
 def model_from_json(obj, field=None):
-    if "builtin" in obj:
-        f = field or Field.from_json(obj.get("field", {"kind": "Q"}))
-        params = obj.get("params")
-        if params is not None:
-            params = {k: f.from_string(v) if isinstance(v, str) else f.element(v)
-                      for k, v in params.items()}
-        return builtin_model(obj["builtin"], params, f)
-    f = field or Field.from_json(obj["field"])
-    n = _bounded_int(obj["dimension"], 1, MAX_DIMENSION + 1, "dimension")
+    builtin = "builtin" in obj
+    f = field or Field.from_json(obj.get("field", {"kind": "Q"}) if builtin
+                                 else obj["field"])
 
     def scalar(c):
-        # a JSON float would be rounded or truncated before it is read
+        # a JSON float would be rounded or truncated before it is read, and
+        # a bool would read as 0 or 1
         if type(c) not in (str, int):
             raise TypeError(f"coefficient {c!r} is not a string or an int")
         return f.from_string(str(c))
+
+    params = obj.get("params")
+    if builtin:
+        if params is not None:
+            params = {k: scalar(v) for k, v in params.items()}
+        return builtin_model(obj["builtin"], params, f)
+    n = _bounded_int(obj["dimension"], 1, MAX_DIMENSION + 1, "dimension")
 
     def key(e, names):
         return tuple(_bounded_int(e[x], 0, n, f"index {x}") for x in names)
@@ -658,7 +660,6 @@ def model_from_json(obj, field=None):
             raise ValueError(f"strata_rule {rule!r} is not a ratio rule on "
                              "2 distinct coords or a ratio-pair rule on 3")
         rule = {"kind": rule["kind"], "coords": coords}
-    params = obj.get("params")
     if params:
         params = {k: scalar(v) for k, v in params.items()}
     return ModelSpec(obj.get("name", "custom"), n, f, op, strata_rule=rule,

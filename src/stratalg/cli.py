@@ -18,7 +18,8 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import (BUILTIN_NAMES, associativity_check, builtin_model,
                       format_assoc_report, make_params, model_from_json)
-from .axioms import SamplingPlan, axiom_report, identity_suite_json
+from .axioms import (MAX_SAMPLES, SamplingPlan, axiom_report,
+                     identity_suite_json)
 from .field import Field, format_scalar
 from .strata import discover_strata, partitions_agree, ratio_partition
 from . import dynamics
@@ -360,7 +361,8 @@ def build_parser():
             p.add_argument("--seed", type=int, default=0,
                            help="RNG seed (echoed in the report)")
             p.add_argument("--samples", type=int, default=200,
-                           help="sampling budget per check")
+                           help=f"sampling budget per check (at most "
+                                f"{MAX_SAMPLES})")
 
     p = sub.add_parser("check-assoc",
                        help="exhaustive tensor associativity criterion")
@@ -393,7 +395,8 @@ def build_parser():
     p.add_argument("--start", help="start vector, e.g. 1,2,1")
     p.add_argument("--q", help="fixed multiplier vector")
     p.add_argument("--steps", type=int, default=50,
-                   help="maximum multiplications")
+                   help=f"maximum multiplications (at most "
+                        f"{dynamics.MAX_STEPS})")
     p.add_argument("--dot", action="store_true",
                    help="emit the transition graph as DOT")
     p.set_defaults(fn=cmd_orbit)
@@ -401,7 +404,8 @@ def build_parser():
     p = sub.add_parser("kex", help="toy key-agreement session")
     common(p)
     p.add_argument("--lengths", default="3,4",
-                   help="secret chain lengths, e.g. 3,4")
+                   help=f"secret chain lengths, e.g. 3,4 (each at most "
+                        f"{kex.MAX_SECRET_LENGTH})")
     p.add_argument("--recover", action="store_true",
                    help="run the exhaustive toy recovery demo")
     p.set_defaults(fn=cmd_kex)

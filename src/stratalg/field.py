@@ -133,6 +133,9 @@ class Field:
         if obj.get("kind") == "Q":
             return Field()
         if obj.get("kind") == "Fp":
+            # int("7") or int(True) would make a field of a string or a bool
+            if type(obj["p"]) is not int:
+                raise TypeError(f"modulus {obj['p']!r} is not an int")
             return Field(obj["p"])
         raise ValueError(f"unknown field spec {obj!r}")
 

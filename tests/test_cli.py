@@ -6,8 +6,11 @@ import json
 
 import pytest
 
-from stratalg import builtin_model, model_to_json
+from stratalg import SamplingPlan, builtin_model, model_to_json
+from stratalg.axioms import MAX_SAMPLES
 from stratalg.cli import build_parser, main
+from stratalg.dynamics import MAX_STEPS
+from stratalg.kex import MAX_SECRET_LENGTH
 from stratalg.field import Field
 
 APPENDIX_REPORT = """\
@@ -304,39 +307,45 @@ def test_float_model_parameter_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: bad model file")
 
 
-# (path into a model file, bad value): indices and coords outside [0, n) or
-# not ints, and float scalars, which JSON would round or truncate
+# [(path into a model file, bad value), ...]: indices and coords outside
+# [0, n) or not ints, float scalars, which JSON would round or truncate, a
+# string modulus, and a bool parameter of a builtin reference (the file
+# becomes one when it names a builtin)
 BAD_MODEL_FILES = [
-    (("operation", "linear_a", 0, "i"), 5),
-    (("operation", "linear_b", 0, "k"), -1),
-    (("operation", "bilinear", 0, "i"), 0.5),
-    (("operation", "bilinear", 0, "j"), True),
-    (("operation", "bilinear", 0, "c"), 0.5),
-    (("dimension",), 3.7),
-    (("strata_rule", "coords"), [1, -1]),
-    (("strata_rule", "coords"), [1, 5]),
-    (("strata_rule", "coords"), [0, 1, 2]),
-    (("strata_rule", "coords"), [1, 1]),
-    (("strata_rule", "kind"), "slope"),
+    [(("operation", "linear_a", 0, "i"), 5)],
+    [(("operation", "linear_b", 0, "k"), -1)],
+    [(("operation", "bilinear", 0, "i"), 0.5)],
+    [(("operation", "bilinear", 0, "j"), True)],
+    [(("operation", "bilinear", 0, "c"), 0.5)],
+    [(("dimension",), 3.7)],
+    [(("strata_rule", "coords"), [1, -1])],
+    [(("strata_rule", "coords"), [1, 5])],
+    [(("strata_rule", "coords"), [0, 1, 2])],
+    [(("strata_rule", "coords"), [1, 1])],
+    [(("strata_rule", "kind"), "slope")],
+    [(("field", "p"), "7")],
+    [(("builtin",), "nonlinear3"), (("params", "A"), True)],
 ]
 
 
 @pytest.mark.parametrize(
-    "path,value", BAD_MODEL_FILES,
+    "edits", BAD_MODEL_FILES,
     ids=["linear-a-index-5", "linear-b-index-negative", "index-float",
          "index-bool", "coefficient-float", "dimension-float",
          "coord-negative", "coord-out-of-range", "ratio-on-three-coords",
-         "repeated-coord", "unknown-rule"])
-def test_bad_model_file_is_a_usage_error(capsys, tmp_path, path, value):
+         "repeated-coord", "unknown-rule", "modulus-string",
+         "builtin-param-bool"])
+def test_bad_model_file_is_a_usage_error(capsys, tmp_path, edits):
     obj = model_to_json(builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
                                       field=Field(7)))
     good = tmp_path / "good.json"
     good.write_text(json.dumps(obj))
     assert run(capsys, ["strata", "--model", str(good)])[0] == 0
-    node = obj
-    for step in path[:-1]:
-        node = node[step]
-    node[path[-1]] = value
+    for path, value in edits:
+        node = obj
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     for command in ("strata", "axioms", "orbit", "check-assoc"):
@@ -346,6 +355,29 @@ def test_bad_model_file_is_a_usage_error(capsys, tmp_path, path, value):
 
 
 P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
+
+# Budget caps: the largest value of each flag is accepted, one more exits 2
+# (axioms at MAX_SAMPLES takes seconds, so its bound is checked on the plan).
+CAPPED_ARGVS = [
+    (["axioms", *P3, "--samples"], MAX_SAMPLES, None,
+     f"error: samples must be at most {MAX_SAMPLES}\n"),
+    (["orbit", *P3, "--start", "1,2,1", "--q", "0,3,4", "--steps"], MAX_STEPS,
+     MAX_STEPS, f"error: orbit steps must be at most {MAX_STEPS}\n"),
+    (["kex", *P3, "--seed", "1", "--lengths"], MAX_SECRET_LENGTH,
+     f"1,{MAX_SECRET_LENGTH}",
+     f"error: secret lengths must be at most {MAX_SECRET_LENGTH}\n"),
+]
+
+
+@pytest.mark.parametrize("argv,cap,largest,err", CAPPED_ARGVS,
+                         ids=["samples", "steps", "lengths"])
+def test_budget_caps(capsys, argv, cap, largest, err):
+    if largest is None:
+        assert SamplingPlan(samples=cap).samples == cap
+    else:
+        assert run(capsys, argv + [str(largest)])[0] in (0, 1)
+    over = f"1,{cap + 1}" if argv[0] == "kex" else str(cap + 1)
+    assert run(capsys, argv + [over]) == (2, "", err)
 
 # Flags come and go between neighbours, and every error sits between two
 # successful calls whichever way the list is run.
