@@ -138,28 +138,26 @@ def _all_zero(polys):
 
 # ---------------------------------------------------------------------------
 # Seeded vector sampling
-# Draws are plain values (p None over Q), from the rng calls of
-# Field.sample(rng, 20); the public samplers wrap them in FieldElements.
+# Draws are plain values (Field.sample_value); the public samplers wrap them
+# in FieldElements.
 
-def _draw(p, rng):
-    if p is not None:
-        return rng.randrange(p)
-    return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+SAMPLE_BOUND = 20  # over Q: numerators in [-20, 20], denominators in [1, 20]
 
 
-def _draw_direction(p, rng, tail_len):
+def _draw_direction(field, rng, tail_len):
     while True:
-        d = [_draw(p, rng) for _ in range(tail_len)]
+        d = [field.sample_value(rng, SAMPLE_BOUND) for _ in range(tail_len)]
         if any(d):
             return d
 
 
-def _draw_on_direction(p, rng, d):
+def _draw_on_direction(field, rng, d):
     """Vector with tail direction d: head free, scale nonzero."""
-    head = _draw(p, rng)
-    s = _draw(p, rng)
+    head = field.sample_value(rng, SAMPLE_BOUND)
+    s = field.sample_value(rng, SAMPLE_BOUND)
     while not s:
-        s = _draw(p, rng)
+        s = field.sample_value(rng, SAMPLE_BOUND)
+    p = field.p
     return [head] + [s * x % p if p else s * x for x in d]
 
 
@@ -169,7 +167,7 @@ def _elements(field, values):
 
 def sample_direction(field, rng, tail_len):
     """Nonzero tail direction."""
-    return _elements(field, _draw_direction(field.p, rng, tail_len))
+    return _elements(field, _draw_direction(field, rng, tail_len))
 
 
 def sample_distinct_directions(field, rng, tail_len, count):
@@ -185,7 +183,7 @@ def sample_distinct_directions(field, rng, tail_len, count):
 def sample_on_direction(field, rng, direction):
     """Random vector with the given tail direction: head free, scale nonzero."""
     d = [field.element(x).value for x in direction]
-    return _elements(field, _draw_on_direction(field.p, rng, d))
+    return _elements(field, _draw_on_direction(field, rng, d))
 
 
 def label_str(model, v):
@@ -230,13 +228,13 @@ def _sample_consistency_sa1(model, rng, count=100):
     must agree pointwise. Runs on plain values, so op.plain must exist (it
     does over every field); FieldElements are built only for a witness."""
     op = model.operation
-    p = model.field.p
+    field = model.field
 
     def fail(kind, *vs):
-        return False, (kind, *[_elements(model.field, v) for v in vs])
+        return False, (kind, *[_elements(field, v) for v in vs])
     for _ in range(count):
-        d = _draw_direction(p, rng, model.dimension - 1)
-        a, b, c = (_draw_on_direction(p, rng, d) for _ in range(3))
+        d = _draw_direction(field, rng, model.dimension - 1)
+        a, b, c = (_draw_on_direction(field, rng, d) for _ in range(3))
         ab = multiply_values(op, a, b)
         if ab != multiply_values(op, b, a):
             return fail("commutator", a, b)
@@ -443,7 +441,7 @@ def _non_associative_triple(model, rng, samples):
         assert not is_zero_vector(associator(op, *basis))
         return {"status": HOLDS, "witness": [_vec_json(v) for v in basis]}
     for _ in range(samples):
-        vs = [_elements(field, [_draw(field.p, rng) for _ in range(n)])
+        vs = [tuple(field.sample(rng, SAMPLE_BOUND) for _ in range(n))
               for _ in range(3)]
         if not is_zero_vector(associator(op, *vs)):
             return {"status": HOLDS, "witness": [_vec_json(v) for v in vs]}
@@ -471,7 +469,7 @@ def _lps_pointwise(model, rng, count):
     for _ in range(count):
         da, db = ([x.value for x in d] for d in sample_distinct_directions(
             field, rng, model.dimension - 1, 2))
-        a, b, c = (_draw_on_direction(field.p, rng, d) for d in (da, db, db))
+        a, b, c = (_draw_on_direction(field, rng, d) for d in (da, db, db))
         if multiply_values(op, multiply_values(op, a, b), c) != \
                 multiply_values(op, multiply_values(op, a, c), b):
             return [_elements(field, v) for v in (a, b, c)]

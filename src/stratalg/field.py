@@ -99,14 +99,17 @@ class Field:
     def one(self):
         return self.element(1)
 
-    def sample(self, rng, bound=50):
+    def sample_value(self, rng, bound=50):
         """Uniform residue for F_p; numerator in [-bound, bound] and
-        denominator in [1, bound] for the rationals."""
+        denominator in [1, bound] for the rationals. A plain value: an int
+        in [0, p) or a Fraction."""
         if self.p is not None:
-            return self.element(rng.randrange(self.p))
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
-        return self.element(Fraction(num, den))
+            return rng.randrange(self.p)
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    def sample(self, rng, bound=50):
+        """sample_value as a FieldElement."""
+        return FieldElement(self, self.sample_value(rng, bound))
 
     def sample_nonzero(self, rng, bound=50):
         while True:

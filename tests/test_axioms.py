@@ -469,9 +469,15 @@ def test_case_analysis_matches_golden_digest(name, params, p, samples, seed,
 # Differential test of the plain-value draws, SA1 gate and lps_pointwise
 # loop against in-test copies of the FieldElement versions they replaced.
 
+def old_sample_scalar(field, rng):
+    if field.p is not None:
+        return field.element(rng.randrange(field.p))
+    return field.element(Fraction(rng.randint(-20, 20), rng.randint(1, 20)))
+
+
 def old_sample_direction(field, rng, tail_len):
     while True:
-        d = tuple(field.sample(rng, bound=20) for _ in range(tail_len))
+        d = tuple(old_sample_scalar(field, rng) for _ in range(tail_len))
         if not all(not x for x in d):
             return d
 
@@ -488,8 +494,10 @@ def old_sample_distinct_directions(field, rng, tail_len, count, seen=None):
 
 
 def old_sample_on_direction(field, rng, direction):
-    head = field.sample(rng, bound=20)
-    s = field.sample_nonzero(rng, bound=20)
+    head = old_sample_scalar(field, rng)
+    s = old_sample_scalar(field, rng)
+    while not s:
+        s = old_sample_scalar(field, rng)
     return (head,) + tuple(s * x for x in direction)
 
 
