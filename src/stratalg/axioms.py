@@ -57,7 +57,8 @@ RESOLUTIONS = {"transient": "coincidence: cleared by rescaling",
                "persistent": "persistent"}
 
 # Largest sampling budget. Run time grows linearly with it: parametric4
-# over Q with chains up to 6 took 21.6 s (32 MB ru_maxrss) at 2,000 samples.
+# over Q with chains up to 6 took 21.6 s (32 MB ru_maxrss) at 2,000 samples
+# on a 2-vCPU host.
 MAX_SAMPLES = 2000
 
 

@@ -28,7 +28,7 @@ SAMPLED_PAIRS = 10 ** 5
 
 # Longest orbit walk. Every step is kept (~0.5 KB each) until a value
 # repeats, which over F_p can take p**n steps: 100,000 steps over a 40-bit
-# prime took 3.1 s and 82 MB ru_maxrss.
+# prime took 3.1 s and 82 MB ru_maxrss on a 2-vCPU host.
 MAX_STEPS = 10 ** 5
 
 

@@ -24,7 +24,8 @@ from ._kernels import bulk_multiply
 BRUTE_FORCE_CAP = 10 ** 6
 
 # Longest seeded secret chain. A session's time and memory grow linearly
-# with it: two chains of 10,000 took 1.0 s and 39 MB ru_maxrss at F_101.
+# with it: two chains of 10,000 took 1.0 s and 39 MB ru_maxrss at F_101 on
+# a 2-vCPU host.
 MAX_SECRET_LENGTH = 10 ** 4
 
 
