@@ -12,7 +12,10 @@ parse error.
 """
 
 import argparse
+import functools
+import itertools
 import json
+import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -116,6 +119,50 @@ def emit(args, text):
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
+@functools.lru_cache(maxsize=256)
+def _row_format(indent, keys, kinds):
+    """The %-format of one record at indent: a list (keys None) or a dict
+    with the sorted keys, kinds holding %d or %s for each value."""
+    if keys is not None:
+        kinds = [encode_basestring_ascii(k).replace("%", "%%") + ": " + kind
+                 for k, kind in zip(keys, kinds)]
+    inner, ends = indent + "  ", "[]" if keys is None else "{}"
+    return ends[0] + inner + ("," + inner).join(kinds) + indent + ends[1]
+
+
+def _record_rows(obj, indent):
+    """The items of obj formatted one %-call each, or None unless all are
+    lists of one nonzero length of exact ints (stratum members) or dicts
+    with one str key set whose columns each hold only exact ints or only
+    exact strs (graph edges, tensor entries, mismatches). Exact types leave
+    bools, floats, None, subclasses and numpy scalars to json_text."""
+    t = type(obj[0])
+    if (t is not list and t is not dict) or set(map(type, obj)) != {t}:
+        return None
+    if t is list:
+        width = set(map(len, obj))
+        if len(width) != 1 or 0 in width or set(
+                map(type, itertools.chain.from_iterable(obj))) != {int}:
+            return None
+        fmt = _row_format(indent, None, ("%d",) * width.pop())
+        return map(fmt.__mod__, map(tuple, obj))
+    keysets = set(map(frozenset, obj))
+    if len(keysets) != 1 or set(map(type, next(iter(keysets)))) != {str}:
+        return None
+    keys, cols, kinds = tuple(sorted(keysets.pop())), [], []
+    for k in keys:
+        kind = set(map(type, map(operator.itemgetter(k), obj)))
+        if kind not in ({int}, {str}):
+            return None
+        # lazy columns: each encoded str lives only until its row is made
+        col = map(operator.itemgetter(k), obj)
+        cols.append(col if kind == {int}
+                    else map(encode_basestring_ascii, col))
+        kinds.append("%d" if kind == {int} else "%s")
+    fmt = _row_format(indent, keys, tuple(kinds))
+    return map(fmt.__mod__, zip(*cols))
+
+
 def json_text(obj, indent="\n"):
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, with each
     line after the first prefixed by indent[1:].
@@ -123,7 +170,8 @@ def json_text(obj, indent="\n"):
     With indent, CPython's json runs its pure-Python encoder; this writes
     exact ints, strs, bools, None and nonempty lists, tuples and str-keyed
     dicts directly and hands anything else (floats, empty containers,
-    other keys, subclasses, unserialisable objects) to json.dumps."""
+    other keys, subclasses, unserialisable objects) to json.dumps. A list
+    of records (see _record_rows) takes one cached %-format per item."""
     t = type(obj)
     if t is int:
         return int.__repr__(obj)
@@ -133,6 +181,10 @@ def json_text(obj, indent="\n"):
         return _LITERALS[obj]
     inner = indent + "  "
     if (t is list or t is tuple) and obj:
+        rows = _record_rows(obj, inner)
+        if rows is not None:
+            # one f-string: the joined rows are copied once, not per "+"
+            return f'[{inner}{("," + inner).join(rows)}{indent}]'
         return ("[" + inner
                 + ("," + inner).join([json_text(x, inner) for x in obj])
                 + indent + "]")

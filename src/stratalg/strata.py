@@ -21,6 +21,10 @@ from .algebra import multiply, multiply_values, is_zero_vector, \
     RATIO_RULE_3D, RATIO_RULE_4D
 
 SPACE_CAP = 1 << 24  # p**n above this refuses to enumerate
+# without full=True (the CLI's --full), to_json lists the members of a
+# stratum only up to this size and gives just the size of a larger one, so
+# a report does not grow with the big strata that hold most of the space
+INLINE_MEMBERS = 10 ** 4
 
 INFINITY = "inf"
 EXCEPTIONAL = "exceptional"
@@ -295,7 +299,7 @@ class StratumPartition:
         strata = []
         for label, members in zip(self.labels[:self._k], groups):
             entry = {"label": label, "size": len(members)}
-            if full or len(members) <= 10 ** 4:
+            if full or len(members) <= INLINE_MEMBERS:
                 entry["members"] = members
             strata.append(entry)
         return {
