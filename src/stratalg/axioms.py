@@ -62,33 +62,39 @@ RESOLUTIONS = {"transient": "coincidence: cleared by rescaling",
 MAX_SAMPLES = 2000
 
 
-def _generic_trial(first_ok, retest):
-    """True outcomes: (True, None) clean pass; (True, 'transient') pass after
-    rescaling, i.e. the first sample sat on a coincidence set; False means
-    the violation persisted through every rescaling."""
-    if first_ok:
-        return True, None
-    for _ in range(RETEST_SCALES):
-        if retest():
-            return True, "transient"
-    return False, "persistent"
+def _rated(configs, point, k=1):
+    """Generic rates over sampled configurations. point(cfg) draws fresh
+    scales on cfg and returns k verdicts, then whatever its caller needs for
+    a note or witness. A verdict failing its first sample is retested alone
+    on fresh draws. Returns each verdict's pass count and, per first-sample
+    failure, (cfg, first result, 'transient' if a retest passed, i.e. the
+    sample sat on a coincidence set, else 'persistent'). configs is read
+    lazily: each is drawn after the retests of the one before."""
+    passes = [0] * k
+    failed = []
+    for cfg in configs:
+        first = point(cfg)
+        for i in range(k):
+            ok = first[i]
+            if not ok:
+                ok = any(point(cfg)[i] for _ in range(RETEST_SCALES))
+                failed.append((cfg, first,
+                               "transient" if ok else "persistent"))
+            passes[i] += ok
+    return passes, failed
 
 
 class SamplingPlan:
     """Reproducible sampling budget for the axiom checks."""
 
-    def __init__(self, mode="randomized", samples=200, seed=0,
-                 chain_length_max=5):
-        if mode not in ("exhaustive", "randomized", "symbolic"):
-            raise ValueError(f"unknown sampling mode {mode!r}")
-        if mode == "randomized" and samples < 1:
-            raise ValueError("randomized plans need samples >= 1")
+    def __init__(self, samples=200, seed=0, chain_length_max=5):
+        if samples < 1:
+            raise ValueError("samples must be at least 1")
         if samples > MAX_SAMPLES:
             raise ValueError(f"samples must be at most {MAX_SAMPLES}")
         # SA4 brackets chains of at least three multipliers
         if not 3 <= chain_length_max <= MAX_CHAIN:
             raise ValueError(f"chain length bound must be in 3..{MAX_CHAIN}")
-        self.mode = mode
         self.samples = samples
         self.seed = seed
         self.chain_length_max = chain_length_max
@@ -181,6 +187,12 @@ def sample_distinct_directions(field, rng, tail_len, count):
     return dirs
 
 
+def _direction_draws(field, rng, n, count, trials):
+    """Lazily, one list of count distinct tail directions per trial."""
+    for _ in range(trials):
+        yield sample_distinct_directions(field, rng, n - 1, count)
+
+
 def sample_on_direction(field, rng, direction):
     """Random vector with the given tail direction: head free, scale nonzero."""
     d = [field.element(x).value for x in direction]
@@ -188,6 +200,11 @@ def sample_on_direction(field, rng, direction):
 
 
 def label_str(model, v):
+    """Stratum of v under the model's declared rule. SA2-SA4, the case
+    analysis and kex label by the rule, never by a discovered partition."""
+    if model.strata_rule is None:
+        raise ValueError(f"model {model.name or 'custom'} declares no strata "
+                         "rule; SA2-SA4 and kex need one")
     if is_zero_vector(v):
         return "zero"
     return str(ratio_stratum_of(v, model.strata_rule, model.field))
@@ -359,7 +376,7 @@ def _find_sa1_witness(model, rng, tries=300):
 # ---------------------------------------------------------------------------
 # SA2: cross-stratum asymmetry
 
-def check_sa2(model, strata=None, plan=None):
+def check_sa2(model, plan=None):
     """Sampled cross-stratum pairs must not commute and must land outside
     both operand strata; separately, a non-associative triple is exhibited
     (degenerate for globally associative models). Each trial fixes a pair of
@@ -372,33 +389,26 @@ def check_sa2(model, strata=None, plan=None):
     n = model.dimension
     trials = plan.samples
 
-    def sa2_point(da, db):
+    def sa2_point(cfg):
+        _t, (da, db) = cfg
         a = sample_on_direction(field, rng, da)
         b = sample_on_direction(field, rng, db)
         ab = multiply(op, a, b)
         if multiply(op, b, a) == ab:
-            return False, "pair commutes", (a, b)
+            return False, "pair commutes", a, b
         if is_zero_vector(ab):
-            return False, "product is zero", (a, b)
+            return False, "product is zero", a, b
         la, lb, lab = (label_str(model, v) for v in (a, b, ab))
         if lab in (la, lb):
-            return False, f"product stayed in stratum {lab}", (a, b)
-        return True, None, (a, b)
+            return False, f"product stayed in stratum {lab}", a, b
+        return True, None, a, b
 
-    ok_count = 0
-    exceptions = []
-    first_fail = None
-    for t in range(trials):
-        da, db = sample_distinct_directions(field, rng, n - 1, 2)
-        ok0, note, pair = sa2_point(da, db)
-        ok, kind = _generic_trial(ok0, lambda: sa2_point(da, db)[0])
-        ok_count += ok
-        if kind and len(exceptions) < 10:
-            exceptions.append({"trial": t, "a": _vec_json(pair[0]),
-                               "b": _vec_json(pair[1]), "note": note,
-                               "resolution": RESOLUTIONS[kind]})
-        if not ok and first_fail is None:
-            first_fail = pair
+    (ok_count,), failed = _rated(
+        enumerate(_direction_draws(field, rng, n, 2, trials)), sa2_point)
+    exceptions = [{"trial": cfg[0], "a": _vec_json(a), "b": _vec_json(b),
+                   "note": note, "resolution": RESOLUTIONS[kind]}
+                  for cfg, (_ok, note, a, b), kind in failed[:10]]
+    first_fail = next((f for f in failed if f[2] == "persistent"), None)
     rate = Fraction(ok_count, trials)
     triple = _non_associative_triple(model, plan.rng("SA2:triple"),
                                      plan.samples)
@@ -414,8 +424,9 @@ def check_sa2(model, strata=None, plan=None):
     value_ok = rate >= GENERIC_RATE
     verdict = SAMPLES if value_ok else FAILS
     if not value_ok and first_fail:
+        _cfg, (_ok, _note, a, b), _kind = first_fail
         witnesses.append({"clause": "cross_stratum_asymmetry",
-                          "vectors": [_vec_json(v) for v in first_fail]})
+                          "vectors": [_vec_json(a), _vec_json(b)]})
     if triple["status"] == HOLDS:
         witnesses.append({"clause": "non_associative_triple",
                           "vectors": triple["witness"]})
@@ -477,14 +488,30 @@ def _lps_pointwise(model, rng, count):
     return None
 
 
-def check_sa3(model, strata=None, plan=None):
+def _chain_agreement(model, rng, m, trials):
+    """Over trials drawn (base, m co-stratal multipliers off the base's
+    stratum): how many agree on every left-chain ordering, and the first
+    (base, mults) that does not, or None."""
+    field = model.field
+    agreed = 0
+    first_disagreement = None
+    for da, db in _direction_draws(field, rng, model.dimension, 2, trials):
+        base = sample_on_direction(field, rng, da)
+        mults = [sample_on_direction(field, rng, db) for _ in range(m)]
+        values = {v for _, v in chain_orderings(model.operation, base, mults)}
+        if len(values) == 1:
+            agreed += 1
+        elif first_disagreement is None:
+            first_disagreement = base, mults
+    return agreed, first_disagreement
+
+
+def check_sa3(model, plan=None):
     """(i) The chain-order difference operator vanishes for co-stratal
     multiplier pairs — proved symbolically when a symbolic twin exists,
     spot-checked on samples. (ii) All m! orderings of a left chain with
     co-stratal multipliers agree, for m up to the plan's chain bound."""
     plan = plan or SamplingPlan()
-    op = model.operation
-    field = model.field
     n = model.dimension
     clauses = {}
     witnesses = []
@@ -505,20 +532,13 @@ def check_sa3(model, strata=None, plan=None):
     per_m = {}
     trials = max(10, plan.samples // 10)
     for m in range(2, plan.chain_length_max + 1):
-        agreed = 0
-        for t in range(trials):
-            da, db = sample_distinct_directions(field, rng, n - 1, 2)
-            base = sample_on_direction(field, rng, da)
-            mults = [sample_on_direction(field, rng, db) for _ in range(m)]
-            values = {v for _, v in chain_orderings(op, base, mults)}
-            if len(values) == 1:
-                agreed += 1
-            elif chain_ok:
-                chain_ok = False
-                witnesses.append({
-                    "clause": f"chain_orderings_m{m}",
-                    "vectors": [_vec_json(base)] + [_vec_json(v)
-                                                    for v in mults]})
+        agreed, disagreement = _chain_agreement(model, rng, m, trials)
+        if disagreement and chain_ok:
+            chain_ok = False
+            base, mults = disagreement
+            witnesses.append({
+                "clause": f"chain_orderings_m{m}",
+                "vectors": [_vec_json(base)] + [_vec_json(v) for v in mults]})
         per_m[str(m)] = {"orderings": math.factorial(m), "trials": trials,
                          "agreed": agreed}
     clauses["chain_orderings"] = per_m
@@ -536,7 +556,7 @@ def check_sa3(model, strata=None, plan=None):
 # ---------------------------------------------------------------------------
 # SA4: bracket sensitivity
 
-def check_sa4(model, strata=None, plan=None):
+def check_sa4(model, plan=None):
     """For sampled chains with co-stratal multipliers, every bracketing that
     groups a tail segment must differ from the left chain and land outside
     both operand strata. Degenerate for globally associative models.
@@ -551,8 +571,19 @@ def check_sa4(model, strata=None, plan=None):
                                     "agrees, bracket sensitivity is empty"},
                 "witnesses": []}
     rng = plan.rng("SA4")
+    chain_lengths = range(3, plan.chain_length_max + 1)
+    trials = max(20, plan.samples // (plan.chain_length_max - 2))
 
-    def sa4_point(da, db, m, split):
+    def configs():
+        # one direction pair per (m, trial), shared by its splits
+        for m in chain_lengths:
+            draws = _direction_draws(field, rng, n, 2, trials)
+            for t, (da, db) in enumerate(draws):
+                for split in range(1, m - 1):
+                    yield m, t, split, da, db
+
+    def sa4_point(cfg):
+        m, _t, split, da, db = cfg
         base = sample_on_direction(field, rng, db)
         mults = [sample_on_direction(field, rng, da) for _ in range(m)]
         la = label_str(model, mults[0])
@@ -562,37 +593,24 @@ def check_sa4(model, strata=None, plan=None):
         tail = left_chain(op, mults[split], mults[split + 1:])
         bracketed = multiply(op, head, tail)
         if bracketed == left:
-            return False, "bracketed value equals the left chain", \
-                (base, mults)
+            return False, "bracketed value equals the left chain", base, mults
         if is_zero_vector(bracketed):
-            return False, "bracketed value is zero", (base, mults)
+            return False, "bracketed value is zero", base, mults
         lg = label_str(model, bracketed)
         if lg in (la, lb):
             return False, f"bracketed value stayed in stratum {lg}", \
-                (base, mults)
-        return True, None, (base, mults)
+                base, mults
+        return True, None, base, mults
 
-    ok_count = total = 0
-    exceptions = []
-    first_fail = None
-    trials = max(20, plan.samples // (plan.chain_length_max - 2))
-    for m in range(3, plan.chain_length_max + 1):
-        for t in range(trials):
-            da, db = sample_distinct_directions(field, rng, n - 1, 2)
-            for split in range(1, m - 1):
-                total += 1
-                ok0, why, cfg = sa4_point(da, db, m, split)
-                ok, kind = _generic_trial(
-                    ok0, lambda: sa4_point(da, db, m, split)[0])
-                ok_count += ok
-                if kind and len(exceptions) < 10:
-                    exceptions.append({
-                        "m": m, "split": split, "trial": t, "note": why,
-                        "base": _vec_json(cfg[0]),
-                        "multipliers": [_vec_json(v) for v in cfg[1]],
-                        "resolution": RESOLUTIONS[kind]})
-                if not ok and first_fail is None:
-                    first_fail = (cfg[0], cfg[1], split)
+    (ok_count,), failed = _rated(configs(), sa4_point)
+    exceptions = [{"m": m, "split": split, "trial": t, "note": why,
+                   "base": _vec_json(base),
+                   "multipliers": [_vec_json(v) for v in mults],
+                   "resolution": RESOLUTIONS[kind]}
+                  for (m, t, split, _da, _db), (_ok, why, base, mults), kind
+                  in failed[:10]]
+    first_fail = next((f for f in failed if f[2] == "persistent"), None)
+    total = trials * sum(m - 2 for m in chain_lengths)
     rate = Fraction(ok_count, total)
     clauses = {"bracket_sensitivity": {"rate": str(rate),
                                        "ok": rate >= GENERIC_RATE,
@@ -605,7 +623,7 @@ def check_sa4(model, strata=None, plan=None):
     else:
         verdict = FAILS
         if first_fail:
-            base, mults, split = first_fail
+            (_m, _t, split, _da, _db), (_ok, _why, base, mults), _ = first_fail
             witnesses.append({"clause": "bracket_sensitivity",
                               "split": split,
                               "vectors": [_vec_json(base)] +
@@ -639,9 +657,9 @@ def axiom_report(model, plan=None, strata=None):
     plan = plan or SamplingPlan()
     reports = {
         "SA1": check_sa1(model, strata, plan),
-        "SA2": check_sa2(model, strata, plan),
-        "SA3": check_sa3(model, strata, plan),
-        "SA4": check_sa4(model, strata, plan),
+        "SA2": check_sa2(model, plan),
+        "SA3": check_sa3(model, plan),
+        "SA4": check_sa4(model, plan),
     }
     witnesses = []
     for key in ("SA1", "SA2", "SA3", "SA4"):
@@ -876,10 +894,8 @@ def case_analysis(model, plan=None):
     rng = plan.rng("case2")
     trials = plan.samples
 
-    def case2_point(da, db, dc):
-        a = sample_on_direction(field, rng, da)
-        b = sample_on_direction(field, rng, db)
-        c = sample_on_direction(field, rng, dc)
+    def case2_point(cfg):
+        a, b, c = (sample_on_direction(field, rng, d) for d in cfg)
         nc = (multiply(op, a, b) != multiply(op, b, a)
               and multiply(op, b, c) != multiply(op, c, b)
               and multiply(op, a, c) != multiply(op, c, a))
@@ -894,25 +910,17 @@ def case_analysis(model, plan=None):
                                    for x in landed)
         return (nc, an, ln, out)
 
-    tallies = [0, 0, 0, 0]
-    coincidences = 0
-    for t in range(trials):
-        da, db, dc = sample_distinct_directions(field, rng, n - 1, 3)
-        first = case2_point(da, db, dc)
-        for i in range(4):
-            ok, kind = _generic_trial(first[i],
-                                      lambda i=i: case2_point(da, db, dc)[i])
-            if ok:
-                tallies[i] += 1
-                if kind == "transient":
-                    coincidences += 1
+    # each of the four predicates is retested on its own draws
+    tallies, failed = _rated(_direction_draws(field, rng, n, 3, trials),
+                             case2_point, k=4)
     nc, an, ln, out = tallies
     report["case2"] = {
         "noncommutative_rate": str(Fraction(nc, trials)),
         "associator_nonzero_rate": str(Fraction(an, trials)),
         "lps_nonzero_rate": str(Fraction(ln, trials)),
         "outside_all_strata_rate": str(Fraction(out, trials)),
-        "coincidences_rescaled": coincidences,
+        "coincidences_rescaled": sum(kind == "transient"
+                                     for _, _, kind in failed),
         "generic": min(tallies) >= trials * GENERIC_RATE,
     }
 
@@ -920,7 +928,8 @@ def case_analysis(model, plan=None):
     gammas = set()
     deltas = set()
 
-    def case3_point(da, db):
+    def case3_point(cfg):
+        da, db = cfg
         a = sample_on_direction(field, rng, da)
         b = sample_on_direction(field, rng, db)
         c = sample_on_direction(field, rng, db)
@@ -940,15 +949,8 @@ def case_analysis(model, plan=None):
                 deltas.add(ld)
         return (an, bc_in, gd_out)
 
-    tallies = [0, 0, 0]
-    for t in range(trials):
-        da, db = sample_distinct_directions(field, rng, n - 1, 2)
-        first = case3_point(da, db)
-        for i in range(3):
-            ok, _kind = _generic_trial(first[i],
-                                       lambda i=i: case3_point(da, db)[i])
-            if ok:
-                tallies[i] += 1
+    tallies, _ = _rated(_direction_draws(field, rng, n, 2, trials),
+                        case3_point, k=3)
     an, bc_in, gd_out = tallies
     report["case3"] = {
         "associator_nonzero_rate": str(Fraction(an, trials)),
@@ -960,36 +962,24 @@ def case_analysis(model, plan=None):
         "generic": min(tallies) >= trials * GENERIC_RATE,
     }
 
-    rng = plan.rng("case4")
-    agreed = 0
-    for t in range(trials):
-        da, db = sample_distinct_directions(field, rng, n - 1, 2)
-        a = sample_on_direction(field, rng, da)
-        mults = [sample_on_direction(field, rng, db) for _ in range(3)]
-        values = {v for _, v in chain_orderings(op, a, mults)}
-        if len(values) == 1:
-            agreed += 1
+    agreed, _ = _chain_agreement(model, plan.rng("case4"), 3, trials)
     report["case4"] = {"permutation_agreement_rate":
                        str(Fraction(agreed, trials)),
                        "ok": agreed == trials}
 
     rng = plan.rng("case5")
 
-    def case5_point(da, db):
+    def case5_point(cfg):
+        da, db = cfg
         a = sample_on_direction(field, rng, da)
         b, c, d = (sample_on_direction(field, rng, db) for _ in range(3))
         ab = multiply(op, a, b)
         bracketed = multiply(op, ab, multiply(op, c, d))
         chained = multiply(op, multiply(op, ab, c), d)
-        return bracketed != chained
+        return (bracketed != chained,)
 
-    differs = 0
-    for t in range(trials):
-        da, db = sample_distinct_directions(field, rng, n - 1, 2)
-        ok, _kind = _generic_trial(case5_point(da, db),
-                                   lambda: case5_point(da, db))
-        if ok:
-            differs += 1
+    (differs,), _ = _rated(_direction_draws(field, rng, n, 2, trials),
+                           case5_point)
     report["case5"] = {"bracketing_differs_rate": str(Fraction(differs,
                                                                trials)),
                        "generic": differs >= trials * GENERIC_RATE}

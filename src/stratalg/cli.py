@@ -89,8 +89,7 @@ def parse_vector(text, field, what):
 
 
 def make_plan(args):
-    mode = "symbolic" if getattr(args, "symbolic", False) else "randomized"
-    return SamplingPlan(mode=mode, samples=args.samples, seed=args.seed,
+    return SamplingPlan(samples=args.samples, seed=args.seed,
                         chain_length_max=getattr(args, "chain_max", 5))
 
 
@@ -229,7 +228,7 @@ def cmd_check_assoc(args):
 def cmd_axioms(args):
     model = load_model(args)
     strata = None
-    if args.discover or model.strata_rule is None:
+    if args.discover:
         strata = partition_for(args, model)
     plan = make_plan(args)
     report = axiom_report(model, plan, strata)
@@ -426,8 +425,6 @@ def build_parser():
     p.add_argument("--discover", action="store_true",
                    help="use the commutant partition instead of the "
                         "declared rule")
-    p.add_argument("--symbolic", action="store_true",
-                   help="prefer symbolic proofs where available")
     p.add_argument("--chain-max", type=int, default=5,
                    help="longest multiplier chain to test (3..6)")
     p.set_defaults(fn=cmd_axioms)

@@ -35,9 +35,10 @@ from stratalg.axioms import (
     FAILS,
     GENERIC_RATE,
     HOLDS,
+    RETEST_SCALES,
     SAMPLES,
-    _generic_trial,
     _lps_pointwise,
+    _rated,
     _sample_consistency_sa1,
     _symbolic_in_stratum,
     _symbolic_lps_costratal,
@@ -52,10 +53,9 @@ from stratalg.strata import directions_proportional
 
 
 def test_sampling_plan_validation():
-    with pytest.raises(ValueError):
-        SamplingPlan(mode="guess")
-    with pytest.raises(ValueError):
-        SamplingPlan(samples=0)
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            SamplingPlan(samples=samples)
     for bound in (2, 7):
         with pytest.raises(ValueError):
             SamplingPlan(chain_length_max=bound)
@@ -65,11 +65,43 @@ def test_sampling_plan_validation():
     assert plan.rng("x").random() != plan.rng("y").random()
 
 
-def test_generic_trial_outcomes():
-    assert _generic_trial(True, lambda: False) == (True, None)
-    flips = iter([False, False, True])
-    assert _generic_trial(False, lambda: next(flips)) == (True, "transient")
-    assert _generic_trial(False, lambda: False) == (False, "persistent")
+# (k, the verdict tuples point returns on each configuration in call order,
+# pass counts, (configuration, resolution) per verdict failing its first draw)
+RATED_CASES = [
+    (1, [[(True,)]], [1], []),
+    # a transient on the first configuration; the second is drawn after its
+    # two retests
+    (1, [[(False,), (False,), (True,)], [(True,)]], [2], [(0, "transient")]),
+    (1, [[(False,)] * (1 + RETEST_SCALES)], [0], [(0, "persistent")]),
+    # only the failing verdicts are retested, each on its own draws: verdict
+    # 1 passes its first retest, verdict 3 fails all of its own
+    (4, [[(True, False, True, False), (False, True, False, False)]
+         + [(True, True, True, False)] * RETEST_SCALES],
+     [1, 1, 1, 0], [(0, "transient"), (0, "persistent")]),
+]
+
+
+@pytest.mark.parametrize("k,scripts,passes,failed", RATED_CASES,
+                         ids=["clean", "transient", "persistent", "k4"])
+def test_rated_outcomes(k, scripts, passes, failed):
+    log = []
+
+    def configs():
+        for cfg in range(len(scripts)):
+            log.append(("draw", cfg))
+            yield cfg
+
+    draws = [iter(script) for script in scripts]
+
+    def point(cfg):
+        log.append(("point", cfg))
+        return next(draws[cfg])
+
+    assert _rated(configs(), point, k) == (
+        passes, [(cfg, scripts[cfg][0], kind) for cfg, kind in failed])
+    # every scripted draw is taken, in order, and no more
+    assert log == [entry for cfg, script in enumerate(scripts) for entry in
+                   [("draw", cfg)] + [("point", cfg)] * len(script)]
 
 
 def test_substitution_templates():

@@ -354,6 +354,21 @@ def test_bad_model_file_is_a_usage_error(capsys, tmp_path, edits):
         assert err.startswith("error: bad model file")
 
 
+def test_model_without_strata_rule_is_a_usage_error(capsys, tmp_path):
+    # SA2-SA4 and kex label by the declared rule, even with --discover
+    obj = model_to_json(builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
+                                      field=Field(7)))
+    del obj["strata_rule"]
+    path = tmp_path / "norule.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["axioms"], ["axioms", "--discover"], ["kex"]):
+        rc, out, err = run(capsys, argv + ["--model", str(path)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: model nonlinear3 declares no strata "
+                              "rule")
+        assert err.count("\n") == 1
+
+
 P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
 
 # Budget caps: the largest value of each flag is accepted, one more exits 2
