@@ -65,6 +65,37 @@ def left_tables(T, Lb, A, p):
     return ((A @ T.reshape(n, n * n)).reshape(-1, n, n) + Lb) % p
 
 
+def product_lex(L, C, W, p):
+    """Lex index (as lex_indices) of every product a * w = w @ L_a + a @ La,
+    from the left tables L (..., n, n) of the a's (left_tables), their
+    constants C (..., n) = a @ La % p and the coordinate planes W (n, ...)
+    of the w's (W[j] holds coordinate j), all broadcast together.
+
+    Output coordinate k is one plane C[..., k] + sum_j L[..., j, k] W[j]:
+    n products of residues plus a residue, below n * p**2. It is reduced
+    mod p once and folded into the index by Horner's rule, which stays
+    below p**n. Callers scan enumerable spaces only (p**n <= 2**24, so
+    p <= 2**24), where int64 holds both bounds; int32 runs while both are
+    below 2**31, as always in the exhaustive scans (p**n <= 10**4 gives
+    n * p**2 <= 10**8)."""
+    n = len(W)
+    small = n * p * p < 1 << 31 and p ** n < 1 << 31
+    dtype = np.int32 if small else np.int64
+    L, C, W = (np.ascontiguousarray(x, dtype=dtype) for x in (L, C, W))
+    idx = 0
+    for k in range(n):
+        plane = C[..., k] + L[..., 0, k] * W[0]
+        for j in range(1, n):
+            plane += L[..., j, k] * W[j]
+        plane %= p
+        if k:
+            idx *= p
+            idx += plane
+        else:
+            idx = plane
+    return idx
+
+
 def bulk_multiply(T, La, Lb, A, B, p):
     """Row-paired products: out[m] = A[m] * B[m] under the operation
     (T, La, Lb). Shapes: T (n,n,n) indexed [i,j,k]; La, Lb (n,n) indexed

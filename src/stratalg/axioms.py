@@ -199,12 +199,17 @@ def sample_on_direction(field, rng, direction):
     return _elements(field, _draw_on_direction(field, rng, d))
 
 
-def label_str(model, v):
-    """Stratum of v under the model's declared rule. SA2-SA4, the case
+def require_rule(model):
+    """Refuse a model without a declared strata rule: SA2-SA4, the case
     analysis and kex label by the rule, never by a discovered partition."""
     if model.strata_rule is None:
         raise ValueError(f"model {model.name or 'custom'} declares no strata "
                          "rule; SA2-SA4 and kex need one")
+
+
+def label_str(model, v):
+    """Stratum of v under the model's declared rule (require_rule)."""
+    require_rule(model)
     if is_zero_vector(v):
         return "zero"
     return str(ratio_stratum_of(v, model.strata_rule, model.field))
@@ -654,6 +659,7 @@ def classify(reports):
 
 def axiom_report(model, plan=None, strata=None):
     """Full SA1-SA4 run with classification; JSON-ready."""
+    require_rule(model)
     plan = plan or SamplingPlan()
     reports = {
         "SA1": check_sa1(model, strata, plan),

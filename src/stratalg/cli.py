@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from .algebra import (BUILTIN_NAMES, associativity_check, builtin_model,
                       format_assoc_report, make_params, model_from_json)
 from .axioms import (MAX_SAMPLES, SamplingPlan, axiom_report,
-                     identity_suite_json)
+                     identity_suite_json, require_rule)
 from .field import Field, format_scalar
 from .strata import discover_strata, partitions_agree, ratio_partition
 from . import dynamics
@@ -227,6 +227,7 @@ def cmd_check_assoc(args):
 
 def cmd_axioms(args):
     model = load_model(args)
+    require_rule(model)  # before the partition and SA1 are built
     strata = None
     if args.discover:
         strata = partition_for(args, model)

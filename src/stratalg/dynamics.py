@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import MAX_CHAIN, chain_orderings, is_zero_vector, multiply
 from .field import _vec_json
 from .strata import _as_operation, space_matrix, to_dense_arrays
-from ._kernels import bulk_multiply, left_tables, lex_indices
+from ._kernels import left_tables, lex_digits, product_lex
 
 ZERO_LABEL = "zero"
 UNLABELED = "unlabeled"
@@ -30,6 +30,11 @@ SAMPLED_PAIRS = 10 ** 5
 # repeats, which over F_p can take p**n steps: 100,000 steps over a 40-bit
 # prime took 3.1 s and 82 MB ru_maxrss on a 2-vCPU host.
 MAX_STEPS = 10 ** 5
+
+# Most transition tally bins (labels**2 * (labels + 1)). The tally and each
+# scan block's bincount are int64 arrays of this many bins, 512 MiB each at
+# the bound, so this protects the host's memory: 406 labels fit.
+MAX_TALLY_BINS = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -290,55 +295,57 @@ def transition_graph(op, partition, plan):
     p, n = partition.p, partition.n
     space = p ** n
     codes, labels = partition.codes, partition.labels
-    T, La, Lb = to_dense_arrays(op, p)
-    V = space_matrix(p, n)
-
     nlab = len(labels)
-    vcodes = codes[1:].astype(np.int64)  # V row r has lex index r + 1
+    # one bin per (from, via, to), the zero product being one more "to"
+    bins = nlab * nlab * (nlab + 1)
+    if bins > MAX_TALLY_BINS:
+        raise ValueError(
+            f"a transition graph over {nlab} strata needs {bins} tally bins; "
+            f"at most {MAX_TALLY_BINS} supported")
+    T, La, Lb = to_dense_arrays(op, p)
     nonzero = space - 1
-    tally = np.zeros(nlab * nlab * nlab, dtype=np.int64)
-    zero_products = 0
 
-    def pair_counts(prod, ca, cq):
-        """(edge tally, zero-product count) for the products prod (..., n)
-        of operands with codes ca, cq (broadcast to prod's leading shape)."""
-        cp = codes[lex_indices(prod.reshape(-1, n), p)]
-        keep = cp >= 0
-        key = (((ca * nlab + cq) * nlab).ravel() + cp)[keep]
-        return (np.bincount(key, minlength=nlab ** 3),
-                int((~keep).sum()))
+    def count(L, C, ca, W, cq):
+        """Tally of the products with left tables L, constants C and codes
+        ca by the coordinate planes W with codes cq, broadcast together
+        (product_lex). The zero product (code -1) takes the first bin of
+        its (from, via)."""
+        key = (ca * (nlab * (nlab + 1)) + (cq * (nlab + 1) + 1)
+               + codes[product_lex(L, C, W, p)])
+        return np.bincount(key.ravel(), minlength=bins)
 
     if space <= EXHAUSTIVE_SPACE:
         mode = "exhaustive"
         pairs = nonzero ** 2
-        # blocks of at most 2**16 pairs bound the (block, nonzero, n)
-        # products and their temporaries
+        V = space_matrix(p, n)
+        vcodes = codes[1:]  # V row r has lex index r + 1
+        L, C = left_tables(T, Lb, V, p)[:, None], (V @ La % p)[:, None]
+        # blocks of at most 2**16 pairs bound the (block, nonzero) planes
         block = max(1, (1 << 16) // nonzero)
+        tally = 0
         for lo in range(0, nonzero, block):
-            A = V[lo:lo + block]
-            prod = (V @ left_tables(T, Lb, A, p)
-                    + (A @ La % p)[:, None]) % p
-            counts, zeros = pair_counts(prod, vcodes[lo:lo + block, None],
-                                        vcodes)
-            tally += counts
-            zero_products += zeros
+            hi = lo + block
+            tally += count(L[lo:hi], C[lo:hi], vcodes[lo:hi, None], V.T,
+                           vcodes)
     else:
         mode = "sampled"
         pairs = min(SAMPLED_PAIRS, nonzero ** 2)
         rng = np.random.default_rng(plan.seed)
-        ia = rng.integers(0, nonzero, size=pairs)
-        iq = rng.integers(0, nonzero, size=pairs)
-        counts, zero_products = pair_counts(
-            bulk_multiply(T, La, Lb, V[ia], V[iq], p), vcodes[ia], vcodes[iq])
-        tally += counts
+        ia = rng.integers(0, nonzero, size=pairs) + 1
+        iq = rng.integers(0, nonzero, size=pairs) + 1
+        A = lex_digits(ia, p, n)
+        tally = count(left_tables(T, Lb, A, p), A @ La % p, codes[ia],
+                      lex_digits(iq, p, n).T, codes[iq])
 
-    edges = {}
-    for flat in np.flatnonzero(tally):
-        ai, rem = divmod(int(flat), nlab * nlab)
-        qi, ci = divmod(rem, nlab)
-        edges[(labels[ai], labels[qi], labels[ci])] = int(tally[flat])
+    flat = np.flatnonzero(tally)
+    ai, rem = np.divmod(flat, nlab * (nlab + 1))
+    qi, ci = np.divmod(rem, nlab + 1)
+    edges = {(labels[a], labels[q], labels[c - 1]): pairs_in
+             for a, q, c, pairs_in in zip(ai.tolist(), qi.tolist(),
+                                          ci.tolist(), tally[flat].tolist())
+             if c}
     return TransitionGraph(p, list(labels), edges, mode, pairs,
-                           zero_products, plan.seed)
+                           int(tally[::nlab + 1].sum()), plan.seed)
 
 
 def return_edge_stats(graph):

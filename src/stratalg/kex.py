@@ -18,7 +18,8 @@ from .axioms import label_str
 from .dynamics import chain_path
 from .field import _vec_json
 from .strata import space_matrix, to_dense_arrays
-from ._kernels import bulk_multiply
+from ._kernels import bulk_multiply, left_tables, lex_indices, \
+    product_lex
 
 # Exhaustive recovery is capped at this many candidate chains.
 BRUTE_FORCE_CAP = 10 ** 6
@@ -250,11 +251,11 @@ def brute_force_recover(model, view, max_len=2):
     chains = [[row_vec(V[i])]
               for i in np.flatnonzero((step1 == target).all(axis=1))]
     if max_len == 2:
-        prods = bulk_multiply(T, La, Lb,
-                              np.repeat(step1, nonzero, axis=0),
-                              np.tile(V, (nonzero, 1)), p)
-        tried += len(prods)
-        for flat in np.flatnonzero((prods == target).all(axis=1)):
+        # idx[i, j] is the lex index of step1[i] * V[j]
+        idx = product_lex(left_tables(T, Lb, step1, p)[:, None],
+                          (step1 @ La % p)[:, None], V.T, p)
+        tried += idx.size
+        for flat in np.flatnonzero(idx == lex_indices(target[None], p)[0]):
             i, j = divmod(int(flat), nonzero)
             chains.append([row_vec(V[i]), row_vec(V[j])])
 

@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from stratalg import SamplingPlan, builtin_model, model_to_json
+from stratalg import SamplingPlan, axioms, builtin_model, cli, model_to_json
 from stratalg.axioms import MAX_SAMPLES
 from stratalg.cli import build_parser, main
-from stratalg.dynamics import MAX_STEPS
+from stratalg.dynamics import MAX_STEPS, MAX_TALLY_BINS
 from stratalg.kex import MAX_SECRET_LENGTH
 from stratalg.field import Field
 
@@ -354,13 +354,21 @@ def test_bad_model_file_is_a_usage_error(capsys, tmp_path, edits):
         assert err.startswith("error: bad model file")
 
 
-def test_model_without_strata_rule_is_a_usage_error(capsys, tmp_path):
-    # SA2-SA4 and kex label by the declared rule, even with --discover
+def test_model_without_strata_rule_is_a_usage_error(capsys, tmp_path,
+                                                     monkeypatch):
+    # SA2-SA4 and kex label by the declared rule, even with --discover;
+    # axioms refuses it before building the partition or running SA1
     obj = model_to_json(builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
                                       field=Field(7)))
     del obj["strata_rule"]
     path = tmp_path / "norule.json"
     path.write_text(json.dumps(obj))
+
+    def unreachable(*args):
+        raise AssertionError("built before the rule check")
+
+    monkeypatch.setattr(cli, "partition_for", unreachable)
+    monkeypatch.setattr(axioms, "check_sa1", unreachable)
     for argv in (["axioms"], ["axioms", "--discover"], ["kex"]):
         rc, out, err = run(capsys, argv + ["--model", str(path)])
         assert (rc, out) == (2, "")
@@ -373,26 +381,32 @@ P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
 
 # Budget caps: the largest value of each flag is accepted, one more exits 2
 # (axioms at MAX_SAMPLES takes seconds, so its bound is checked on the plan).
+# The transition tally grows with the strata of the field: parametric4's
+# graph over F_13 (172 strata) is drawn and F_23's (532) refused; F_19 (364)
+# fits but would allocate 2 x 387 MB.
 CAPPED_ARGVS = [
-    (["axioms", *P3, "--samples"], MAX_SAMPLES, None,
+    (["axioms", *P3, "--samples"], None, MAX_SAMPLES + 1,
      f"error: samples must be at most {MAX_SAMPLES}\n"),
     (["orbit", *P3, "--start", "1,2,1", "--q", "0,3,4", "--steps"], MAX_STEPS,
-     MAX_STEPS, f"error: orbit steps must be at most {MAX_STEPS}\n"),
-    (["kex", *P3, "--seed", "1", "--lengths"], MAX_SECRET_LENGTH,
-     f"1,{MAX_SECRET_LENGTH}",
+     MAX_STEPS + 1, f"error: orbit steps must be at most {MAX_STEPS}\n"),
+    (["kex", *P3, "--seed", "1", "--lengths"], f"1,{MAX_SECRET_LENGTH}",
+     f"1,{MAX_SECRET_LENGTH + 1}",
      f"error: secret lengths must be at most {MAX_SECRET_LENGTH}\n"),
+    (["orbit", "--builtin", "parametric4", "--params", "2,3,5,7,11,13",
+      "--field"], "fp:13", "fp:23",
+     "error: a transition graph over 532 strata needs 150851792 tally bins; "
+     f"at most {MAX_TALLY_BINS} supported\n"),
 ]
 
 
-@pytest.mark.parametrize("argv,cap,largest,err", CAPPED_ARGVS,
-                         ids=["samples", "steps", "lengths"])
-def test_budget_caps(capsys, argv, cap, largest, err):
-    if largest is None:
-        assert SamplingPlan(samples=cap).samples == cap
+@pytest.mark.parametrize("argv,accepted,refused,err", CAPPED_ARGVS,
+                         ids=["samples", "steps", "lengths", "tally"])
+def test_budget_caps(capsys, argv, accepted, refused, err):
+    if accepted is None:
+        assert SamplingPlan(samples=MAX_SAMPLES).samples == MAX_SAMPLES
     else:
-        assert run(capsys, argv + [str(largest)])[0] in (0, 1)
-    over = f"1,{cap + 1}" if argv[0] == "kex" else str(cap + 1)
-    assert run(capsys, argv + [over]) == (2, "", err)
+        assert run(capsys, argv + [str(accepted)])[0] in (0, 1)
+    assert run(capsys, argv + [str(refused)]) == (2, "", err)
 
 # Flags come and go between neighbours, and every error sits between two
 # successful calls whichever way the list is run.

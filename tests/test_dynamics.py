@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from stratalg import (
     AffineOperation,
     Field,
     SamplingPlan,
+    StratumPartition,
     StructureTensor,
     builtin_model,
     chain_path,
@@ -407,6 +409,36 @@ def test_sampled_transition_scan_matches_the_scalar_loop(f23, monkeypatch):
             edges[(part.label_of(a), part.label_of(q),
                    part.label_of(prod))] += 1
     assert (g.edges, g.zero_products) == (dict(edges), zeros)
+
+
+def test_transition_tally_is_bounded(f5, monkeypatch):
+    """The tally's labels**2 * (labels + 1) bins are checked before any
+    array is built: at the bound the graph is drawn, one bin less refuses
+    it, and 9,972 singleton strata of F_9973^1 are refused at once."""
+    model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6), field=f5)
+    part = ratio_partition(model)
+    k = len(part.labels)
+    monkeypatch.setattr(dynamics, "MAX_TALLY_BINS", k * k * (k + 1))
+    want = transition_graph(model, part, SamplingPlan(seed=0))
+    monkeypatch.setattr(dynamics, "MAX_TALLY_BINS", k * k * (k + 1) - 1)
+    with pytest.raises(ValueError, match="tally bins"):
+        transition_graph(model, part, SamplingPlan(seed=0))
+    monkeypatch.undo()
+    assert transition_graph(model, part, SamplingPlan(seed=0)).to_json() \
+        == want.to_json()
+    f = Field(9973)
+    op = AffineOperation(StructureTensor(1, {}), {(0, 0): f.one()},
+                         {(0, 0): f.element(2)}, zero=f.zero())
+    wide = StratumPartition(9973, 1, np.arange(9972),
+                            [f"S{i}" for i in range(9972)], "discovered")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over 9972 strata"):
+            transition_graph(op, wide, SamplingPlan(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_one_dimensional_discovery_and_dynamics():

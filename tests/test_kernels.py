@@ -96,6 +96,37 @@ def test_bulk_multiply_is_exact_at_the_int64_bound(n, p):
     assert got.tolist() == defining_sums(T, La, Lb, A, B, p)
 
 
+# 46337 is the largest prime with p**2 < 2**31, where n = 1 still runs in
+# int32, and 46349 the next one; n runs to 4 where p**n is enumerable
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 7) for n in (1, 2, 3, 4)]
+                         + [(46337, 1), (46349, 1)])
+@pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
+def test_product_lex_matches_bulk_multiply(p, n, affine):
+    """product_lex against bulk_multiply + lex_indices: every row of A by
+    every row of B (outer) and row by row, with and without a left linear
+    part, rows of all p - 1 among the operands; and the largest plane,
+    with every table entry, constant and coordinate at p - 1."""
+    rng = np.random.default_rng(10 * p + n)
+    T = rng.integers(0, p, size=(n, n, n))
+    La, Lb = rng.integers(0, p, size=(2, n, n))
+    La *= affine
+    A, B = (np.vstack([np.full((1, n), p - 1), rng.integers(0, p, (30, n))])
+            for _ in "AB")
+    L, C = _kernels.left_tables(T, Lb, A, p), A @ La % p
+    lex = lambda X, Y: _kernels.lex_indices(
+        _kernels.bulk_multiply(T, La, Lb, X, Y, p), p)
+    outer = _kernels.product_lex(L[:, None], C[:, None], B.T, p)
+    assert outer.dtype == (np.int32 if n * p * p < 1 << 31 else np.int64)
+    assert outer.tolist() == lex(np.repeat(A, len(B), axis=0),
+                                 np.tile(B, (len(A), 1))).reshape(
+                                     len(A), len(B)).tolist()
+    assert _kernels.product_lex(L, C, B.T, p).tolist() == lex(A, B).tolist()
+    top = np.full((n, n), p - 1)
+    digit = (p - 1) * (1 + n * (p - 1)) % p
+    assert _kernels.product_lex(top, top[0], top[0], p) == sum(
+        digit * p ** e for e in range(n))
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (7, 4), (2147483659, 3)])
 def test_lex_indices_count_in_lexicographic_order(p, n):
     """Python-int reference; p = 2147483659 and n = 3 pass 2**63."""
@@ -125,18 +156,12 @@ def random_operation(rng, p, n, central):
     return T, La, (La + dL) % p
 
 
-def commutation_table(T, La, Lb, V, W, p, chunk=128):
+def commutation_table(T, La, Lb, V, W, p):
     """Brute force: entry [i, j] says V[i] * W[j] == W[j] * V[i]."""
-    table = np.empty((len(V), len(W)), dtype=bool)
-    for start in range(0, len(V), chunk):
-        Vc = V[start:start + chunk]
-        A = np.repeat(Vc, len(W), axis=0)
-        B = np.tile(W, (len(Vc), 1))
-        AB = _kernels.bulk_multiply(T, La, Lb, A, B, p)
-        BA = _kernels.bulk_multiply(T, La, Lb, B, A, p)
-        table[start:start + chunk] = (AB == BA).all(axis=1).reshape(
-            len(Vc), len(W))
-    return table
+    def products(X, Y):  # [i, j]: lex index of X[i] * Y[j]
+        return _kernels.product_lex(_kernels.left_tables(T, Lb, X, p)[:, None],
+                                    (X @ La % p)[:, None], Y.T, p)
+    return products(V, W) == products(W, V).T
 
 
 def test_commute_rows_paths_agree():
