@@ -659,7 +659,6 @@ def classify(reports):
 
 def axiom_report(model, plan=None, strata=None):
     """Full SA1-SA4 run with classification; JSON-ready."""
-    require_rule(model)
     plan = plan or SamplingPlan()
     reports = {
         "SA1": check_sa1(model, strata, plan),

@@ -290,7 +290,8 @@ def transition_graph(op, partition, plan):
     """Scan ordered pairs (a, q) of nonzero vectors and count stratum
     transitions (label(a), label(q)) -> label(a*q). All pairs when the
     state space has at most EXHAUSTIVE_SPACE vectors; otherwise
-    SAMPLED_PAIRS pairs drawn with the plan's seed. Deterministic."""
+    SAMPLED_PAIRS pairs drawn with the plan's seed. Deterministic. A
+    partition whose tally would pass MAX_TALLY_BINS raises ValueError."""
     op = _as_operation(op)
     p, n = partition.p, partition.n
     space = p ** n
@@ -306,9 +307,8 @@ def transition_graph(op, partition, plan):
     nonzero = space - 1
 
     def count(L, C, ca, W, cq):
-        """Tally of the products with left tables L, constants C and codes
-        ca by the coordinate planes W with codes cq, broadcast together
-        (product_lex). The zero product (code -1) takes the first bin of
+        """Tally of the broadcast products (product_lex) of operands with
+        codes ca and cq; a zero product (code -1) takes the first bin of
         its (from, via)."""
         key = (ca * (nlab * (nlab + 1)) + (cq * (nlab + 1) + 1)
                + codes[product_lex(L, C, W, p)])
@@ -338,11 +338,9 @@ def transition_graph(op, partition, plan):
                       lex_digits(iq, p, n).T, codes[iq])
 
     flat = np.flatnonzero(tally)
-    ai, rem = np.divmod(flat, nlab * (nlab + 1))
-    qi, ci = np.divmod(rem, nlab + 1)
-    edges = {(labels[a], labels[q], labels[c - 1]): pairs_in
-             for a, q, c, pairs_in in zip(ai.tolist(), qi.tolist(),
-                                          ci.tolist(), tally[flat].tolist())
+    ai, qi, ci = np.unravel_index(flat, (nlab, nlab, nlab + 1))
+    edges = {(labels[a], labels[q], labels[c - 1]): k for a, q, c, k in
+             zip(ai.tolist(), qi.tolist(), ci.tolist(), tally[flat].tolist())
              if c}
     return TransitionGraph(p, list(labels), edges, mode, pairs,
                            int(tally[::nlab + 1].sum()), plan.seed)

@@ -98,7 +98,8 @@ def test_bulk_multiply_is_exact_at_the_int64_bound(n, p):
 
 # 46337 is the largest prime with p**2 < 2**31, where n = 1 still runs in
 # int32, and 46349 the next one; n runs to 4 where p**n is enumerable
-@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 7) for n in (1, 2, 3, 4)]
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 7)
+                                 for n in (1, 2, 3, 4)]
                          + [(46337, 1), (46349, 1)])
 @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
 def test_product_lex_matches_bulk_multiply(p, n, affine):
