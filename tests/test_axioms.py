@@ -23,6 +23,7 @@ from stratalg import (
     classify,
     commutator,
     discover_strata,
+    enumerate_space,
     identity_suite_json,
     symbolic_components,
     symbolic_model,
@@ -122,6 +123,42 @@ def test_label_str_zero(f7):
     model = builtin_model("basic3", field=f7)
     assert label_str(model, vector(f7, (0, 0, 0))) == "zero"
     assert label_str(model, vector(f7, (0, 6, 2))) == "3"
+
+
+# SHA-256 of label_str over every nonzero vector of F_p^n in lex order, one
+# label a line: basic3's ratio rule and parametric4's ratio pair, whose
+# (inf, 0) slots appear at every p here; frozen from FieldElement division
+GOLDEN_LABELS = [
+    ("basic3", 2,
+     "eee8e2b913ce1b6e4b5a8335f031d67a07916f338b90885a501b79b16c4288af"),
+    ("basic3", 3,
+     "059c456c9b1bd373855f3cc2ae29d1176b4427d9577c50b73b366e49a42b8a3a"),
+    ("basic3", 5,
+     "94580535da0b6f49139ece24154b733ef828023ba43b022ec49f76bcb4d27a9d"),
+    ("basic3", 7,
+     "9db9a1c32bdd403640541ac57749496642a6209a727402f62ba91e314cf85a5c"),
+    ("parametric4", 2,
+     "10d89efae0d32a55e5c8cbb756e2b28552b851d2e9d7a842340cb01ca577cb76"),
+    ("parametric4", 3,
+     "61974498a3ac86a648025a7d2d9fe9eb674c222c3f09788f051b123e97776eba"),
+    ("parametric4", 5,
+     "54febc55d0b9691054b93c401a6c750658deddfb3a27569d3a279f5865c82763"),
+    ("parametric4", 7,
+     "59cfb55076463ebe2b911920898e1c2b6a592f981c4f4fb518a1fe53fd2af4d6"),
+]
+
+
+@pytest.mark.parametrize("name,p,digest", GOLDEN_LABELS,
+                         ids=[f"{g[0]}-f{g[1]}" for g in GOLDEN_LABELS])
+@pytest.mark.parametrize("plain", [False, True], ids=["element", "residue"])
+def test_label_str_matches_golden_digest(name, p, digest, plain):
+    f = Field(p)
+    model = builtin_model(name, field=f,
+                          params=None if name == "basic3" else range(1, 7))
+    labels = [label_str(model, v if plain else vector(f, v))
+              for v in enumerate_space(p, model.dimension)]
+    text = "\n".join(labels)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_identity_suite_3d_families_match():

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: rationals and prime fields."""
 
+import hashlib
+import random
 import time
 from fractions import Fraction
 
@@ -68,6 +70,40 @@ def test_element_coercion():
         q.element(f7.element(3))
     with pytest.raises(ZeroDivisionError):
         f7.element(Fraction(1, 7))
+
+
+# SHA-256 of one line per seeded Fraction a/b: "a/b element inverse", with
+# "ZeroDivisionError: <message>" where the denominator vanishes mod p (every
+# tenth draw multiplies b by p) or the element is zero; 200 draws of
+# |a|, b < 10**14 each, frozen from the extended-Euclid inverse
+GOLDEN_INVERSES = [
+    (7, "13ff3a35313bf6a18bcf8666359cd87b59147f491f6c19ce81be3c4da51d2c1d"),
+    (1000000000039,
+     "9fac762555ba7999e60287af3d8e571724f9d6823bb23593a20bec0bbed5f28b"),
+]
+
+
+@pytest.mark.parametrize("p,digest", GOLDEN_INVERSES,
+                         ids=[f"f{g[0]}" for g in GOLDEN_INVERSES])
+def test_fraction_elements_and_inverses_match_golden_digest(p, digest):
+    f = Field(p)
+    rng = random.Random(f"{p}:inverse")
+    lines = []
+    for k in range(200):
+        a = rng.randrange(-10 ** 14, 10 ** 14)
+        b = rng.randrange(1, 10 ** 14) * (p if k % 10 == 0 else 1)
+        try:
+            e = f.element(Fraction(a, b))
+        except ZeroDivisionError as exc:
+            lines.append(f"{a}/{b} ZeroDivisionError: {exc}")
+            continue
+        try:
+            inv = e.inverse()
+        except ZeroDivisionError as exc:
+            inv = f"ZeroDivisionError: {exc}"
+        lines.append(f"{a}/{b} {e} {inv}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_floats_are_rejected():
@@ -141,7 +177,6 @@ def test_mixed_scalar_operations():
 
 
 def test_sampling_deterministic():
-    import random
     f = Field(19)
     a = [f.sample(random.Random(5)) for _ in range(10)]
     b = [f.sample(random.Random(5)) for _ in range(10)]
