@@ -298,15 +298,24 @@ def evaluate_bracketing(op, tree, leaves):
     if order != list(range(len(leaves))):
         raise ValueError(f"tree leaves {order} do not match operand count "
                          f"{len(leaves)} in order")
-    return _eval_tree(op, tree, leaves)
+    vals = _subexpression_values(op, tree, leaves)
+    return vals[-1] if vals else leaves[0]
 
 
-def _eval_tree(op, tree, leaves):
-    if tree.is_leaf:
-        return leaves[tree.index]
-    return multiply(op,
-                    _eval_tree(op, tree.left, leaves),
-                    _eval_tree(op, tree.right, leaves))
+def _subexpression_values(op, tree, leaves):
+    """Value of every inner node of tree, children before parents, so the
+    root's value comes last."""
+    vals = []
+
+    def walk(t):
+        if t.is_leaf:
+            return leaves[t.index]
+        v = multiply(op, walk(t.left), walk(t.right))
+        vals.append(v)
+        return v
+
+    walk(tree)
+    return vals
 
 
 def associativity_check(op_or_tensor):
@@ -662,5 +671,18 @@ def model_from_json(obj, field=None):
         rule = {"kind": rule["kind"], "coords": coords}
     if params:
         params = {k: scalar(v) for k, v in params.items()}
-    return ModelSpec(obj.get("name", "custom"), n, f, op, strata_rule=rule,
-                     params=params)
+    name = obj.get("name", "custom")
+    # the axiom checks and the identity suite apply a built-in's symbolic
+    # proofs by name, so a file may take that name only for its operation
+    if name in BUILTIN_NAMES and \
+            _coefficients(op) != _coefficients(builtin_model(name, params,
+                                                             f).operation):
+        raise ValueError(f"the operation is not built-in {name}'s over {f}"
+                         + (" at these params" if params else ""))
+    return ModelSpec(name, n, f, op, strata_rule=rule, params=params)
+
+
+def _coefficients(op):
+    """The nonzero coefficients of the bilinear and both linear parts."""
+    return [{key: c for key, c in part.items() if c}
+            for part in (op.bilinear.entries, op.linear_a, op.linear_b)]

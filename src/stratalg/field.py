@@ -9,19 +9,6 @@ from fractions import Fraction
 MAX_PRIME = 1 << 61  # residue products must fit double-width intermediates
 
 
-def xgcd(x, y):
-    """Extended Euclid. Returns (g, a, b) with a*x + b*y = g = gcd(x, y)."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -85,7 +72,7 @@ class Field:
             if den == 0:
                 raise ZeroDivisionError(
                     f"denominator of {value} vanishes mod {self.p}")
-            return FieldElement(self, num * _inverse_mod(den, self.p) % self.p)
+            return FieldElement(self, num * pow(den, -1, self.p) % self.p)
         return FieldElement(self, int(value) % self.p)
 
     def from_string(self, s):
@@ -144,13 +131,6 @@ class Field:
 
 
 QQ = Field()
-
-
-def _inverse_mod(x, p):
-    g, a, _ = xgcd(x % p, p)
-    if g != 1:
-        raise ZeroDivisionError(f"{x} is not invertible mod {p}")
-    return a % p
 
 
 class FieldElement:
@@ -233,7 +213,7 @@ class FieldElement:
             raise ZeroDivisionError("division by zero")
         if self.field.p is None:
             return FieldElement(self.field, 1 / self.value)
-        return FieldElement(self.field, _inverse_mod(self.value, self.field.p))
+        return FieldElement(self.field, pow(self.value, -1, self.field.p))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

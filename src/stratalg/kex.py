@@ -13,11 +13,12 @@ import random
 
 import numpy as np
 
-from .algebra import is_zero_vector, left_chain, model_to_json
-from .axioms import label_str
+from .algebra import is_zero_vector, model_to_json
+from .axioms import label_str, require_rule
 from .dynamics import chain_path
 from .field import _vec_json
-from .strata import space_matrix, to_dense_arrays
+from .strata import label_index_to_str, label_indices, space_matrix, \
+    to_dense_arrays
 from ._kernels import bulk_multiply, left_tables, lex_indices, \
     product_lex
 
@@ -226,11 +227,18 @@ def brute_force_recover(model, view, max_len=2):
     Candidates inside the public multiplier stratum are guaranteed to
     reproduce the real key (same-stratum order independence).
 
-    Returns {"tried", "hits": [{"chain", "key", "in_stratum"}]}.
+    Hits stay index rows into the nonzero vectors, length-1 chains and
+    then length-2 chains, each in lex order. One bulk_multiply per chain
+    column derives their keys from S2, and one label_indices call labels
+    every candidate for in_stratum.
+
+    Returns {"tried", "hits": [{"chain", "key", "in_stratum"}]}, chain
+    members and keys as FieldElement tuples.
     """
     if max_len not in (1, 2):
         raise ValueError("the recovery demo searches chains of length "
                          "1 or 2 only")
+    require_rule(model)
     field = model.field
     p = field.p
     n = model.dimension
@@ -240,32 +248,37 @@ def brute_force_recover(model, view, max_len=2):
                          "this demo is for toy parameters")
     T, La, Lb = to_dense_arrays(model.operation, p)
     V = space_matrix(p, n)
-    base = np.array([[int(x.value) % p for x in view.base]], dtype=np.int64)
-    target = np.array([int(x.value) % p for x in view.s1], dtype=np.int64)
-
-    def row_vec(row):
-        return tuple(field.element(int(x)) for x in row)
+    base, target, s2 = (np.array([int(x.value) % p for x in v], dtype=np.int64)
+                        for v in (view.base, view.s1, view.s2))
 
     tried = nonzero
-    step1 = bulk_multiply(T, La, Lb, np.repeat(base, nonzero, axis=0), V, p)
-    chains = [[row_vec(V[i])]
-              for i in np.flatnonzero((step1 == target).all(axis=1))]
+    step1 = bulk_multiply(T, La, Lb, np.repeat(base[None], nonzero, axis=0),
+                          V, p)
+    chains = [np.flatnonzero((step1 == target).all(axis=1))[:, None]]
     if max_len == 2:
         # idx[i, j] is the lex index of step1[i] * V[j]
         idx = product_lex(left_tables(T, Lb, step1, p)[:, None],
                           (step1 @ La % p)[:, None], V.T, p)
         tried += idx.size
-        for flat in np.flatnonzero(idx == lex_indices(target[None], p)[0]):
-            i, j = divmod(int(flat), nonzero)
-            chains.append([row_vec(V[i]), row_vec(V[j])])
+        flat = np.flatnonzero(idx == lex_indices(target[None], p)[0])
+        chains.append(np.stack(np.divmod(flat, nonzero), axis=1))
 
+    # public[i]: V[i] lies in the public stratum
+    codes = label_indices(V, p, model.strata_rule)
+    public = np.array([label_index_to_str(c, p, model.strata_rule)
+                       == view.stratum for c in range(codes.max() + 1)])[codes]
+    vecs = [tuple(field.element(x) for x in row) for row in V.tolist()]
     hits = []
     for chain in chains:
-        key = left_chain(model.operation, tuple(view.s2), chain)
-        labels = {label_str(model, q) for q in chain}
-        hits.append({
-            "chain": chain,
-            "key": tuple(key),
-            "in_stratum": labels == {view.stratum},
-        })
+        keys = np.repeat(s2[None], len(chain), axis=0)
+        for col in chain.T:
+            keys = bulk_multiply(T, La, Lb, keys, V[col], p)
+        in_stratum = public[chain].all(axis=1)
+        for row, key, inside in zip(chain.tolist(), keys.tolist(),
+                                    in_stratum.tolist()):
+            hits.append({
+                "chain": [vecs[i] for i in row],
+                "key": tuple(field.element(x) for x in key),
+                "in_stratum": inside,
+            })
     return {"tried": tried, "hits": hits}

@@ -17,8 +17,9 @@ from ._kernels import inverse_table
 from .field import FieldElement
 # the rule constants are re-exported here, not moved: algebra's built-in
 # models use them and this module imports algebra, so moving them is a cycle
+# multiply is unused here; perfbench's tracer tests check its binding
 from .algebra import multiply, multiply_values, is_zero_vector, \
-    RATIO_RULE_3D, RATIO_RULE_4D
+    _subexpression_values, RATIO_RULE_3D, RATIO_RULE_4D
 
 SPACE_CAP = 1 << 24  # p**n above this refuses to enumerate
 # without full=True (the CLI's --full), to_json lists the members of a
@@ -81,12 +82,11 @@ def _as_value(x):
 
 
 def _ratio(x, y, field):
-    """x/y as a canonical scalar value (residue or Fraction)."""
+    """x/y of plain values as a canonical residue or a Fraction."""
     if field is not None and field.is_prime_field:
-        xe = field.element(x)
-        ye = field.element(y)
-        return (xe / ye).value
-    return Fraction(_as_value(x)) / Fraction(_as_value(y))
+        p = field.p
+        return x % p * pow(y, -1, p) % p
+    return Fraction(x) / Fraction(y)
 
 
 def ratio_stratum_of(v, rule, field=None):
@@ -117,7 +117,7 @@ def ratio_stratum_of(v, rule, field=None):
             elif v1 != 0:
                 first = RatioPoint(None)
             else:
-                first = RatioPoint(_zero_scalar(field))
+                first = second  # 0, as second = v2 / v3 with v2 = 0
         else:
             second = RatioPoint(None)
             if v2 != 0:
@@ -126,12 +126,6 @@ def ratio_stratum_of(v, rule, field=None):
                 first = RatioPoint(None)
         return RatioPair(first, second)
     raise ValueError(f"unknown strata rule {rule!r}")
-
-
-def _zero_scalar(field):
-    if field is not None and field.is_prime_field:
-        return 0
-    return Fraction(0)
 
 
 def directions_proportional(d, e):
@@ -538,20 +532,6 @@ def constraint_for_label(rule, label, p):
 Stability = namedtuple("Stability", "stable outcome final_label labels")
 
 DepthReport = namedtuple("DepthReport", "count labels flags")
-
-
-def _subexpression_values(op, tree, leaves):
-    vals = []
-
-    def walk(t):
-        if t.is_leaf:
-            return leaves[t.index]
-        v = multiply(op, walk(t.left), walk(t.right))
-        vals.append(v)
-        return v
-
-    walk(tree)
-    return vals
 
 
 def is_stratum_stable(op, tree, leaves, labeler):

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from stratalg import SamplingPlan, axioms, builtin_model, cli, model_to_json
+from stratalg import (SamplingPlan, axioms, builtin_model, cli,
+                      model_from_json, model_to_json)
 from stratalg.axioms import MAX_SAMPLES
 from stratalg.cli import build_parser, main
 from stratalg.dynamics import MAX_STEPS, MAX_TALLY_BINS
@@ -293,6 +294,34 @@ def test_model_file_round_trip(capsys, tmp_path):
     rc, out, _ = run(capsys, ["check-assoc", "--model", str(ref)])
     assert rc == 0
     assert out == "The operation is associative.\n"
+
+
+BUILTIN_FILES = [("basic3", None, None),
+                 ("parametric3", (2, 3, 1, 4, 1, 2), 5),
+                 ("parametric4", (2, 3, 5, 7, 11, 13), None),
+                 ("nonlinear3", (2, 3, 5, 1, 4, 6), 7)]
+
+
+@pytest.mark.parametrize("name,params,p", BUILTIN_FILES,
+                         ids=[b[0] for b in BUILTIN_FILES])
+def test_builtin_name_needs_the_builtin_operation(capsys, tmp_path, name,
+                                                  params, p):
+    # the symbolic proofs of SA1, SA3, case 1 and identities key on the
+    # name; a written-out built-in loads, the same name on any other
+    # operation (one more bilinear entry, as the benchmark's broken3 has
+    # over basic3) is refused
+    obj = model_to_json(builtin_model(name, params=params,
+                                      field=Field(p) if p else None))
+    assert model_from_json(obj).name == name
+    obj["operation"]["bilinear"].append({"i": 1, "j": 0, "k": 0, "c": "1"})
+    with pytest.raises(ValueError, match=f"not built-in {name}'s"):
+        model_from_json(obj)
+    path = tmp_path / "impostor.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["axioms", "--samples", "10"], ["identities"]):
+        rc, out, err = run(capsys, argv + ["--model", str(path)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bad model file")
 
 
 def test_float_model_parameter_is_a_usage_error(capsys, tmp_path):

@@ -9,15 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stratalg.field import (MAX_PRIME, Field, FieldElement, format_scalar,
-                            is_prime, xgcd)
+                            is_prime)
 
 PRIMES = (2, 3, 5, 7, 19, 23, 101)
-
-
-@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
-def test_xgcd_bezout(x, y):
-    g, a, b = xgcd(x, y)
-    assert a * x + b * y == g
 
 
 def test_is_prime_small():

@@ -10,12 +10,16 @@ from stratalg import (
     brute_force_recover,
     builtin_model,
     eavesdropper_view,
+    enumerate_space,
     init_session,
+    kex,
     left_chain,
+    multiply,
     run_exchange,
     seeded_session,
     vector,
 )
+from stratalg.axioms import label_str
 from stratalg.kex import Party, _vec_json
 
 
@@ -81,7 +85,6 @@ def test_seeded_session_determinism(nonlinear19):
     assert a1.base == a2.base and a1.secret == a2.secret
     assert b1.secret == b2.secret
     assert (a1.base, a1.secret) != (a3.base, a3.secret)
-    from stratalg.axioms import label_str
     assert label_str(nonlinear19, a1.base) != a1.stratum
 
 
@@ -213,3 +216,60 @@ def test_recovery_hits_match_golden_digest(name, params, p, tried, digest):
     text = json.dumps(hits, sort_keys=True, separators=(",", ":"))
     assert rec["tried"] == tried
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def per_hit_reference(model, view, chains):
+    """The per-hit loop brute_force_recover ran before it labeled on
+    arrays: each key a left_chain from S2 through FieldElement multiply,
+    in_stratum from label_str of every chain member."""
+    hits = []
+    for chain in chains:
+        assert left_chain(model.operation, view.base, chain) == view.s1
+        key = left_chain(model.operation, tuple(view.s2), chain)
+        labels = {label_str(model, q) for q in chain}
+        hits.append({"chain": chain, "key": tuple(key),
+                     "in_stratum": labels == {view.stratum}})
+    return hits
+
+
+def recovery_cases():
+    for name, params, p in (("parametric3", (2, 3, 1, 4, 1, 2), 5),
+                            ("nonlinear3", (2, 3, 5, 4, 6, 1), 7)):
+        model = builtin_model(name, params=params, field=Field(p))
+        for seed in range(10):
+            for lengths in ((1, 1), (2, 2)):
+                t = run_exchange(*seeded_session(model, seed, lengths))
+                for max_len in (1, 2):
+                    yield model, eavesdropper_view(t), max_len
+    # S2 is the zero vector: Bob's announcement hit a zero product
+    model = builtin_model("parametric3", params=(2, 3, 1, 4, 1, 2),
+                          field=Field(5))
+    t = run_exchange(*seeded_session(model, 17, (1, 1)))
+    assert t.failure == "zero product while announcing"
+    for max_len in (1, 2):
+        yield model, eavesdropper_view(t), max_len
+
+
+def test_recovery_matches_the_per_hit_reference(monkeypatch):
+    cases = list(recovery_cases())
+
+    def per_hit(*args):
+        raise AssertionError("recovery called a per-hit path")
+
+    monkeypatch.setattr(kex, "left_chain", per_hit, raising=False)
+    monkeypatch.setattr(kex, "label_str", per_hit)
+    recs = [brute_force_recover(*case) for case in cases]
+    monkeypatch.undo()
+    in_stratum = 0
+    for (model, view, max_len), rec in zip(cases, recs):
+        chains = [h["chain"] for h in rec["hits"]]
+        assert rec["hits"] == per_hit_reference(model, view, chains)
+        # length-1 chains in lex order, then length-2 chains in lex order
+        order = [(len(c), [[x.value for x in q] for q in c]) for c in chains]
+        assert order == sorted(order)
+        ones = [[q] for q in enumerate_space(model.field.p, model.dimension)
+                if multiply(model.operation, view.base, q) == view.s1]
+        assert [c for c in chains if len(c) == 1] == ones
+        assert max(map(len, chains), default=0) <= max_len
+        in_stratum += sum(h["in_stratum"] for h in rec["hits"])
+    assert in_stratum  # the reference's labels are exercised on both sides
