@@ -674,11 +674,11 @@ def model_from_json(obj, field=None):
     name = obj.get("name", "custom")
     # the axiom checks and the identity suite apply a built-in's symbolic
     # proofs by name, so a file may take that name only for its operation
-    if name in BUILTIN_NAMES and \
-            _coefficients(op) != _coefficients(builtin_model(name, params,
-                                                             f).operation):
-        raise ValueError(f"the operation is not built-in {name}'s over {f}"
-                         + (" at these params" if params else ""))
+    if name in BUILTIN_NAMES:
+        ref = builtin_model(name, params, f).operation
+        if _coefficients(op) != _coefficients(ref):
+            raise ValueError(f"the operation is not built-in {name}'s over "
+                             f"{f}" + (" at these params" if params else ""))
     return ModelSpec(name, n, f, op, strata_rule=rule, params=params)
 
 
