@@ -493,7 +493,10 @@ def test_parser_defaults_are_immutable():
 # indent=2)` writer, one per JSON report: two discovered partitions (the
 # first with an exceptional ledger), an agreeing and a failed key exchange, a
 # recovery, axiom reports over Q and F_p, the identity suite and an
-# associativity report with mismatches
+# associativity report with mismatches. The two graphs after the first two
+# were frozen from the scan that folded left tables against coordinate
+# planes: an exhaustive scan with n = 4 whose last block is ragged, and one
+# over the exceptional ledger of a discovered partition
 GOLDEN_OUTPUTS = [
     (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
       "--field", "fp:11", "--json", "--seed", "3"], 0,
@@ -501,6 +504,12 @@ GOLDEN_OUTPUTS = [
     (["orbit", "--builtin", "nonlinear3", "--params", "3,1,6,2,5,4",
       "--field", "fp:23", "--json", "--seed", "10"], 0,
      "901bfc919d8c320d0a78ac10a4f1e2b99906ac6b7b510c98ac8e2cfbb605893d"),
+    (["orbit", "--builtin", "parametric4", "--params", "2,3,5,7,11,13",
+      "--field", "fp:5", "--json", "--seed", "3"], 0,
+     "62a4dd59c4093ad1181bc5f46f972e63713eb09471064d9776377de9acb02761"),
+    (["orbit", "--builtin", "nonlinear3", "--params", "2,3,1,4,1,2",
+      "--field", "fp:5", "--discover", "--json", "--seed", "3"], 0,
+     "a47e85e379166b400bb4f51272e8108550387066e4c789a142926c78a56c4f3f"),
     (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
       "--field", "fp:19", "--start", "1,2,3", "--q", "4,5,6",
       "--steps", "50", "--json"], 0,
@@ -544,7 +553,8 @@ GOLDEN_OUTPUTS = [
 
 @pytest.mark.parametrize(
     "argv,code,digest", GOLDEN_OUTPUTS,
-    ids=["graph-f11", "graph-f23", "trajectory-f19", "trajectory-f7-discover",
+    ids=["graph-f11", "graph-f23", "graph-parametric4-f5",
+         "graph-nonlinear3-f5-ledger", "trajectory-f19", "trajectory-f7-discover",
          "strata-nonlinear3-f7", "strata-parametric4-f5",
          "discover-nonlinear3-f5-ledger", "discover-nonlinear3-f13",
          "kex-agreed", "kex-failed", "kex-recover", "axioms-q", "axioms-f19",
