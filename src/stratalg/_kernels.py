@@ -8,9 +8,11 @@ Each of a @ T + Lb, w @ L_a and a @ La sums n products of residues (plus a
 residue) and is reduced mod p before the next sum, so it stays below
 n * p**2. bulk_multiply keeps int64 while n**2 * p**2 < 2**63 and runs the
 same expressions on exact Python ints (dtype=object) above that bound.
-commute_rows runs on enumerable spaces only (p**n <= 2**24), where every
-intermediate stays below n * p**2 <= 2**48; there a label array with one
-int32 per vector (StratumPartition.codes) takes 64 MB.
+space_products, which multiplies rows by all of K^n, runs in uint16 while
+2p <= 2**16 and p**n <= 2**16. commute_rows runs on enumerable spaces only
+(p**n <= 2**24), where every intermediate stays below n * p**2 <= 2**48;
+there a label array with one int32 per vector (StratumPartition.codes)
+takes 64 MB.
 """
 
 import numpy as np
@@ -54,8 +56,9 @@ def lex_indices(V, p):
 
 
 def lex_digits(idx, p, n):
-    """The rows (len(idx), n) at lex indices idx: lex_indices inverted."""
-    return np.asarray(idx)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    """The rows (len(idx), n) at lex indices idx: lex_indices inverted,
+    computed as coordinate planes so that each division runs along idx."""
+    return (np.asarray(idx) // p ** np.arange(n - 1, -1, -1)[:, None] % p).T
 
 
 def left_tables(T, Lb, A, p):
@@ -65,34 +68,32 @@ def left_tables(T, Lb, A, p):
     return ((A @ T.reshape(n, n * n)).reshape(-1, n, n) + Lb) % p
 
 
-def product_lex(L, C, W, p):
-    """Lex index (as lex_indices) of every product a * w = w @ L_a + a @ La,
-    from the left tables L (..., n, n) of the a's (left_tables), their
-    constants C (..., n) = a @ La % p and the coordinate planes W (n, ...)
-    of the w's (W[j] holds coordinate j), all broadcast together.
+def space_products(L, C, p):
+    """(m, p**n) lex indices (as lex_indices) of a * q = q @ L_a + C_a for
+    every row a, given by its left table L (m, n, n) and its constant
+    C (m, n) = a @ La % p, and every q of K^n in lex order (column 0 is 0).
 
-    Output coordinate k is one plane C[..., k] + sum_j L[..., j, k] W[j]:
-    n products of residues plus a residue, below n * p**2. It is reduced
-    mod p once and folded into the index by Horner's rule, which stays
-    below p**n. Callers scan enumerable spaces only (p**n <= 2**24, so
-    p <= 2**24), where int64 holds both bounds; int32 runs while both are
-    below 2**31, as always in the exhaustive scans (p**n <= 10**4 gives
-    n * p**2 <= 10**8)."""
-    n = len(W)
-    small = n * p * p < 1 << 31 and p ** n < 1 << 31
-    dtype = np.int32 if small else np.int64
-    L, C, W = (np.ascontiguousarray(x, dtype=dtype) for x in (L, C, W))
-    idx = 0
-    for k in range(n):
-        plane = C[..., k] + L[..., 0, k] * W[0]
-        for j in range(1, n):
-            plane += L[..., j, k] * W[j]
-        plane %= p
-        if k:
-            idx *= p
-            idx += plane
-        else:
-            idx = plane
+    q is built one coordinate at a time from the last. Only the m * n * p
+    multiples q_j * L[:, j] mod p take a product and a % p. Adding one to a
+    partial coordinate (a residue) stays below 2p, and min(s, s - p) in
+    uint16 reduces it (s - p wraps above s when s < p, since 2p <= 2**16);
+    Horner's rule then folds the coordinates into an index below p**n.
+    Inputs past either bound raise ValueError before any allocation."""
+    m, n = C.shape
+    if 2 * p > 1 << 16 or p ** n > 1 << 16:
+        raise ValueError(f"products over {p}**{n} would overflow uint16")
+    # mult[j, k, a, t] = t * L[a, j, k] mod p; planes[k, a, i] is coordinate
+    # k of a * q for the i-th suffix q built so far: the long axis innermost
+    mult = np.ascontiguousarray(
+        L.transpose(1, 2, 0)[..., None] * np.arange(p) % p, dtype=np.uint16)
+    planes = np.ascontiguousarray(C.T, dtype=np.uint16)[..., None]
+    for j in range(n - 1, -1, -1):
+        planes = (mult[j][..., None] + planes[:, :, None]).reshape(n, m, -1)
+        np.minimum(planes, planes - p, out=planes)
+    idx = planes[0]
+    for k in range(1, n):
+        idx *= p
+        idx += planes[k]
     return idx
 
 

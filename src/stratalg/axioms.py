@@ -37,7 +37,7 @@ from .algebra import (
     symbolic_model,
 )
 from .strata import ratio_partition, ratio_stratum_of, verify_closure, \
-    constraint_for_label, directions_proportional, SPACE_CAP
+    constraint_for_label, directions_proportional, SPACE_CAP, _as_value
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -210,6 +210,8 @@ def require_rule(model):
 def label_str(model, v):
     """Stratum of v under the model's declared rule (require_rule)."""
     require_rule(model)
+    if model.field.is_prime_field:  # plain ints may be unreduced
+        v = [_as_value(x) % model.field.p for x in v]
     if is_zero_vector(v):
         return "zero"
     return str(ratio_stratum_of(v, model.strata_rule, model.field))

@@ -14,13 +14,14 @@ import numpy as np
 from .algebra import MAX_CHAIN, chain_orderings, is_zero_vector, multiply
 from .field import _vec_json
 from .strata import _as_operation, space_matrix, to_dense_arrays
-from ._kernels import left_tables, lex_digits, product_lex
+from ._kernels import bulk_multiply, left_tables, lex_digits, \
+    lex_indices, space_products
 
 ZERO_LABEL = "zero"
 UNLABELED = "unlabeled"
 
-# State-space sizes up to this bound get the all-pairs transition scan;
-# larger spaces are sampled.
+# State-space sizes up to this bound (space_products needs p**n <= 2**16) get
+# the all-pairs transition scan; larger spaces are sampled.
 EXHAUSTIVE_SPACE = 10 ** 4
 
 # Sampled-mode pair budget (pairs drawn with the plan's seed).
@@ -306,12 +307,10 @@ def transition_graph(op, partition, plan):
     T, La, Lb = to_dense_arrays(op, p)
     nonzero = space - 1
 
-    def count(L, C, ca, W, cq):
-        """Tally of the broadcast products (product_lex) of operands with
-        codes ca and cq; a zero product (code -1) takes the first bin of
-        its (from, via)."""
-        key = (ca * (nlab * (nlab + 1)) + (cq * (nlab + 1) + 1)
-               + codes[product_lex(L, C, W, p)])
+    def count(ca, cq, cprod):
+        """Tally by operand codes ca, cq and product codes cprod; a zero
+        product (code -1) takes the first bin of its (from, via)."""
+        key = ca * (nlab * (nlab + 1)) + (cq * (nlab + 1) + 1) + cprod
         return np.bincount(key.ravel(), minlength=bins)
 
     if space <= EXHAUSTIVE_SPACE:
@@ -319,23 +318,23 @@ def transition_graph(op, partition, plan):
         pairs = nonzero ** 2
         V = space_matrix(p, n)
         vcodes = codes[1:]  # V row r has lex index r + 1
-        L, C = left_tables(T, Lb, V, p)[:, None], (V @ La % p)[:, None]
-        # blocks of at most 2**16 pairs bound the (block, nonzero) planes
+        L, C = left_tables(T, Lb, V, p), V @ La % p
+        # blocks of about 2**16 products bound the (block, space) arrays
         block = max(1, (1 << 16) // nonzero)
         tally = 0
         for lo in range(0, nonzero, block):
             hi = lo + block
-            tally += count(L[lo:hi], C[lo:hi], vcodes[lo:hi, None], V.T,
-                           vcodes)
+            prods = space_products(L[lo:hi], C[lo:hi], p)[:, 1:]
+            tally += count(vcodes[lo:hi, None], vcodes, np.take(codes, prods))
     else:
         mode = "sampled"
         pairs = min(SAMPLED_PAIRS, nonzero ** 2)
         rng = np.random.default_rng(plan.seed)
         ia = rng.integers(0, nonzero, size=pairs) + 1
         iq = rng.integers(0, nonzero, size=pairs) + 1
-        A = lex_digits(ia, p, n)
-        tally = count(left_tables(T, Lb, A, p), A @ La % p, codes[ia],
-                      lex_digits(iq, p, n).T, codes[iq])
+        prods = lex_indices(bulk_multiply(T, La, Lb, lex_digits(ia, p, n),
+                                          lex_digits(iq, p, n), p), p)
+        tally = count(codes[ia], codes[iq], codes[prods])
 
     flat = np.flatnonzero(tally)
     ai, qi, ci = np.unravel_index(flat, (nlab, nlab, nlab + 1))

@@ -20,7 +20,7 @@ from .field import _vec_json
 from .strata import label_index_to_str, label_indices, space_matrix, \
     to_dense_arrays
 from ._kernels import bulk_multiply, left_tables, lex_indices, \
-    product_lex
+    space_products
 
 # Exhaustive recovery is capped at this many candidate chains.
 BRUTE_FORCE_CAP = 10 ** 6
@@ -257,8 +257,8 @@ def brute_force_recover(model, view, max_len=2):
     chains = [np.flatnonzero((step1 == target).all(axis=1))[:, None]]
     if max_len == 2:
         # idx[i, j] is the lex index of step1[i] * V[j]
-        idx = product_lex(left_tables(T, Lb, step1, p)[:, None],
-                          (step1 @ La % p)[:, None], V.T, p)
+        idx = space_products(left_tables(T, Lb, step1, p), step1 @ La % p,
+                             p)[:, 1:]
         tried += idx.size
         flat = np.flatnonzero(idx == lex_indices(target[None], p)[0])
         chains.append(np.stack(np.divmod(flat, nonzero), axis=1))

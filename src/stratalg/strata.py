@@ -84,8 +84,7 @@ def _as_value(x):
 def _ratio(x, y, field):
     """x/y of plain values as a canonical residue or a Fraction."""
     if field is not None and field.is_prime_field:
-        p = field.p
-        return x % p * pow(y, -1, p) % p
+        return x * pow(y, -1, field.p) % field.p
     return Fraction(x) / Fraction(y)
 
 
@@ -100,6 +99,8 @@ def ratio_stratum_of(v, rule, field=None):
     (the label then still satisfies the defining proportionality).
     """
     vals = [_as_value(x) for x in v]
+    if field is not None and field.is_prime_field:
+        vals = [x % field.p for x in vals]  # plain ints may be unreduced
     if all(x == 0 for x in vals):
         raise ValueError("zero vector carries no stratum label")
     coords = rule["coords"]
@@ -110,20 +111,13 @@ def ratio_stratum_of(v, rule, field=None):
         return RatioPoint(_ratio(x, y, field))
     if rule["kind"] == "ratio-pair":
         v1, v2, v3 = (vals[c] for c in coords)
-        if v3 != 0:
-            second = RatioPoint(_ratio(v2, v3, field))
-            if v2 != 0:
-                first = RatioPoint(_ratio(v1, v2, field))
-            elif v1 != 0:
-                first = RatioPoint(None)
-            else:
-                first = second  # 0, as second = v2 / v3 with v2 = 0
+        second = RatioPoint(_ratio(v2, v3, field) if v3 != 0 else None)
+        if v2 != 0:
+            first = RatioPoint(_ratio(v1, v2, field))
+        elif v1 != 0 or v3 == 0:
+            first = RatioPoint(None)
         else:
-            second = RatioPoint(None)
-            if v2 != 0:
-                first = RatioPoint(_ratio(v1, v2, field))
-            else:
-                first = RatioPoint(None)
+            first = second  # 0, as second = v2 / v3 with v2 = 0
         return RatioPair(first, second)
     raise ValueError(f"unknown strata rule {rule!r}")
 

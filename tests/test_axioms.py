@@ -50,7 +50,7 @@ from stratalg.axioms import (
     sample_on_direction,
     shared_direction_subs,
 )
-from stratalg.strata import directions_proportional
+from stratalg.strata import directions_proportional, ratio_stratum_of
 
 
 def test_sampling_plan_validation():
@@ -123,6 +123,17 @@ def test_label_str_zero(f7):
     model = builtin_model("basic3", field=f7)
     assert label_str(model, vector(f7, (0, 0, 0))) == "zero"
     assert label_str(model, vector(f7, (0, 6, 2))) == "3"
+
+
+def test_label_str_reduces_plain_coordinates(f5):
+    """Plain ints are residues mod p: a nonzero multiple of p is 0, so
+    (1, 1, 5) labels as (1, 1, 0) and (5, 5, 5) is the zero vector."""
+    model = builtin_model("basic3", field=f5)
+    assert label_str(model, (1, 1, 5)) == label_str(model, (1, 1, 0)) == "inf"
+    assert label_str(model, (5, 5, 5)) == "zero"
+    assert label_str(model, (6, -4, 10)) == label_str(model, (1, 1, 0))
+    assert ratio_stratum_of((3, 11, -5), RATIO_RULE_3D, f5) == \
+        ratio_stratum_of((3, 1, 0), RATIO_RULE_3D, f5)
 
 
 # SHA-256 of label_str over every nonzero vector of F_p^n in lex order, one

@@ -369,9 +369,10 @@ def random_affine_operation(field, n, seed):
         zero=field.zero())
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+# at p = 7 nonlinear3 has 342 nonzero vectors: two blocks, the last ragged
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_exhaustive_transition_scan_matches_the_scalar_loop(p):
-    """The blocked left-table scan against multiply and label_of over all
+    """The blocked whole-space scan against multiply and label_of over all
     pairs: declared and discovered partitions of nonlinear3 (affine), and
     the discovered partition of a dense affine operation on K^2."""
     f = Field(p)

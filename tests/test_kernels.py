@@ -3,12 +3,17 @@ output."""
 
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stratalg import Field, builtin_model, discover_strata, multiply, vector
 from stratalg import _kernels
+from stratalg.dynamics import EXHAUSTIVE_SPACE
+from stratalg.field import is_prime
+from stratalg.kex import BRUTE_FORCE_CAP
 from stratalg.strata import space_matrix, to_dense_arrays
 
 
@@ -96,36 +101,66 @@ def test_bulk_multiply_is_exact_at_the_int64_bound(n, p):
     assert got.tolist() == defining_sums(T, La, Lb, A, B, p)
 
 
-# 46337 is the largest prime with p**2 < 2**31, where n = 1 still runs in
-# int32, and 46349 the next one; n runs to 4 where p**n is enumerable
+# 32749 is the largest prime with 2p <= 2**16, the last n = 1 case inside
+# space_products' uint16 bound; n runs to 4 as in the enumerable spaces
 @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 7)
-                                 for n in (1, 2, 3, 4)]
-                         + [(46337, 1), (46349, 1)])
+                                 for n in (1, 2, 3, 4)] + [(32749, 1)])
 @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
-def test_product_lex_matches_bulk_multiply(p, n, affine):
-    """product_lex against bulk_multiply + lex_indices: every row of A by
-    every row of B (outer) and row by row, with and without a left linear
-    part, rows of all p - 1 among the operands; and the largest plane,
-    with every table entry, constant and coordinate at p - 1."""
+def test_space_products_match_bulk_multiply(p, n, affine):
+    """space_products against bulk_multiply + lex_indices: every row of A
+    by every q of K^n in lex order, with and without a left linear part, a
+    row of all p - 1 among the operands; and the largest sums, with every
+    table entry and constant at p - 1."""
     rng = np.random.default_rng(10 * p + n)
     T = rng.integers(0, p, size=(n, n, n))
     La, Lb = rng.integers(0, p, size=(2, n, n))
     La *= affine
-    A, B = (np.vstack([np.full((1, n), p - 1), rng.integers(0, p, (30, n))])
-            for _ in "AB")
-    L, C = _kernels.left_tables(T, Lb, A, p), A @ La % p
-    lex = lambda X, Y: _kernels.lex_indices(
-        _kernels.bulk_multiply(T, La, Lb, X, Y, p), p)
-    outer = _kernels.product_lex(L[:, None], C[:, None], B.T, p)
-    assert outer.dtype == (np.int32 if n * p * p < 1 << 31 else np.int64)
-    assert outer.tolist() == lex(np.repeat(A, len(B), axis=0),
-                                 np.tile(B, (len(A), 1))).reshape(
-                                     len(A), len(B)).tolist()
-    assert _kernels.product_lex(L, C, B.T, p).tolist() == lex(A, B).tolist()
-    top = np.full((n, n), p - 1)
-    digit = (p - 1) * (1 + n * (p - 1)) % p
-    assert _kernels.product_lex(top, top[0], top[0], p) == sum(
-        digit * p ** e for e in range(n))
+    A = np.vstack([np.full((1, n), p - 1), rng.integers(0, p, (30, n))])
+    Q = _kernels.lex_digits(np.arange(p ** n), p, n)
+    got = _kernels.space_products(_kernels.left_tables(T, Lb, A, p),
+                                  A @ La % p, p)
+    assert got.dtype == np.uint16
+    want = _kernels.lex_indices(_kernels.bulk_multiply(
+        T, La, Lb, np.repeat(A, len(Q), axis=0), np.tile(Q, (len(A), 1)),
+        p), p)
+    assert got.tolist() == want.reshape(len(A), len(Q)).tolist()
+    top = _kernels.space_products(np.full((1, n, n), p - 1),
+                                  np.full((1, n), p - 1), p)
+    digit = (p - 1) * (1 + Q.sum(axis=1)) % p
+    assert top[0].tolist() == (digit * sum(p ** e for e in range(n))).tolist()
+
+
+# 32771 is the first prime with 2p > 2**16; 257**2 and 41**3 pass 2**16
+@pytest.mark.parametrize("p,n", [(32771, 1), (257, 2), (41, 3)])
+def test_space_products_refuse_past_the_uint16_bound(p, n):
+    """Refused with ValueError before any array is built: the traced peak
+    stays below the smallest table the kernel would allocate."""
+    L, C = np.zeros((64, n, n), dtype=np.int64), np.zeros((64, n), np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="uint16"):
+            _kernels.space_products(L, C, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_scanned_spaces_fit_the_space_products_bound():
+    """Every p**n that the exhaustive scan (EXHAUSTIVE_SPACE) or recovery
+    (nonzero + nonzero**2 <= BRUTE_FORCE_CAP) admits runs in
+    space_products, checked at the largest prime for each n; raising either
+    constant past the uint16 bound fails here."""
+    nonzero = (math.isqrt(4 * BRUTE_FORCE_CAP + 1) - 1) // 2
+    assert nonzero + nonzero ** 2 <= BRUTE_FORCE_CAP
+    assert (nonzero + 1) + (nonzero + 1) ** 2 > BRUTE_FORCE_CAP
+    for space in (EXHAUSTIVE_SPACE, nonzero + 1):
+        for n in range(1, space.bit_length()):
+            p = max(q for q in range(2, int(space ** (1 / n)) + 2)
+                    if q ** n <= space and is_prime(q))
+            got = _kernels.space_products(np.zeros((1, n, n), np.int64),
+                                          np.zeros((1, n), np.int64), p)
+            assert got.shape == (1, p ** n)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (7, 4), (2147483659, 3)])
@@ -157,12 +192,14 @@ def random_operation(rng, p, n, central):
     return T, La, (La + dL) % p
 
 
-def commutation_table(T, La, Lb, V, W, p):
-    """Brute force: entry [i, j] says V[i] * W[j] == W[j] * V[i]."""
-    def products(X, Y):  # [i, j]: lex index of X[i] * Y[j]
-        return _kernels.product_lex(_kernels.left_tables(T, Lb, X, p)[:, None],
-                                    (X @ La % p)[:, None], Y.T, p)
-    return products(V, W) == products(W, V).T
+def commutation_table(T, La, Lb, p, n):
+    """Brute force: entry [i, j] says V[i] * W[j] == W[j] * V[i], for V the
+    nonzero vectors and W all of K^n, each in lex order."""
+    W = _kernels.lex_digits(np.arange(p ** n), p, n)
+    # [i, j]: lex index of W[i] * W[j]
+    products = _kernels.space_products(_kernels.left_tables(T, Lb, W, p),
+                                       W @ La % p, p)
+    return (products == products.T)[1:]
 
 
 def test_commute_rows_paths_agree():
@@ -172,13 +209,12 @@ def test_commute_rows_paths_agree():
         for n in (1, 2, 3, 4):
             rng = np.random.default_rng(10 * p + n)
             V = space_matrix(p, n)
-            W = np.vstack([np.zeros((1, n), dtype=np.int64), V])
             for central in (False, True):
                 if p ** n > 1000 and not central:
                     continue  # 7**4 alone: its table has 5.8M pairs
                 T, La, Lb = random_operation(rng, p, n, central)
                 keys = _kernels.commute_rows(T, La, Lb, V, p)
-                table = commutation_table(T, La, Lb, V, W, p)
+                table = commutation_table(T, La, Lb, p, n)
                 _, key_class = np.unique(keys, axis=0, return_inverse=True)
                 _, row_class = np.unique(table, axis=0, return_inverse=True)
                 # equal keys iff equal rows: the class maps are one-to-one
