@@ -106,8 +106,9 @@ def test_bulk_multiply_is_exact_at_the_int64_bound(n, p):
 @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 7)
                                  for n in (1, 2, 3, 4)] + [(32749, 1)])
 @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
-def test_space_products_match_bulk_multiply(p, n, affine):
-    """space_products against bulk_multiply + lex_indices: every row of A
+def test_product_lex_matches_bulk_multiply(p, n, affine):
+    """The lex indices of products, as space_products returns them, against
+    bulk_multiply + lex_indices: every row of A
     by every q of K^n in lex order, with and without a left linear part, a
     row of all p - 1 among the operands; and the largest sums, with every
     table entry and constant at p - 1."""
