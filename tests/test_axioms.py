@@ -536,6 +536,17 @@ GOLDEN_CASES = [
      "7a60c139d3186084edf15004bfe247380dc444b2b10331bcf53f77adbbcf5ee3"),
     ("basic3", None, 3, 30, 0,
      "91dee00642452f07ade9448b8c4af5a9fed45db7e19364c0fcbedf1ac7c81e7f"),
+    # past SPACE_CAP: a built-in (symbolic case 1, generic cases 2-5) and
+    # jordan3, whose cases 2 and 3 fail persistently and case 4 disagrees;
+    # custom models over Q take the sampled case 1
+    ("nonlinear3", (2, 3, 5, 1, 4, 6), BIG_PRIME, 30, 9,
+     "352887275c69bf9c46b308811760f9ff7f4afb1599058f3f8f37494d5fce062d"),
+    ("jordan3", None, BIG_PRIME, 30, 7,
+     "2751b5a1caf5ac8b67fa671fbd1e4d010717ab711fd153cd0ad82337dba19223"),
+    ("jordan3", None, None, 30, 7,
+     "70efca9f292d3a7ec26b935daa726258d4617c99af71ae855ba25ab082e87cdd"),
+    ("affine3", None, None, 30, 6,
+     "7ad237510a016f9e8ca769e19552c0bcc99917e4d16d46db1e49c119afb0dffa"),
 ]
 
 
@@ -544,8 +555,8 @@ GOLDEN_CASES = [
 def test_case_analysis_matches_golden_digest(name, params, p, samples, seed,
                                              digest):
     field = Field(p)
-    if name == "broken3":
-        model = broken_basic3(field)
+    if name in CUSTOM_MODELS:
+        model = CUSTOM_MODELS[name](field)
     else:
         model = builtin_model(name, params=params, field=field)
     report = case_analysis(model, plan=SamplingPlan(samples=samples, seed=seed))
