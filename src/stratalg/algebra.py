@@ -211,8 +211,9 @@ MAX_CHAIN = 6
 def chain_orderings(op, base, mults):
     """[(ordering, left chain of base by it)] for each distinct ordering of
     the multiset mults, in the order itertools.permutations first yields it.
-    Orderings share prefix products and skip values already tried at a
-    level: 5 distinct multipliers take 325 products, not 600."""
+    Plain values of a compiled operation (multiply_values); each chain value
+    is a tuple. Orderings share prefix products and skip values already
+    tried at a level: 5 distinct multipliers take 325 products, not 600."""
     mults = tuple(mults)
     if not mults:
         return [((), base)]
@@ -221,8 +222,8 @@ def chain_orderings(op, base, mults):
         if q not in tried:
             tried.append(q)
             rest = mults[:idx] + mults[idx + 1:]
-            out += [((q,) + o, v) for o, v in
-                    chain_orderings(op, multiply(op, base, q), rest)]
+            v = tuple(multiply_values(op, base, q))
+            out += [((q,) + o, w) for o, w in chain_orderings(op, v, rest)]
     return out
 
 
@@ -322,6 +323,12 @@ def associativity_check(op_or_tensor):
     """Tensor criterion: associative iff for all (i,j,k,l)
     sum_r alpha_{ijr} alpha_{rkl} = sum_s alpha_{jks} alpha_{isl}.
     Returns the mismatch list in lexicographic (i,j,k,l) order."""
+    return list(iter_mismatches(op_or_tensor))
+
+
+def iter_mismatches(op_or_tensor):
+    """associativity_check's mismatches, lazily: callers that need only the
+    first one, or whether one exists, stop the n**4 scan there."""
     if isinstance(op_or_tensor, AffineOperation):
         if not op_or_tensor.is_bilinear:
             raise ValueError(
@@ -332,7 +339,6 @@ def associativity_check(op_or_tensor):
         tensor = op_or_tensor
     n = tensor.n
     get = tensor.entries.get
-    mismatches = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -357,8 +363,7 @@ def associativity_check(op_or_tensor):
                     lhs = zero if lhs is None else lhs
                     rhs = zero if rhs is None else rhs
                     if lhs != rhs:
-                        mismatches.append(Mismatch(i, j, k, l, lhs, rhs))
-    return mismatches
+                        yield Mismatch(i, j, k, l, lhs, rhs)
 
 
 def format_assoc_report(mismatches):

@@ -12,6 +12,7 @@ documented closed forms against direct expansion, and the five-scenario
 associator analysis.
 """
 
+import functools
 import math
 import random
 from collections import namedtuple
@@ -23,13 +24,12 @@ from .algebra import (
     BUILTIN_NAMES,
     MAX_CHAIN,
     PARAM_LETTERS,
-    associativity_check,
     associator,
     chain_orderings,
     commutator,
     coordinate_vars,
     is_zero_vector,
-    left_chain,
+    iter_mismatches,
     lps,
     multiply,
     multiply_values,
@@ -139,14 +139,24 @@ def _subbed(polys, binds):
     return [p.substitute(binds) for p in polys]
 
 
+def _bound_operands(n, binds, prefixes=("a", "b", "c")):
+    """Coordinate vectors x0..x{n-1}, one per prefix, with binds already
+    applied. A form expanded on them is, term for term, the form expanded
+    on free coordinates with binds substituted afterwards, but it never
+    builds the free expansion's terms."""
+    return [tuple(binds.get(f"{x}{i}", Polynomial.var(f"{x}{i}"))
+                  for i in range(n)) for x in prefixes]
+
+
 def _all_zero(polys):
     return all(p.is_zero() for p in polys)
 
 
 # ---------------------------------------------------------------------------
 # Seeded vector sampling
-# Draws are plain values (Field.sample_value); the public samplers wrap them
-# in FieldElements.
+# Every trial draws, multiplies and labels plain values, ints in [0, p) or
+# Fractions (Field.sample_value, multiply_values, label_str); the public
+# samplers wrap the same draws in FieldElements.
 
 SAMPLE_BOUND = 20  # over Q: numerators in [-20, 20], denominators in [1, 20]
 
@@ -168,6 +178,25 @@ def _draw_on_direction(field, rng, d):
     return [head] + [s * x % p if p else s * x for x in d]
 
 
+def _draw_distinct_directions(field, rng, tail_len, count):
+    """count pairwise non-proportional tail directions, redrawing each
+    candidate proportional to an earlier one."""
+    if tail_len < 2 and count > 1:
+        # all nonzero 1-coordinate tails span one line: the redraws below
+        # would never end
+        raise ValueError(
+            f"{count} distinct co-stratal directions need a tail of at "
+            f"least 2 coordinates, not {tail_len}: the samplers draw on "
+            "coordinates 1..n-1, not by the declared strata rule "
+            "(ROADMAP item 1)")
+    dirs = [_draw_direction(field, rng, tail_len)]
+    while len(dirs) < count:
+        d = _draw_direction(field, rng, tail_len)
+        if not any(directions_proportional(d, e, field.p) for e in dirs):
+            dirs.append(d)
+    return dirs
+
+
 def _elements(field, values):
     return tuple([FieldElement(field, x) for x in values])
 
@@ -178,25 +207,21 @@ def sample_direction(field, rng, tail_len):
 
 
 def sample_distinct_directions(field, rng, tail_len, count):
-    # on FieldElements: plain residues would compare cross products in Z
-    dirs = [sample_direction(field, rng, tail_len)]
-    while len(dirs) < count:
-        d = sample_direction(field, rng, tail_len)
-        if all(not directions_proportional(d, e) for e in dirs):
-            dirs.append(d)
-    return dirs
+    """count pairwise non-proportional tail directions."""
+    return [_elements(field, d) for d in
+            _draw_distinct_directions(field, rng, tail_len, count)]
 
 
 def _direction_draws(field, rng, n, count, trials):
     """Lazily, one list of count distinct tail directions per trial."""
     for _ in range(trials):
-        yield sample_distinct_directions(field, rng, n - 1, count)
+        yield _draw_distinct_directions(field, rng, n - 1, count)
 
 
 def sample_on_direction(field, rng, direction):
     """Random vector with the given tail direction: head free, scale nonzero."""
-    d = [field.element(x).value for x in direction]
-    return _elements(field, _draw_on_direction(field, rng, d))
+    return _elements(field, _draw_on_direction(
+        field, rng, [field.element(x).value for x in direction]))
 
 
 def require_rule(model):
@@ -223,18 +248,18 @@ def label_str(model, v):
 def _symbolic_in_stratum(name, n):
     """Shared-direction proof of the three in-stratum laws for a built-in
     family with free parameter symbols (so it covers every specialization)."""
-    sm = symbolic_model(name)
-    binds2 = shared_direction_subs(n, ("a", "b"))
-    binds3 = shared_direction_subs(n, ("a", "b", "c"))
-    comm = _subbed(symbolic_components(sm, "commutator"), binds2)
-    prod = _subbed(symbolic_components(sm, "product"), binds2)
+    op = symbolic_model(name).operation
+    a, b, c = _bound_operands(n, shared_direction_subs(n, ("a", "b", "c")))
+    prod = multiply(op, a, b)
+    comm = [x - y for x, y in zip(prod, multiply(op, b, a))]
     crosses = []
     for i in range(1, n):
         for j in range(i + 1, n):
             di = Polynomial.var(f"d{i}")
             dj = Polynomial.var(f"d{j}")
             crosses.append(prod[i] * dj - prod[j] * di)
-    assoc = _subbed(symbolic_components(sm, "associator"), binds3)
+    assoc = [x - y for x, y in zip(multiply(op, prod, c),
+                                   multiply(op, a, multiply(op, b, c)))]
     out = {
         "commutative": _all_zero(comm),
         "closed_direction": _all_zero(crosses),
@@ -347,41 +372,28 @@ def check_sa1(model, strata=None, plan=None):
             verdict = HOLDS
         else:
             verdict = FAILS
-            if not symbolic_ok:
-                wit = _find_sa1_witness(model, plan.rng("SA1:witness"))
-                if wit:
-                    witnesses.append(wit)
     return {"axiom": "SA1", "verdict": verdict, "clauses": clauses,
             "witnesses": witnesses}
 
 
-def _find_sa1_witness(model, rng, tries=300):
-    """Concrete co-stratal pair/triple violating an in-stratum law."""
-    op = model.operation
-    field = model.field
-    n = model.dimension
-    for _ in range(tries):
-        d = sample_direction(field, rng, n - 1)
-        a = sample_on_direction(field, rng, d)
-        b = sample_on_direction(field, rng, d)
-        if not is_zero_vector(commutator(op, a, b)):
-            return {"clause": "commutative",
-                    "vectors": [_vec_json(a), _vec_json(b)]}
-        c = sample_on_direction(field, rng, d)
-        if not is_zero_vector(associator(op, a, b, c)):
-            return {"clause": "associative",
-                    "vectors": [_vec_json(a), _vec_json(b), _vec_json(c)]}
-        ab = multiply(op, a, b)
-        if not is_zero_vector(ab):
-            tail = ab[1:]
-            if not directions_proportional(tuple(tail), d):
-                return {"clause": "closed", "vectors": [_vec_json(a),
-                                                        _vec_json(b)]}
-    return None
-
-
 # ---------------------------------------------------------------------------
 # SA2: cross-stratum asymmetry
+
+def _sa2_point(model, rng, da, db):
+    """(ok, note, a, b) for a on direction da and b on db, fresh scales."""
+    op = model.operation
+    a = _draw_on_direction(model.field, rng, da)
+    b = _draw_on_direction(model.field, rng, db)
+    ab = multiply_values(op, a, b)
+    if multiply_values(op, b, a) == ab:
+        return False, "pair commutes", a, b
+    if is_zero_vector(ab):
+        return False, "product is zero", a, b
+    la, lb, lab = (label_str(model, v) for v in (a, b, ab))
+    if lab in (la, lb):
+        return False, f"product stayed in stratum {lab}", a, b
+    return True, None, a, b
+
 
 def check_sa2(model, plan=None):
     """Sampled cross-stratum pairs must not commute and must land outside
@@ -391,27 +403,10 @@ def check_sa2(model, plan=None):
     retested with fresh scales before counting."""
     plan = plan or SamplingPlan()
     rng = plan.rng("SA2")
-    op = model.operation
-    field = model.field
-    n = model.dimension
     trials = plan.samples
-
-    def sa2_point(cfg):
-        _t, (da, db) = cfg
-        a = sample_on_direction(field, rng, da)
-        b = sample_on_direction(field, rng, db)
-        ab = multiply(op, a, b)
-        if multiply(op, b, a) == ab:
-            return False, "pair commutes", a, b
-        if is_zero_vector(ab):
-            return False, "product is zero", a, b
-        la, lb, lab = (label_str(model, v) for v in (a, b, ab))
-        if lab in (la, lb):
-            return False, f"product stayed in stratum {lab}", a, b
-        return True, None, a, b
-
+    draws = _direction_draws(model.field, rng, model.dimension, 2, trials)
     (ok_count,), failed = _rated(
-        enumerate(_direction_draws(field, rng, n, 2, trials)), sa2_point)
+        enumerate(draws), lambda cfg: _sa2_point(model, rng, *cfg[1]))
     exceptions = [{"trial": cfg[0], "a": _vec_json(a), "b": _vec_json(b),
                    "note": note, "resolution": RESOLUTIONS[kind]}
                   for cfg, (_ok, note, a, b), kind in failed[:10]]
@@ -441,6 +436,12 @@ def check_sa2(model, plan=None):
             "witnesses": witnesses}
 
 
+def _associates(op, a, b, c):
+    """(ab)c == a(bc) on plain values."""
+    return multiply_values(op, multiply_values(op, a, b), c) == \
+        multiply_values(op, a, multiply_values(op, b, c))
+
+
 def _non_associative_triple(model, rng, samples):
     """Exhibit (a, b, c) with a nonzero associator, or report the model
     globally associative (bilinear tensor criterion) as degenerate."""
@@ -448,21 +449,17 @@ def _non_associative_triple(model, rng, samples):
     field = model.field
     n = model.dimension
     if op.is_bilinear:
-        mism = associativity_check(op)
-        if not mism:
+        mism = next(iter_mismatches(op), None)
+        if mism is None:
             return {"status": DEGENERATE, "note": "globally associative"}
-        i, j, k = mism[0].i, mism[0].j, mism[0].k
-        basis = []
-        for idx in (i, j, k):
-            e = [field.zero()] * n
-            e[idx] = field.one()
-            basis.append(tuple(e))
-        assert not is_zero_vector(associator(op, *basis))
+        basis = [[int(idx == i) for i in range(n)]
+                 for idx in (mism.i, mism.j, mism.k)]
+        assert not _associates(op, *basis)
         return {"status": HOLDS, "witness": [_vec_json(v) for v in basis]}
     for _ in range(samples):
-        vs = [tuple(field.sample(rng, SAMPLE_BOUND) for _ in range(n))
+        vs = [[field.sample_value(rng, SAMPLE_BOUND) for _ in range(n)]
               for _ in range(3)]
-        if not is_zero_vector(associator(op, *vs)):
+        if not _associates(op, *vs):
             return {"status": HOLDS, "witness": [_vec_json(v) for v in vs]}
     return {"status": DEGENERATE,
             "note": f"no non-associative triple in {samples} samples"}
@@ -474,9 +471,8 @@ def _non_associative_triple(model, rng, samples):
 def _symbolic_lps_costratal(name, n):
     """Chain-order difference with the first operand free and the two
     multipliers on a shared direction: must vanish identically."""
-    sm = symbolic_model(name)
-    binds = shared_direction_subs(n, ("b", "c"))
-    comps = _subbed(symbolic_components(sm, "lps"), binds)
+    a, b, c = _bound_operands(n, shared_direction_subs(n, ("b", "c")))
+    comps = lps(symbolic_model(name).operation, a, b, c)
     return _all_zero(comps), [str(p) for p in comps if not p.is_zero()]
 
 
@@ -486,8 +482,7 @@ def _lps_pointwise(model, rng, count):
     op = model.operation
     field = model.field
     for _ in range(count):
-        da, db = ([x.value for x in d] for d in sample_distinct_directions(
-            field, rng, model.dimension - 1, 2))
+        da, db = _draw_distinct_directions(field, rng, model.dimension - 1, 2)
         a, b, c = (_draw_on_direction(field, rng, d) for d in (da, db, db))
         if multiply_values(op, multiply_values(op, a, b), c) != \
                 multiply_values(op, multiply_values(op, a, c), b):
@@ -503,8 +498,8 @@ def _chain_agreement(model, rng, m, trials):
     agreed = 0
     first_disagreement = None
     for da, db in _direction_draws(field, rng, model.dimension, 2, trials):
-        base = sample_on_direction(field, rng, da)
-        mults = [sample_on_direction(field, rng, db) for _ in range(m)]
+        base = _draw_on_direction(field, rng, da)
+        mults = [_draw_on_direction(field, rng, db) for _ in range(m)]
         values = {v for _, v in chain_orderings(model.operation, base, mults)}
         if len(values) == 1:
             agreed += 1
@@ -563,6 +558,34 @@ def check_sa3(model, plan=None):
 # ---------------------------------------------------------------------------
 # SA4: bracket sensitivity
 
+def _left_chain_values(op, acc, mults):
+    for q in mults:
+        acc = multiply_values(op, acc, q)
+    return acc
+
+
+def _sa4_point(model, rng, m, split, da, db):
+    """(ok, note, base, mults): base on direction db, m multipliers on da,
+    the chain bracketed after its first split multipliers."""
+    op = model.operation
+    base = _draw_on_direction(model.field, rng, db)
+    mults = [_draw_on_direction(model.field, rng, da) for _ in range(m)]
+    la = label_str(model, mults[0])
+    lb = label_str(model, base)
+    head = _left_chain_values(op, base, mults[:split])
+    left = _left_chain_values(op, head, mults[split:])
+    tail = _left_chain_values(op, mults[split], mults[split + 1:])
+    bracketed = multiply_values(op, head, tail)
+    if bracketed == left:
+        return False, "bracketed value equals the left chain", base, mults
+    if is_zero_vector(bracketed):
+        return False, "bracketed value is zero", base, mults
+    lg = label_str(model, bracketed)
+    if lg in (la, lb):
+        return False, f"bracketed value stayed in stratum {lg}", base, mults
+    return True, None, base, mults
+
+
 def check_sa4(model, plan=None):
     """For sampled chains with co-stratal multipliers, every bracketing that
     groups a tail segment must differ from the left chain and land outside
@@ -570,9 +593,7 @@ def check_sa4(model, plan=None):
     Point coincidences are retested with fresh scales per configuration."""
     plan = plan or SamplingPlan()
     op = model.operation
-    field = model.field
-    n = model.dimension
-    if op.is_bilinear and not associativity_check(op):
+    if op.is_bilinear and next(iter_mismatches(op), None) is None:
         return {"axiom": "SA4", "verdict": DEGENERATE,
                 "clauses": {"note": "globally associative: every bracketing "
                                     "agrees, bracket sensitivity is empty"},
@@ -584,32 +605,14 @@ def check_sa4(model, plan=None):
     def configs():
         # one direction pair per (m, trial), shared by its splits
         for m in chain_lengths:
-            draws = _direction_draws(field, rng, n, 2, trials)
+            draws = _direction_draws(model.field, rng, model.dimension, 2,
+                                     trials)
             for t, (da, db) in enumerate(draws):
                 for split in range(1, m - 1):
                     yield m, t, split, da, db
 
-    def sa4_point(cfg):
-        m, _t, split, da, db = cfg
-        base = sample_on_direction(field, rng, db)
-        mults = [sample_on_direction(field, rng, da) for _ in range(m)]
-        la = label_str(model, mults[0])
-        lb = label_str(model, base)
-        left = left_chain(op, base, mults)
-        head = left_chain(op, base, mults[:split])
-        tail = left_chain(op, mults[split], mults[split + 1:])
-        bracketed = multiply(op, head, tail)
-        if bracketed == left:
-            return False, "bracketed value equals the left chain", base, mults
-        if is_zero_vector(bracketed):
-            return False, "bracketed value is zero", base, mults
-        lg = label_str(model, bracketed)
-        if lg in (la, lb):
-            return False, f"bracketed value stayed in stratum {lg}", \
-                base, mults
-        return True, None, base, mults
-
-    (ok_count,), failed = _rated(configs(), sa4_point)
+    (ok_count,), failed = _rated(
+        configs(), lambda cfg: _sa4_point(model, rng, cfg[0], *cfg[2:]))
     exceptions = [{"m": m, "split": split, "trial": t, "note": why,
                    "base": _vec_json(base),
                    "multipliers": [_vec_json(v) for v in mults],
@@ -865,33 +868,79 @@ def identity_suite_json(name):
 # ---------------------------------------------------------------------------
 # Five-scenario associator analysis
 
+def _case2_point(model, rng, dirs):
+    """(noncommutative, associator nonzero, lps nonzero, landed outside
+    the operands' strata) for a, b, c on three distinct directions."""
+    mul = functools.partial(multiply_values, model.operation)
+    a, b, c = (_draw_on_direction(model.field, rng, d) for d in dirs)
+    ab, bc, ac = mul(a, b), mul(b, c), mul(a, c)
+    nc = ab != mul(b, a) and bc != mul(c, b) and ac != mul(c, a)
+    u, v, w = mul(ab, c), mul(a, bc), mul(ac, b)
+    labels = {label_str(model, x) for x in (a, b, c)}
+    landed = [x for x in (u, v, w) if not is_zero_vector(x)]
+    out = bool(landed) and all(label_str(model, x) not in labels
+                               for x in landed)
+    return (nc, u != v, u != w, out)
+
+
+def _case3_point(model, rng, da, db, gammas, deltas):
+    """(associator nonzero, b*c in b's stratum, (ab)c and a(bc) both
+    outside the operands' strata) for a on da and b, c on db; the strata of
+    landings outside go into gammas and deltas."""
+    mul = functools.partial(multiply_values, model.operation)
+    a, b, c = (_draw_on_direction(model.field, rng, d) for d in (da, db, db))
+    la = label_str(model, a)
+    lb = label_str(model, b)
+    bc = mul(b, c)
+    bc_in = is_zero_vector(bc) or label_str(model, bc) == lb
+    u = mul(mul(a, b), c)
+    v = mul(a, bc)
+    gd_out = False
+    if not is_zero_vector(u) and not is_zero_vector(v):
+        lg, ld = label_str(model, u), label_str(model, v)
+        if lg not in (la, lb) and ld not in (la, lb):
+            gd_out = True
+            gammas.add(lg)
+            deltas.add(ld)
+    return (u != v, bc_in, gd_out)
+
+
+def _case5_point(model, rng, da, db):
+    """(ab)(cd) differs from ((ab)c)d, a on da and b, c, d on db."""
+    mul = functools.partial(multiply_values, model.operation)
+    a = _draw_on_direction(model.field, rng, da)
+    b, c, d = (_draw_on_direction(model.field, rng, db) for _ in range(3))
+    ab = mul(a, b)
+    return (mul(ab, mul(c, d)) != mul(mul(ab, c), d),)
+
+
 def case_analysis(model, plan=None):
     """Behavior of associator and chain-order difference across the five
     canonical operand configurations: all co-stratal; all distinct;
     multipliers aligned; permutation symmetry; bracket-sensitive splits."""
     plan = plan or SamplingPlan()
-    op = model.operation
     field = model.field
     n = model.dimension
     report = {}
 
     if model.name in BUILTIN_NAMES:
-        sm = symbolic_model(model.name)
-        binds = shared_direction_subs(n, ("a", "b", "c"))
-        assoc0 = _all_zero(_subbed(symbolic_components(sm, "associator"),
-                                   binds))
-        lps0 = _all_zero(_subbed(symbolic_components(sm, "lps"), binds))
-        report["case1"] = {"associator_zero": assoc0,
-                           "lps_zero": lps0, "mode": "symbolic"}
+        sop = symbolic_model(model.name).operation
+        a, b, c = _bound_operands(n, shared_direction_subs(n, ("a", "b", "c")))
+        u = multiply(sop, multiply(sop, a, b), c)
+        report["case1"] = {
+            "associator_zero": u == multiply(sop, a, multiply(sop, b, c)),
+            "lps_zero": u == multiply(sop, multiply(sop, a, c), b),
+            "mode": "symbolic"}
         lps_al, _res = _symbolic_lps_costratal(model.name, n)
     else:
         rng = plan.rng("case1")
+        mul = functools.partial(multiply_values, model.operation)
         ok = True
         for _ in range(plan.samples):
-            d = sample_direction(field, rng, n - 1)
-            vs = [sample_on_direction(field, rng, d) for _ in range(3)]
-            if not is_zero_vector(associator(op, *vs)) or \
-                    not is_zero_vector(lps(op, *vs)):
+            d = _draw_direction(field, rng, n - 1)
+            a, b, c = (_draw_on_direction(field, rng, d) for _ in range(3))
+            u = mul(mul(a, b), c)
+            if u != mul(a, mul(b, c)) or u != mul(mul(a, c), b):
                 ok = False
                 break
         report["case1"] = {"associator_zero": ok, "lps_zero": ok,
@@ -901,25 +950,9 @@ def case_analysis(model, plan=None):
     rng = plan.rng("case2")
     trials = plan.samples
 
-    def case2_point(cfg):
-        a, b, c = (sample_on_direction(field, rng, d) for d in cfg)
-        nc = (multiply(op, a, b) != multiply(op, b, a)
-              and multiply(op, b, c) != multiply(op, c, b)
-              and multiply(op, a, c) != multiply(op, c, a))
-        an = not is_zero_vector(associator(op, a, b, c))
-        ln = not is_zero_vector(lps(op, a, b, c))
-        u = multiply(op, multiply(op, a, b), c)
-        v = multiply(op, a, multiply(op, b, c))
-        w = multiply(op, multiply(op, a, c), b)
-        labels = {label_str(model, x) for x in (a, b, c)}
-        landed = [x for x in (u, v, w) if not is_zero_vector(x)]
-        out = bool(landed) and all(label_str(model, x) not in labels
-                                   for x in landed)
-        return (nc, an, ln, out)
-
     # each of the four predicates is retested on its own draws
     tallies, failed = _rated(_direction_draws(field, rng, n, 3, trials),
-                             case2_point, k=4)
+                             lambda dirs: _case2_point(model, rng, dirs), k=4)
     nc, an, ln, out = tallies
     report["case2"] = {
         "noncommutative_rate": str(Fraction(nc, trials)),
@@ -935,29 +968,9 @@ def case_analysis(model, plan=None):
     gammas = set()
     deltas = set()
 
-    def case3_point(cfg):
-        da, db = cfg
-        a = sample_on_direction(field, rng, da)
-        b = sample_on_direction(field, rng, db)
-        c = sample_on_direction(field, rng, db)
-        la = label_str(model, a)
-        lb = label_str(model, b)
-        an = not is_zero_vector(associator(op, a, b, c))
-        bc = multiply(op, b, c)
-        bc_in = is_zero_vector(bc) or label_str(model, bc) == lb
-        u = multiply(op, multiply(op, a, b), c)
-        v = multiply(op, a, bc)
-        gd_out = False
-        if not is_zero_vector(u) and not is_zero_vector(v):
-            lg, ld = label_str(model, u), label_str(model, v)
-            if lg not in (la, lb) and ld not in (la, lb):
-                gd_out = True
-                gammas.add(lg)
-                deltas.add(ld)
-        return (an, bc_in, gd_out)
-
-    tallies, _ = _rated(_direction_draws(field, rng, n, 2, trials),
-                        case3_point, k=3)
+    tallies, _ = _rated(
+        _direction_draws(field, rng, n, 2, trials),
+        lambda cfg: _case3_point(model, rng, *cfg, gammas, deltas), k=3)
     an, bc_in, gd_out = tallies
     report["case3"] = {
         "associator_nonzero_rate": str(Fraction(an, trials)),
@@ -976,17 +989,8 @@ def case_analysis(model, plan=None):
 
     rng = plan.rng("case5")
 
-    def case5_point(cfg):
-        da, db = cfg
-        a = sample_on_direction(field, rng, da)
-        b, c, d = (sample_on_direction(field, rng, db) for _ in range(3))
-        ab = multiply(op, a, b)
-        bracketed = multiply(op, ab, multiply(op, c, d))
-        chained = multiply(op, multiply(op, ab, c), d)
-        return (bracketed != chained,)
-
     (differs,), _ = _rated(_direction_draws(field, rng, n, 2, trials),
-                           case5_point)
+                           lambda cfg: _case5_point(model, rng, *cfg))
     report["case5"] = {"bracketing_differs_rate": str(Fraction(differs,
                                                                trials)),
                        "generic": differs >= trials * GENERIC_RATE}

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 
 from .algebra import MAX_CHAIN, chain_orderings, is_zero_vector, multiply
-from .field import _vec_json
+from .field import FieldElement, _vec_json
 from .strata import _as_operation, space_matrix, to_dense_arrays
 from ._kernels import bulk_multiply, left_tables, lex_digits, \
     lex_indices, space_products
@@ -218,10 +218,19 @@ def permutation_invariance(op, start, multiset, partition):
             f"multipliers span strata {sorted(stratum)}; "
             "order independence holds per stratum only")
 
+    # the chains run on plain values; finals and their orderings are
+    # reported as field elements
+    field = op.plain.field
+    values = [tuple(field.element(x).value for x in v)
+              for v in (start, *multiset)]
+    element_of = dict(zip(values[1:], multiset))
+    orderings = chain_orderings(op, values[0], values[1:])
     finals = {}
-    orderings = chain_orderings(op, tuple(start), multiset)
     for ordering, v in orderings:
         finals.setdefault(v, ordering)
+    finals = {tuple(FieldElement(field, x) for x in v):
+              tuple(element_of[q] for q in ordering)
+              for v, ordering in finals.items()}
 
     identity_final = next(iter(finals)) if len(finals) == 1 else None
     result = {

@@ -122,12 +122,16 @@ def ratio_stratum_of(v, rule, field=None):
     raise ValueError(f"unknown strata rule {rule!r}")
 
 
-def directions_proportional(d, e):
+def directions_proportional(d, e, p=None):
     """Do the coordinate sequences d and e span one line (all pairwise
-    cross products vanish)? Field elements compare in their field, so
-    residues over F_p are proportional mod p."""
-    return all(d[i] * e[j] == d[j] * e[i]
-               for i, j in itertools.combinations(range(len(d)), 2))
+    cross products vanish)? Field elements vanish in their field; plain
+    residues pass their modulus p, since residues that differ in Z can
+    still be proportional mod p. Plain rationals compare exactly."""
+    for i, j in itertools.combinations(range(len(d)), 2):
+        x = d[i] * e[j] - d[j] * e[i]
+        if x % p if p else x:
+            return False
+    return True
 
 
 def tails_proportional(v, w, rule):

@@ -355,6 +355,10 @@ def test_multiply_matches_the_scalar_loop(p):
 def test_chain_orderings_match_every_permutation(f19, monkeypatch):
     op = builtin_model("parametric3", params=(2, 3, 5, 1, 4, 6),
                        field=f19).operation
+
+    def values(v):
+        return tuple(x.value for x in v)
+
     rng = random.Random(5)
     for m in range(1, 6):
         mults = [rand_vec(f19, rng, 3) for _ in range(m)]
@@ -365,10 +369,15 @@ def test_chain_orderings_match_every_permutation(f19, monkeypatch):
         for o in itertools.permutations(mults):
             if o not in distinct:
                 distinct.append(o)
-        want = [(o, left_chain(op, base, o)) for o in distinct]
-        assert chain_orderings(op, base, mults) == want
+        # the FieldElement left chain of each ordering, on plain values
+        want = [(tuple(map(values, o)), values(left_chain(op, base, o)))
+                for o in distinct]
+        got = chain_orderings(op, values(base), list(map(values, mults)))
+        assert got == want
+        assert all(type(x) is int for _, v in got for x in v)
     calls = []
-    monkeypatch.setattr(algebra, "multiply",
-                        lambda *args: calls.append(1) or multiply(*args))
-    chain_orderings(op, base, [rand_vec(f19, rng, 3) for _ in range(5)])
+    monkeypatch.setattr(algebra, "multiply_values",
+                        lambda *args: calls.append(1) or multiply_values(*args))
+    chain_orderings(op, values(base),
+                    [values(rand_vec(f19, rng, 3)) for _ in range(5)])
     assert len(calls) == 5 + 20 + 60 + 120 + 120

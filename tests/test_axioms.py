@@ -1,8 +1,10 @@
 """Axiom checks SA1-SA4, classification, identity suite, case analysis."""
 
 import hashlib
+import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from stratalg import (
     AffineOperation,
     Field,
+    FieldElement,
     ModelSpec,
     Polynomial,
     SamplingPlan,
@@ -25,12 +28,16 @@ from stratalg import (
     discover_strata,
     enumerate_space,
     identity_suite_json,
+    left_chain,
+    multiply,
     symbolic_components,
     symbolic_model,
     vector,
     verify_identity_suite,
 )
-from stratalg.algebra import RATIO_RULE_3D, associator, is_zero_vector, lps
+from stratalg import algebra
+from stratalg.algebra import BUILTIN_NAMES, RATIO_RULE_3D, associator, \
+    is_zero_vector, lps
 from stratalg.axioms import (
     DEGENERATE,
     FAILS,
@@ -38,8 +45,17 @@ from stratalg.axioms import (
     HOLDS,
     RETEST_SCALES,
     SAMPLES,
+    _bound_operands,
+    _case2_point,
+    _case3_point,
+    _case5_point,
+    _chain_agreement,
+    _draw_distinct_directions,
     _lps_pointwise,
+    _non_associative_triple,
     _rated,
+    _sa2_point,
+    _sa4_point,
     _sample_consistency_sa1,
     _symbolic_in_stratum,
     _symbolic_lps_costratal,
@@ -721,3 +737,266 @@ def test_distinct_directions_reduce_cross_products_mod_p():
             hits += (directions_proportional(d, e)
                      and x[0] * y[1] != x[1] * y[0])
     assert hits
+
+
+def test_distinct_directions_refuse_a_one_coordinate_tail():
+    """Two nonzero 1-coordinate tails are always proportional, so asking
+    for two distinct ones raises at once instead of redrawing forever."""
+    for p in (7, None):
+        field = Field(p)
+        with pytest.raises(ValueError, match="ROADMAP item 1"):
+            sample_distinct_directions(field, random.Random(0), 1, 2)
+        with pytest.raises(ValueError):
+            _draw_distinct_directions(field, random.Random(0), 1, 3)
+        assert len(sample_distinct_directions(field, random.Random(0),
+                                              1, 1)) == 1
+
+
+# Differential test of the plain-value trials (the SA2 and SA4 points, the
+# SA3 chains, case points 2, 3 and 5) against in-test copies of the
+# FieldElement versions they replaced, on twin seeded streams.
+
+def plain(obj):
+    """obj with each FieldElement replaced by its value and every sequence
+    by a list."""
+    if isinstance(obj, (tuple, list)):
+        return [plain(x) for x in obj]
+    return obj.value if isinstance(obj, FieldElement) else obj
+
+
+def holds_elements(obj):
+    if isinstance(obj, (tuple, list, set)):
+        return any(holds_elements(x) for x in obj)
+    return isinstance(obj, FieldElement)
+
+
+def old_sa2_point(model, rng, da, db):
+    op, field = model.operation, model.field
+    a = old_sample_on_direction(field, rng, da)
+    b = old_sample_on_direction(field, rng, db)
+    ab = multiply(op, a, b)
+    if multiply(op, b, a) == ab:
+        return False, "pair commutes", a, b
+    if is_zero_vector(ab):
+        return False, "product is zero", a, b
+    la, lb, lab = (label_str(model, v) for v in (a, b, ab))
+    if lab in (la, lb):
+        return False, f"product stayed in stratum {lab}", a, b
+    return True, None, a, b
+
+
+def old_sa4_point(model, rng, m, split, da, db):
+    op, field = model.operation, model.field
+    base = old_sample_on_direction(field, rng, db)
+    mults = [old_sample_on_direction(field, rng, da) for _ in range(m)]
+    la = label_str(model, mults[0])
+    lb = label_str(model, base)
+    left = left_chain(op, base, mults)
+    head = left_chain(op, base, mults[:split])
+    tail = left_chain(op, mults[split], mults[split + 1:])
+    bracketed = multiply(op, head, tail)
+    if bracketed == left:
+        return False, "bracketed value equals the left chain", base, mults
+    if is_zero_vector(bracketed):
+        return False, "bracketed value is zero", base, mults
+    lg = label_str(model, bracketed)
+    if lg in (la, lb):
+        return False, f"bracketed value stayed in stratum {lg}", base, mults
+    return True, None, base, mults
+
+
+def old_chain_agreement(model, rng, m, trials):
+    field, n = model.field, model.dimension
+    agreed, first_disagreement = 0, None
+    for _ in range(trials):
+        da, db = old_sample_distinct_directions(field, rng, n - 1, 2)
+        base = old_sample_on_direction(field, rng, da)
+        mults = [old_sample_on_direction(field, rng, db) for _ in range(m)]
+        values = {left_chain(model.operation, base, o)
+                  for o in itertools.permutations(mults)}
+        if len(values) == 1:
+            agreed += 1
+        elif first_disagreement is None:
+            first_disagreement = base, mults
+    return agreed, first_disagreement
+
+
+def old_case2_point(model, rng, dirs):
+    op, field = model.operation, model.field
+    a, b, c = (old_sample_on_direction(field, rng, d) for d in dirs)
+    nc = (multiply(op, a, b) != multiply(op, b, a)
+          and multiply(op, b, c) != multiply(op, c, b)
+          and multiply(op, a, c) != multiply(op, c, a))
+    an = not is_zero_vector(associator(op, a, b, c))
+    ln = not is_zero_vector(lps(op, a, b, c))
+    u = multiply(op, multiply(op, a, b), c)
+    v = multiply(op, a, multiply(op, b, c))
+    w = multiply(op, multiply(op, a, c), b)
+    labels = {label_str(model, x) for x in (a, b, c)}
+    landed = [x for x in (u, v, w) if not is_zero_vector(x)]
+    out = bool(landed) and all(label_str(model, x) not in labels
+                               for x in landed)
+    return (nc, an, ln, out)
+
+
+def old_case3_point(model, rng, da, db, gammas, deltas):
+    op, field = model.operation, model.field
+    a = old_sample_on_direction(field, rng, da)
+    b = old_sample_on_direction(field, rng, db)
+    c = old_sample_on_direction(field, rng, db)
+    la = label_str(model, a)
+    lb = label_str(model, b)
+    an = not is_zero_vector(associator(op, a, b, c))
+    bc = multiply(op, b, c)
+    bc_in = is_zero_vector(bc) or label_str(model, bc) == lb
+    u = multiply(op, multiply(op, a, b), c)
+    v = multiply(op, a, bc)
+    gd_out = False
+    if not is_zero_vector(u) and not is_zero_vector(v):
+        lg, ld = label_str(model, u), label_str(model, v)
+        if lg not in (la, lb) and ld not in (la, lb):
+            gd_out = True
+            gammas.add(lg)
+            deltas.add(ld)
+    return (an, bc_in, gd_out)
+
+
+def old_case5_point(model, rng, da, db):
+    op, field = model.operation, model.field
+    a = old_sample_on_direction(field, rng, da)
+    b, c, d = (old_sample_on_direction(field, rng, db) for _ in range(3))
+    ab = multiply(op, a, b)
+    bracketed = multiply(op, ab, multiply(op, c, d))
+    chained = multiply(op, multiply(op, ab, c), d)
+    return (bracketed != chained,)
+
+
+TRIAL_PRIMES = (19, BIG_PRIME, None)
+TRIAL_MODELS = BUILTIN_NAMES + tuple(CUSTOM_MODELS)
+
+
+@pytest.mark.parametrize("p", TRIAL_PRIMES, ids=lambda p: f"F_{p}" if p else "Q")
+@pytest.mark.parametrize("name", TRIAL_MODELS)
+def test_trials_match_the_field_element_trials(name, p):
+    field = Field(p)
+    model = diff_model(name, field)
+    n = model.dimension
+    old, new = twin_rngs(name, p, "points")
+    for trial in range(12):
+        dirs = old_sample_distinct_directions(field, old, n - 1, 3)
+        got_dirs = _draw_distinct_directions(field, new, n - 1, 3)
+        assert got_dirs == plain(dirs)
+        (da, db, _), (oda, odb, _) = got_dirs, dirs
+        m = 3 + trial % 3
+        split = 1 + trial % (m - 2)
+        sets = [set() for _ in range(4)]
+        pairs = [
+            (old_sa2_point(model, old, oda, odb),
+             _sa2_point(model, new, da, db)),
+            (old_sa4_point(model, old, m, split, oda, odb),
+             _sa4_point(model, new, m, split, da, db)),
+            (old_case2_point(model, old, dirs),
+             _case2_point(model, new, got_dirs)),
+            (old_case3_point(model, old, oda, odb, *sets[:2]),
+             _case3_point(model, new, da, db, *sets[2:])),
+            (old_case5_point(model, old, oda, odb),
+             _case5_point(model, new, da, db))]
+        for want, got in pairs:
+            assert not holds_elements(got)
+            assert plain(got) == plain(want)
+        assert sets[:2] == sets[2:]
+        assert new.getstate() == old.getstate()
+    for m in (2, 3):
+        old, new = twin_rngs(name, p, "chains", m)
+        want = old_chain_agreement(model, old, m, 6)
+        got = _chain_agreement(model, new, m, 6)
+        assert not holds_elements(got)
+        assert plain(got) == plain(want)
+        assert new.getstate() == old.getstate()
+
+
+def test_trial_models_reach_every_verdict():
+    """The models above fail and pass each point on the twin streams."""
+    seen = set()
+    for name in TRIAL_MODELS:
+        for p in TRIAL_PRIMES:
+            model = diff_model(name, Field(p))
+            rng = random.Random(repr((name, p)))
+            for _ in range(12):
+                da, db, dc = _draw_distinct_directions(
+                    model.field, rng, model.dimension - 1, 3)
+                seen.add(("sa2", _sa2_point(model, rng, da, db)[1]))
+                seen.add(("sa4", _sa4_point(model, rng, 3, 1, da, db)[0]))
+                seen |= {("case2", v) for v in
+                         _case2_point(model, rng, (da, db, dc))}
+                seen |= {("case3", v) for v in
+                         _case3_point(model, rng, da, db, set(), set())}
+                seen.add(("case5", _case5_point(model, rng, da, db)[0]))
+    for check in ("sa4", "case2", "case3", "case5"):
+        assert {(check, True), (check, False)} <= seen
+    assert {("sa2", None), ("sa2", "pair commutes")} <= seen
+
+
+# Substitute-first proofs: a form expanded on operands with the bindings
+# applied equals the free expansion with the bindings substituted, term for
+# term.
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_substitute_first_matches_expand_then_substitute(name):
+    n = 4 if name == "parametric4" else 3
+    sm = symbolic_model(name)
+    op = sm.operation
+    forms = {"product": lambda a, b, c: multiply(op, a, b),
+             "commutator": lambda a, b, c: commutator(op, a, b),
+             "associator": lambda a, b, c: associator(op, a, b, c),
+             "lps": lambda a, b, c: lps(op, a, b, c)}
+    for binds in (shared_direction_subs(n, ("a", "b", "c")),
+                  ratio_subs(n, ("b", "c"))):
+        operands = _bound_operands(n, binds)
+        for kind, form in forms.items():
+            want = [p.substitute(binds) for p in symbolic_components(sm, kind)]
+            got = form(*operands)
+            assert [p.terms for p in got] == [p.terms for p in want], kind
+            assert [repr(p) for p in got] == [repr(p) for p in want], kind
+
+
+# The checks run their trials on plain values: multiply sees only the
+# symbolic proofs' Polynomials, and nothing is substituted.
+@pytest.mark.parametrize("name,p", [("parametric4", None),
+                                    ("nonlinear3", BIG_PRIME),
+                                    ("broken3", None)])
+def test_axiom_trials_never_multiply_field_elements(name, p, monkeypatch):
+    model = diff_model(name, Field(p))
+    seen = []
+    real = algebra.multiply
+
+    def spy(op, a, b):
+        seen.extend(type(x) for x in (*a, *b))
+        return real(op, a, b)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("stratalg") and \
+                getattr(module, "multiply", None) is real:
+            monkeypatch.setattr(module, "multiply", spy)
+    plan = SamplingPlan(samples=10, seed=3, chain_length_max=3)
+    axiom_report(model, plan=plan)
+    case_analysis(model, plan=plan)
+    assert set(seen) == ({Polynomial} if name in BUILTIN_NAMES else set())
+    if model.operation.is_bilinear:
+        # the tensor criterion's basis triple is checked on values
+        seen.clear()
+        triple = _non_associative_triple(model, random.Random(0), 10)
+        assert triple["status"] == HOLDS and not seen
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_axiom_checks_never_substitute(name, monkeypatch):
+    calls = []
+    real = Polynomial.substitute
+    monkeypatch.setattr(Polynomial, "substitute",
+                        lambda self, binds: calls.append(1) or
+                        real(self, binds))
+    model = diff_model(name, Field())
+    plan = SamplingPlan(samples=5, seed=2, chain_length_max=3)
+    axiom_report(model, plan=plan)
+    case_analysis(model, plan=plan)
+    assert calls == []

@@ -3,9 +3,13 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stratalg
 from stratalg import (SamplingPlan, axioms, builtin_model, cli,
                       model_from_json, model_to_json)
 from stratalg.axioms import MAX_SAMPLES
@@ -404,6 +408,31 @@ def test_model_without_strata_rule_is_a_usage_error(capsys, tmp_path,
         assert err.startswith("error: model nonlinear3 declares no strata "
                               "rule")
         assert err.count("\n") == 1
+
+
+def test_axioms_on_a_plane_model_exits_instead_of_hanging(tmp_path):
+    """A 2-D model's tail has one coordinate, where no two co-stratal
+    directions are distinct: axioms exits 2 with a message (it looped
+    forever before). Run in a subprocess, so a hang fails the test."""
+    entries = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 2}
+    obj = {"name": "plane2", "dimension": 2,
+           "field": {"kind": "Fp", "p": 7},
+           "operation": {"bilinear": [{"i": i, "j": j, "k": k, "c": str(c)}
+                                      for (i, j, k), c in entries.items()]},
+           "strata_rule": {"kind": "ratio", "coords": [0, 1]}}
+    path = tmp_path / "plane2.json"
+    path.write_text(json.dumps(obj))
+    src = os.path.dirname(os.path.dirname(stratalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stratalg.cli", "axioms", "--model", str(path)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: 2 distinct co-stratal directions "
+                                  "need a tail of at least 2 coordinates")
+    assert "ROADMAP item 1" in proc.stderr
 
 
 P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
