@@ -558,24 +558,18 @@ def check_sa3(model, plan=None):
 # ---------------------------------------------------------------------------
 # SA4: bracket sensitivity
 
-def _left_chain_values(op, acc, mults):
-    for q in mults:
-        acc = multiply_values(op, acc, q)
-    return acc
-
-
 def _sa4_point(model, rng, m, split, da, db):
     """(ok, note, base, mults): base on direction db, m multipliers on da,
     the chain bracketed after its first split multipliers."""
-    op = model.operation
+    mul = functools.partial(multiply_values, model.operation)
     base = _draw_on_direction(model.field, rng, db)
     mults = [_draw_on_direction(model.field, rng, da) for _ in range(m)]
     la = label_str(model, mults[0])
     lb = label_str(model, base)
-    head = _left_chain_values(op, base, mults[:split])
-    left = _left_chain_values(op, head, mults[split:])
-    tail = _left_chain_values(op, mults[split], mults[split + 1:])
-    bracketed = multiply_values(op, head, tail)
+    head = functools.reduce(mul, mults[:split], base)  # left chains
+    left = functools.reduce(mul, mults[split:], head)
+    tail = functools.reduce(mul, mults[split + 1:], mults[split])
+    bracketed = mul(head, tail)
     if bracketed == left:
         return False, "bracketed value equals the left chain", base, mults
     if is_zero_vector(bracketed):
