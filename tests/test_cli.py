@@ -525,7 +525,9 @@ def test_parser_defaults_are_immutable():
 # associativity report with mismatches. The two graphs after the first two
 # were frozen from the scan that folded left tables against coordinate
 # planes: an exhaustive scan with n = 4 whose last block is ragged, and one
-# over the exceptional ledger of a discovered partition
+# over the exceptional ledger of a discovered partition. The last two are the
+# text reports of a declared partition and of a discovered one with an
+# exceptional ledger, frozen while the counts still came from member lists
 GOLDEN_OUTPUTS = [
     (["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
       "--field", "fp:11", "--json", "--seed", "3"], 0,
@@ -577,6 +579,12 @@ GOLDEN_OUTPUTS = [
     (["check-assoc", "--builtin", "parametric3", "--params", "16,8,5,3,7,11",
       "--json"], 1,
      "ad89435bea549beb274a4cd0111ac40dc6f5e360c8847d1c84fc8bf36b25ae57"),
+    (["strata", "--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
+      "--field", "fp:7"], 0,
+     "41fa2be04922953333654f4a5ed9203a0229f5021b1caf3aff349302e20a6729"),
+    (["strata", "--builtin", "nonlinear3", "--params", "2,3,1,4,1,2",
+      "--field", "fp:5", "--discover"], 0,
+     "a6d76ba0767dcea4df74bb103a9b0d4b449ca6ea2c930f0511d499ffa8e1a49b"),
 ]
 
 
@@ -587,7 +595,8 @@ GOLDEN_OUTPUTS = [
          "strata-nonlinear3-f7", "strata-parametric4-f5",
          "discover-nonlinear3-f5-ledger", "discover-nonlinear3-f13",
          "kex-agreed", "kex-failed", "kex-recover", "axioms-q", "axioms-f19",
-         "identities-parametric4", "check-assoc-mismatches"])
+         "identities-parametric4", "check-assoc-mismatches",
+         "strata-text-nonlinear3-f7", "discover-text-nonlinear3-f5-ledger"])
 def test_output_matches_golden_digest(capsys, argv, code, digest):
     rc, out, _ = run(capsys, argv)
     assert rc == code
