@@ -453,17 +453,6 @@ def _parametric4_matrices(field, P):
     return MatrixFormulation(4, [e0, e1, e2, e3], lams)
 
 
-def _nonlinear3_entries(field, P):
-    # bilinear part matches parametric3 with the F terms' signs flipped
-    one = field.one()
-    A, B, C, D, E, F = (P[k] for k in PARAM_LETTERS)
-    return {
-        (0, 0, 0): one, (1, 1, 0): A, (2, 2, 0): B, (2, 1, 0): C, (1, 2, 0): D,
-        (1, 0, 1): one, (0, 1, 1): one, (2, 1, 1): E, (1, 2, 1): -E,
-        (2, 0, 2): one, (0, 2, 2): one, (2, 1, 2): -F, (1, 2, 2): F,
-    }
-
-
 def make_params(field, values):
     """Accepts a mapping with keys A..F or a sequence of six scalars."""
     if values is None:
@@ -477,76 +466,9 @@ def make_params(field, values):
     return {k: field.element(v) for k, v in zip(PARAM_LETTERS, seq)}
 
 
-def builtin_model(name, params=None, field=None):
-    if field is None:
-        field = Field()
-    if name == "basic3":
-        mf = _basic3_matrices(field)
-        op = AffineOperation(matrix_to_tensor(mf), zero=field.zero())
-        return ModelSpec("basic3", 3, field, op, strata_rule=RATIO_RULE_3D)
-    P = make_params(field, params)
-    if P is None:
-        raise ValueError(f"model {name} requires params A..F")
-    if name == "parametric3":
-        op = AffineOperation(StructureTensor(3, _parametric3_entries(field, P)),
-                             zero=field.zero())
-        return ModelSpec(name, 3, field, op, strata_rule=RATIO_RULE_3D,
-                         params=P)
-    if name == "parametric4":
-        mf = _parametric4_matrices(field, P)
-        op = AffineOperation(matrix_to_tensor(mf), zero=field.zero())
-        return ModelSpec(name, 4, field, op, strata_rule=RATIO_RULE_4D,
-                         params=P)
-    if name == "nonlinear3":
-        one = field.one()
-        eye = {(i, i): one for i in range(3)}
-        op = AffineOperation(StructureTensor(3, _nonlinear3_entries(field, P)),
-                             linear_a=eye, linear_b=dict(eye),
-                             zero=field.zero())
-        return ModelSpec(name, 3, field, op, strata_rule=RATIO_RULE_3D,
-                         params=P)
-    raise ValueError(f"unknown builtin model {name!r}")
-
-
-def symbolic_model(name, params=None):
-    """Builtin with Polynomial entries; params default to the symbols A..F."""
-    if params is None:
-        params = {k: Polynomial.var(k) for k in PARAM_LETTERS}
-    else:
-        params = {k: Polynomial.const(v) if not isinstance(v, Polynomial) else v
-                  for k, v in zip(PARAM_LETTERS, _param_seq(params))}
-    one = Polynomial.const(1)
-    zero = Polynomial()
-    if name == "basic3":
-        return symbolic_model("parametric3", [1, 1, 1, 1, 1, -1])
-    if name == "parametric3":
-        entries = _poly_entries(_parametric3_entries, params)
-        op = AffineOperation(StructureTensor(3, entries), zero=zero)
-        return ModelSpec(name, 3, None, op, strata_rule=RATIO_RULE_3D,
-                         params=params)
-    if name == "parametric4":
-        entries = _poly_entries(_parametric4_tensor_entries, params)
-        op = AffineOperation(StructureTensor(4, entries), zero=zero)
-        return ModelSpec(name, 4, None, op, strata_rule=RATIO_RULE_4D,
-                         params=params)
-    if name == "nonlinear3":
-        entries = _poly_entries(_nonlinear3_entries, params)
-        eye = {(i, i): one for i in range(3)}
-        op = AffineOperation(StructureTensor(3, entries),
-                             linear_a=eye, linear_b=dict(eye), zero=zero)
-        return ModelSpec(name, 3, None, op, strata_rule=RATIO_RULE_3D,
-                         params=params)
-    raise ValueError(f"unknown builtin model {name!r}")
-
-
-def _param_seq(params):
-    if isinstance(params, dict):
-        return [params[k] for k in PARAM_LETTERS]
-    return list(params)
-
-
-class _PolyField:
-    """Minimal field-like shim so the entry builders work on Polynomials."""
+class _PolyRing:
+    """The scalars of the symbolic models: the Field methods that
+    make_params and the entry and matrix builders call."""
 
     @staticmethod
     def one():
@@ -556,17 +478,49 @@ class _PolyField:
     def zero():
         return Polynomial()
 
-
-_PolyRing = _PolyField()
-
-
-def _poly_entries(builder, params):
-    return builder(_PolyRing, params)
+    @staticmethod
+    def element(v):
+        return v if isinstance(v, Polynomial) else Polynomial.const(v)
 
 
-def _parametric4_tensor_entries(ring, P):
-    mf = _parametric4_matrices(ring, P)
-    return matrix_to_tensor(mf).entries
+def _family(name, ring, params, field):
+    """Built-in family name with scalars from ring (a Field, or _PolyRing
+    for the symbolic twins) at params (make_params over ring; basic3 takes
+    none and ignores any given), as a ModelSpec over field."""
+    linear = {}
+    P = None if name == "basic3" else make_params(ring, params)
+    if name == "basic3":
+        tensor = matrix_to_tensor(_basic3_matrices(ring))
+    elif P is None:
+        raise ValueError(f"model {name} requires params A..F")
+    elif name == "parametric3":
+        tensor = StructureTensor(3, _parametric3_entries(ring, P))
+    elif name == "parametric4":
+        tensor = matrix_to_tensor(_parametric4_matrices(ring, P))
+    elif name == "nonlinear3":
+        # parametric3's bilinear part with the F terms' signs flipped
+        flip = {**P, "F": -P["F"]}
+        tensor = StructureTensor(3, _parametric3_entries(ring, flip))
+        eye = {(i, i): ring.one() for i in range(3)}
+        linear = {"linear_a": eye, "linear_b": dict(eye)}
+    else:
+        raise ValueError(f"unknown builtin model {name!r}")
+    op = AffineOperation(tensor, zero=ring.zero(), **linear)
+    rule = RATIO_RULE_4D if tensor.n == 4 else RATIO_RULE_3D
+    return ModelSpec(name, tensor.n, field, op, strata_rule=rule, params=P)
+
+
+def builtin_model(name, params=None, field=None):
+    if field is None:
+        field = Field()
+    return _family(name, field, params, field)
+
+
+def symbolic_model(name, params=None):
+    """Builtin with Polynomial entries; params default to the symbols A..F."""
+    if params is None:
+        params = {k: Polynomial.var(k) for k in PARAM_LETTERS}
+    return _family(name, _PolyRing, params, None)
 
 
 def coordinate_vars(prefix, n):

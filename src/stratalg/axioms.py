@@ -162,6 +162,9 @@ SAMPLE_BOUND = 20  # over Q: numerators in [-20, 20], denominators in [1, 20]
 
 
 def _draw_direction(field, rng, tail_len):
+    if tail_len < 1:  # an empty tail is never nonzero: no redraw would end
+        raise ValueError("a 1-dimensional model has no tail coordinates to "
+                         "draw a co-stratal direction on")
     while True:
         d = [field.sample_value(rng, SAMPLE_BOUND) for _ in range(tail_len)]
         if any(d):

@@ -266,14 +266,17 @@ def cmd_strata(args):
             obj["declared_rule_agreement"] = agreement
         emit_json(args, obj)
     else:
+        # counted from the label codes: member lists would hold every vector
         sizes = part.sizes()
+        total = part.total()
+        exceptional = part.p ** part.n - 1 - total
         lines = [f"partition ({part.provenance}) of F_{part.p}^{part.n}: "
-                 f"{len(part.strata)} strata, {part.total()} vectors, "
-                 f"{len(part.exceptional)} exceptional"]
+                 f"{len(sizes)} strata, {total} vectors, "
+                 f"{exceptional} exceptional"]
         for label in sizes:
             lines.append(f"  {label}: {sizes[label]}")
-        if part.exceptional:
-            lines.append(f"  exceptional: {len(part.exceptional)}")
+        if exceptional:
+            lines.append(f"  exceptional: {exceptional}")
         if agreement:
             lines.append("agrees with declared rule on non-exceptional "
                          f"vectors: {agreement['agrees_on_non_exceptional']}")

@@ -8,6 +8,7 @@ aggregated stratum-transition graphs with DOT/JSON export.
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -372,7 +373,7 @@ def return_edge_stats(graph):
             returning_edges[(a, via, c)] = count
     # zero products of cross pairs are landings too, but carry no edge;
     # they are reported separately on the graph itself.
-    fraction = returns / cross if cross else 0.0
+    fraction = Fraction(returns, cross) if cross else Fraction(0)
     return {"cross_pairs": cross, "returning_pairs": returns,
             "fraction": fraction, "edges": returning_edges}
 

@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .algebra import is_zero_vector, model_to_json
-from .axioms import label_str, require_rule
+from .axioms import _draw_direction, label_str, require_rule
 from .dynamics import chain_path
 from .field import _vec_json
 from .strata import label_index_to_str, label_indices, space_matrix, \
@@ -195,22 +195,16 @@ def seeded_session(model, seed, lengths=(3, 4)):
     rng = random.Random(f"{seed}:kex")
     tail = model.dimension - 1
 
-    def draw_tail():
-        d = tuple(rng.randrange(p) for _ in range(tail))
-        while not any(d):
-            d = tuple(rng.randrange(p) for _ in range(tail))
-        return d
-
     def on_direction(d):
         scale = rng.randrange(1, p)
         return tuple(field.element(x) for x in
                      (rng.randrange(p),) + tuple(c * scale % p for c in d))
 
-    d = draw_tail()
+    d = _draw_direction(field, rng, tail)
     stratum = label_str(model, on_direction(d))
-    base = on_direction(draw_tail())
+    base = on_direction(_draw_direction(field, rng, tail))
     while label_str(model, base) == stratum:
-        base = on_direction(draw_tail())
+        base = on_direction(_draw_direction(field, rng, tail))
     alice_secret = [on_direction(d) for _ in range(lengths[0])]
     bob_secret = [on_direction(d) for _ in range(lengths[1])]
     return init_session(model, base, alice_secret, bob_secret)

@@ -165,28 +165,21 @@ def _as_operation(op):
 
 
 def to_dense_arrays(op, p):
-    """Dense int64 (T, La, Lb) reduced mod p for the kernels."""
+    """Dense int64 (T, La, Lb) reduced mod p for the kernels: the blocks
+    [:n, :n], [:n, n] and [n, :n] of op.plain's rows as one (n+1, n+1, n)
+    array, each coefficient divided by op.plain.den."""
     op = _as_operation(op)
-    n = op.n
-    T = np.zeros((n, n, n), dtype=np.int64)
-    for (i, j, k), c in op.bilinear.entries.items():
-        T[i, j, k] = _residue(c, p)
-    La = np.zeros((n, n), dtype=np.int64)
-    for (i, k), c in op.linear_a.items():
-        La[i, k] = _residue(c, p)
-    Lb = np.zeros((n, n), dtype=np.int64)
-    for (j, k), c in op.linear_b.items():
-        Lb[j, k] = _residue(c, p)
-    return T, La, Lb
-
-
-def _residue(c, p):
-    v = _as_value(c)
-    if isinstance(v, Fraction):
-        if v.denominator % p == 0:
-            raise ZeroDivisionError(f"denominator of {v} vanishes mod {p}")
-        return v.numerator * pow(v.denominator, -1, p) % p
-    return int(v) % p
+    if op.plain is None:
+        raise ValueError("dense arrays need an operation over one field")
+    _, den, rows = op.plain
+    if den % p == 0:
+        raise ZeroDivisionError(f"denominator {den} vanishes mod {p}")
+    inv, n = pow(den, -1, p), op.n
+    T = np.zeros((n + 1, n + 1, n), dtype=np.int64)
+    for k, row in enumerate(rows):
+        for i, j, c in row:
+            T[i, j, k] = c * inv % p
+    return T[:n, :n], T[:n, n], T[n, :n]
 
 
 def label_indices(V, p, rule):

@@ -13,6 +13,7 @@ from stratalg import (
     FieldElement,
     MatrixFormulation,
     ModelSpec,
+    Polynomial,
     StructureTensor,
     associativity_check,
     associator,
@@ -381,3 +382,143 @@ def test_chain_orderings_match_every_permutation(f19, monkeypatch):
     chain_orderings(op, values(base),
                     [values(rand_vec(f19, rng, 3)) for _ in range(5)])
     assert len(calls) == 5 + 20 + 60 + 120 + 120
+
+
+# The builders before the family builder, kept as the differential
+# reference: one if-chain each for the numeric and the symbolic models, the
+# symbolic basic3 being parametric3 at (1, 1, 1, 1, 1, -1).
+def old_nonlinear3_entries(field, P):
+    one = field.one()
+    A, B, C, D, E, F = (P[k] for k in PARAM_LETTERS)
+    return {
+        (0, 0, 0): one, (1, 1, 0): A, (2, 2, 0): B, (2, 1, 0): C, (1, 2, 0): D,
+        (1, 0, 1): one, (0, 1, 1): one, (2, 1, 1): E, (1, 2, 1): -E,
+        (2, 0, 2): one, (0, 2, 2): one, (2, 1, 2): -F, (1, 2, 2): F,
+    }
+
+
+def old_builtin_model(name, params=None, field=None):
+    from stratalg.algebra import (RATIO_RULE_3D, RATIO_RULE_4D,
+                                  _basic3_matrices, _parametric3_entries,
+                                  _parametric4_matrices)
+    if field is None:
+        field = Field()
+    if name == "basic3":
+        mf = _basic3_matrices(field)
+        op = AffineOperation(matrix_to_tensor(mf), zero=field.zero())
+        return ModelSpec("basic3", 3, field, op, strata_rule=RATIO_RULE_3D)
+    P = make_params(field, params)
+    if P is None:
+        raise ValueError(f"model {name} requires params A..F")
+    if name == "parametric3":
+        op = AffineOperation(StructureTensor(3, _parametric3_entries(field, P)),
+                             zero=field.zero())
+        return ModelSpec(name, 3, field, op, strata_rule=RATIO_RULE_3D,
+                         params=P)
+    if name == "parametric4":
+        mf = _parametric4_matrices(field, P)
+        op = AffineOperation(matrix_to_tensor(mf), zero=field.zero())
+        return ModelSpec(name, 4, field, op, strata_rule=RATIO_RULE_4D,
+                         params=P)
+    if name == "nonlinear3":
+        one = field.one()
+        eye = {(i, i): one for i in range(3)}
+        op = AffineOperation(StructureTensor(3, old_nonlinear3_entries(field, P)),
+                             linear_a=eye, linear_b=dict(eye),
+                             zero=field.zero())
+        return ModelSpec(name, 3, field, op, strata_rule=RATIO_RULE_3D,
+                         params=P)
+    raise ValueError(f"unknown builtin model {name!r}")
+
+
+class OldPolyField:
+    @staticmethod
+    def one():
+        return Polynomial.const(1)
+
+    @staticmethod
+    def zero():
+        return Polynomial()
+
+
+def old_symbolic_model(name, params=None):
+    from stratalg.algebra import (RATIO_RULE_3D, RATIO_RULE_4D,
+                                  _parametric3_entries, _parametric4_matrices)
+    if params is None:
+        params = {k: Polynomial.var(k) for k in PARAM_LETTERS}
+    else:
+        seq = ([params[k] for k in PARAM_LETTERS] if isinstance(params, dict)
+               else list(params))
+        params = {k: Polynomial.const(v) if not isinstance(v, Polynomial)
+                  else v for k, v in zip(PARAM_LETTERS, seq)}
+    one = Polynomial.const(1)
+    zero = Polynomial()
+    if name == "basic3":
+        return old_symbolic_model("parametric3", [1, 1, 1, 1, 1, -1])
+    if name == "parametric3":
+        entries = _parametric3_entries(OldPolyField(), params)
+        op = AffineOperation(StructureTensor(3, entries), zero=zero)
+        return ModelSpec(name, 3, None, op, strata_rule=RATIO_RULE_3D,
+                         params=params)
+    if name == "parametric4":
+        mf = _parametric4_matrices(OldPolyField(), params)
+        op = AffineOperation(StructureTensor(4, matrix_to_tensor(mf).entries),
+                             zero=zero)
+        return ModelSpec(name, 4, None, op, strata_rule=RATIO_RULE_4D,
+                         params=params)
+    if name == "nonlinear3":
+        entries = old_nonlinear3_entries(OldPolyField(), params)
+        eye = {(i, i): one for i in range(3)}
+        op = AffineOperation(StructureTensor(3, entries),
+                             linear_a=eye, linear_b=dict(eye), zero=zero)
+        return ModelSpec(name, 3, None, op, strata_rule=RATIO_RULE_3D,
+                         params=params)
+    raise ValueError(f"unknown builtin model {name!r}")
+
+
+def seeded_params(seed):
+    """Six scalars with small numerators and denominators, some not
+    integral (they reduce mod p over a prime field)."""
+    rng = random.Random(f"{seed}:builder-params")
+    return tuple(Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 5)))
+                 for _ in range(6))
+
+
+@pytest.mark.parametrize("p", [None, 7, 1000000000039])
+@pytest.mark.parametrize("name", algebra.BUILTIN_NAMES)
+def test_family_builder_matches_the_old_numeric_builder(name, p):
+    field = Field(p)
+    for seed in range(4):
+        params = None if name == "basic3" else seeded_params(f"{name}:{seed}")
+        new = builtin_model(name, params, field)
+        old = old_builtin_model(name, params, field)
+        assert algebra._coefficients(new.operation) == \
+            algebra._coefficients(old.operation)
+        assert (new.name, new.dimension, new.field, new.strata_rule,
+                new.params) == \
+            (old.name, old.dimension, old.field, old.strata_rule, old.params)
+        assert new.operation.plain == old.operation.plain
+
+
+def symbolic_terms(op):
+    return [{key: c.terms for key, c in part.items()}
+            for part in algebra._coefficients(op)]
+
+
+@pytest.mark.parametrize("name", algebra.BUILTIN_NAMES)
+def test_family_builder_matches_the_old_symbolic_builder(name):
+    for params in (None, seeded_params(name), (16, 8, 5, 3, 7, 11)):
+        new = symbolic_model(name, params)
+        old = old_symbolic_model(name, params)
+        assert symbolic_terms(new.operation) == symbolic_terms(old.operation)
+        assert new.dimension == old.dimension
+        assert new.strata_rule == old.strata_rule
+        assert new.field is None
+        if name == "basic3":
+            # the one intended change: basic3's own matrices, its own name,
+            # and no params
+            assert (new.name, new.params) == ("basic3", None)
+            assert (old.name, old.params["F"]) == ("parametric3",
+                                                    Polynomial.const(-1))
+        else:
+            assert (new.name, new.params) == (old.name, old.params)

@@ -3,12 +3,15 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import stratalg
 from stratalg import (
     AffineOperation,
     Field,
@@ -1000,3 +1003,61 @@ def test_axiom_checks_never_substitute(name, monkeypatch):
     axiom_report(model, plan=plan)
     case_analysis(model, plan=plan)
     assert calls == []
+
+
+def test_a_symbolic_proof_that_fails_is_reported(monkeypatch):
+    """The SA1 proof is not vacuous: parametric3 with broken3's (1, 0, 0)
+    coefficient added loses in-stratum commutativity for every
+    specialization, and check_sa1 over Q then does not hold."""
+    entries = algebra._parametric3_entries
+
+    def broken(ring, P):
+        out = dict(entries(ring, P))
+        out[(1, 0, 0)] = out.get((1, 0, 0), ring.zero()) + ring.one()
+        return out
+
+    monkeypatch.setattr(algebra, "_parametric3_entries", broken)
+    laws, residuals = _symbolic_in_stratum("parametric3", 3)
+    assert laws["commutative"] is False
+    assert residuals["commutative"]
+    model = builtin_model("parametric3", params=(16, 8, 5, 3, 7, 11))
+    rep = check_sa1(model, plan=SamplingPlan(samples=20, seed=1))
+    assert rep["clauses"]["symbolic"]["laws"]["commutative"] is False
+    assert rep["verdict"] != HOLDS
+
+
+ONE_DIMENSIONAL_CALLS = {
+    "axiom_report-q": "axiom_report(line(Field()), "
+                      "plan=SamplingPlan(samples=5))",
+    "seeded_session-f7": "seeded_session(line(Field(7)), 3)",
+}
+
+
+@pytest.mark.parametrize("call", ONE_DIMENSIONAL_CALLS.values(),
+                         ids=ONE_DIMENSIONAL_CALLS.keys())
+def test_one_dimensional_models_raise_instead_of_hanging(call):
+    """A 1-D model has an empty tail, which is never a nonzero direction:
+    the co-stratal draw raises ValueError (it redrew forever before). Run
+    in a subprocess, so a hang fails the test."""
+    script = "\n".join([
+        "from stratalg import (AffineOperation, Field, ModelSpec,",
+        "                      SamplingPlan, StructureTensor, axiom_report)",
+        "from stratalg.kex import seeded_session",
+        "def line(f):",
+        "    op = AffineOperation(StructureTensor(1, {(0, 0, 0): f.one()}),",
+        "                         zero=f.zero())",
+        "    return ModelSpec('line1', 1, f, op)",
+        "try:",
+        f"    {call}",
+        "except ValueError as exc:",
+        "    print(exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(stratalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("a 1-dimensional model has no tail coordinates "
+                           "to draw a co-stratal direction on\n")

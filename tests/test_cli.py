@@ -16,6 +16,7 @@ from stratalg.axioms import MAX_SAMPLES
 from stratalg.cli import build_parser, main
 from stratalg.dynamics import MAX_STEPS, MAX_TALLY_BINS
 from stratalg.kex import MAX_SECRET_LENGTH
+from stratalg.strata import StratumPartition
 from stratalg.field import Field
 
 APPENDIX_REPORT = """\
@@ -159,6 +160,22 @@ def test_strata_discovered_with_agreement(capsys):
     assert obj["provenance"] == "discovered"
     assert obj["declared_rule_agreement"]["agrees_on_non_exceptional"] is True
     assert len(obj["exceptional"]) == 18
+
+
+def test_strata_text_counts_without_member_lists(capsys, monkeypatch):
+    """The text report counts strata and the ledger from the label codes:
+    it builds no member list, whose tuples would hold every vector."""
+    def refuse(self, as_members):
+        raise AssertionError("member lists built for a text report")
+
+    monkeypatch.setattr(StratumPartition, "_grouped", refuse)
+    for extra in ([], ["--discover"]):
+        rc, out, _ = run(capsys, ["strata", "--builtin", "nonlinear3",
+                                  "--params", "2,3,1,4,1,2", "--field", "fp:5",
+                                  *extra])
+        assert rc == 0
+        assert out.startswith("partition (")
+    assert out.splitlines()[-2] == "  exceptional: 4"
 
 
 def test_strata_full_members(capsys):

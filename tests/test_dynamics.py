@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 from collections import Counter
 
 import numpy as np
@@ -283,6 +284,9 @@ def test_transition_graph_exhaustive_invariants(p, name, params):
     stats = return_edge_stats(g)
     assert stats["returning_pairs"] > 0
     assert abs(stats["fraction"] - 2 / p) < 0.05
+    assert type(stats["fraction"]) is Fraction  # exact, not a float
+    assert stats["fraction"] == Fraction(stats["returning_pairs"],
+                                         stats["cross_pairs"])
     loops = self_loop_report(g)
     assert set(loops) == set(g.nodes)
     for label, entry in loops.items():

@@ -2,15 +2,20 @@
 output."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stratalg import Field, builtin_model, discover_strata, multiply, vector
+from stratalg import (AffineOperation, Field, FieldElement, StructureTensor,
+                      builtin_model, discover_strata, multiply, symbolic_model,
+                      vector)
 from stratalg import _kernels
+from stratalg.algebra import BUILTIN_NAMES
 from stratalg.dynamics import EXHAUSTIVE_SPACE
 from stratalg.field import is_prime
 from stratalg.kex import BRUTE_FORCE_CAP
@@ -269,3 +274,91 @@ def test_discovery_matches_golden_digest(name, params, p, digest):
     report = discover_strata(model, p).to_json(full=True)
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# to_dense_arrays before it read the compiled operation, kept as the
+# differential reference: three walks over the coefficient dicts, each
+# coefficient reduced on its own.
+def old_residue(c, p):
+    v = c.value if isinstance(c, FieldElement) else c
+    if isinstance(v, Fraction):
+        if v.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator of {v} vanishes mod {p}")
+        return v.numerator * pow(v.denominator, -1, p) % p
+    return int(v) % p
+
+
+def old_to_dense_arrays(op, p):
+    n = op.n
+    T = np.zeros((n, n, n), dtype=np.int64)
+    for (i, j, k), c in op.bilinear.entries.items():
+        T[i, j, k] = old_residue(c, p)
+    La = np.zeros((n, n), dtype=np.int64)
+    for (i, k), c in op.linear_a.items():
+        La[i, k] = old_residue(c, p)
+    Lb = np.zeros((n, n), dtype=np.int64)
+    for (j, k), c in op.linear_b.items():
+        Lb[j, k] = old_residue(c, p)
+    return T, La, Lb
+
+
+def fraction_operation(rng, n):
+    """An affine operation over Q with Fraction coefficients whose
+    denominators are products of 2, 3 and 5."""
+    q = Field()
+
+    def coeff():
+        return q.element(Fraction(int(rng.integers(-50, 51)),
+                                  int(rng.choice([1, 2, 3, 4, 5, 6, 9, 10]))))
+    keys = lambda r: [key for key in itertools.product(range(n), repeat=r)
+                      if rng.random() < 0.5]
+    return AffineOperation(StructureTensor(n, {k: coeff() for k in keys(3)}),
+                           {k: coeff() for k in keys(2)},
+                           {k: coeff() for k in keys(2)}, zero=q.zero())
+
+
+def assert_same_dense_arrays(op, p):
+    new, old = to_dense_arrays(op, p), old_to_dense_arrays(op, p)
+    for x, y in zip(new, old):
+        assert x.dtype == np.int64 and x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 1000000000039])
+def test_dense_arrays_match_the_old_coefficient_walk(p):
+    for name in BUILTIN_NAMES:
+        params = None if name == "basic3" else (2, 3, 5, 1, 4, 6)
+        for field in (Field(p), Field()):
+            assert_same_dense_arrays(
+                builtin_model(name, params, field).operation, p)
+        # Q params with denominators prime to p, reduced mod p
+        if params:
+            q_params = [Fraction(x, 2 + x % 3) for x in params]
+            assert_same_dense_arrays(
+                builtin_model(name, q_params, Field()).operation, p)
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 3, 4):
+        assert_same_dense_arrays(fraction_operation(rng, n), p)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_dense_arrays_refuse_a_denominator_that_vanishes_mod_p(p):
+    """An operation over Q with one coefficient 1/p (its others have
+    denominators prime to p) has no arrays mod p, in the old walk and the
+    new one; another prime reduces it."""
+    q = Field()
+    op = fraction_operation(np.random.default_rng(p), 3)
+    op = AffineOperation(StructureTensor(3, {**op.bilinear.entries,
+                                             (2, 1, 0): q.element(
+                                                 Fraction(1, p))}),
+                         op.linear_a, op.linear_b, zero=q.zero())
+    with pytest.raises(ZeroDivisionError):
+        old_to_dense_arrays(op, p)
+    with pytest.raises(ZeroDivisionError):
+        to_dense_arrays(op, p)
+    assert_same_dense_arrays(op, 101)
+
+
+def test_dense_arrays_need_a_compiled_operation():
+    with pytest.raises(ValueError):
+        to_dense_arrays(symbolic_model("parametric3").operation, 7)
