@@ -632,12 +632,15 @@ def model_from_json(obj, field=None):
         params = {k: scalar(v) for k, v in params.items()}
     name = obj.get("name", "custom")
     # the axiom checks and the identity suite apply a built-in's symbolic
-    # proofs by name, so a file may take that name only for its operation
+    # proofs by name, and those bind the built-in's rule coordinates, so a
+    # file may take that name only for its operation and rule
     if name in BUILTIN_NAMES:
-        ref = builtin_model(name, params, f).operation
-        if _coefficients(op) != _coefficients(ref):
+        ref = builtin_model(name, params, f)
+        if _coefficients(op) != _coefficients(ref.operation):
             raise ValueError(f"the operation is not built-in {name}'s over "
                              f"{f}" + (" at these params" if params else ""))
+        if rule and rule != ref.strata_rule:
+            raise ValueError(f"the strata rule is not built-in {name}'s")
     return ModelSpec(name, n, f, op, strata_rule=rule, params=params)
 
 

@@ -108,10 +108,10 @@ class SamplingPlan:
 # Substitution templates
 
 def shared_direction_subs(n, prefixes=("a", "b")):
-    """Put every listed vector on one common tail direction:
-    x_i -> s_x * d_i for i >= 1, heads x_0 free. Covers every stratum label
-    at once, including the infinite branches, because no ratio is inverted.
-    """
+    """Put every listed vector on one common direction of the tail, the
+    coordinates of every built-in's rule: x_i -> s_x * d_i for i >= 1,
+    heads x_0 free. Covers every stratum label at once, including the
+    infinite branches, because no ratio is inverted."""
     binds = {}
     for x in prefixes:
         s = Polynomial.var(f"s_{x}")
@@ -154,48 +154,58 @@ def _all_zero(polys):
 
 # ---------------------------------------------------------------------------
 # Seeded vector sampling
-# Every trial draws, multiplies and labels plain values, ints in [0, p) or
-# Fractions (Field.sample_value, multiply_values, label_str); the public
-# samplers wrap the same draws in FieldElements.
+# A co-stratal vector varies on the declared rule's coordinates only: it is
+# s * d there, for a direction d drawn on those coordinates, and free on the
+# others. Every trial draws, multiplies and labels plain values, ints in
+# [0, p) or Fractions (Field.sample_value, multiply_values, label_str).
 
 SAMPLE_BOUND = 20  # over Q: numerators in [-20, 20], denominators in [1, 20]
 
 
-def _draw_direction(field, rng, tail_len):
-    if tail_len < 1:  # an empty tail is never nonzero: no redraw would end
-        raise ValueError("a 1-dimensional model has no tail coordinates to "
-                         "draw a co-stratal direction on")
+def _draw_direction(model, rng):
+    """Nonzero direction on the rule's coordinates (2 for ratio, 3 for
+    ratio-pair)."""
+    require_rule(model)
+    field = model.field
+    k = len(model.strata_rule["coords"])
     while True:
-        d = [field.sample_value(rng, SAMPLE_BOUND) for _ in range(tail_len)]
+        d = [field.sample_value(rng, SAMPLE_BOUND) for _ in range(k)]
         if any(d):
             return d
 
 
-def _draw_on_direction(field, rng, d):
-    """Vector with tail direction d: head free, scale nonzero."""
-    head = field.sample_value(rng, SAMPLE_BOUND)
+def _place(model, free, s, d):
+    """The vector with s * d on the rule's coordinates and the values free
+    on the others, in index order."""
+    p = model.field.p
+    v = [None] * model.dimension
+    for i, x in zip(model.strata_rule["coords"], d):
+        v[i] = s * x % p if p else s * x
+    rest = iter(free)
+    return [next(rest) if x is None else x for x in v]
+
+
+def _draw_on_direction(model, rng, d):
+    """Vector on direction d: the coordinates off the rule free, drawn in
+    index order, then a nonzero scale."""
+    field = model.field
+    free = [field.sample_value(rng, SAMPLE_BOUND)
+            for _ in range(model.dimension - len(d))]
     s = field.sample_value(rng, SAMPLE_BOUND)
     while not s:
         s = field.sample_value(rng, SAMPLE_BOUND)
-    p = field.p
-    return [head] + [s * x % p if p else s * x for x in d]
+    return _place(model, free, s, d)
 
 
-def _draw_distinct_directions(field, rng, tail_len, count):
-    """count pairwise non-proportional tail directions, redrawing each
-    candidate proportional to an earlier one."""
-    if tail_len < 2 and count > 1:
-        # all nonzero 1-coordinate tails span one line: the redraws below
-        # would never end
-        raise ValueError(
-            f"{count} distinct co-stratal directions need a tail of at "
-            f"least 2 coordinates, not {tail_len}: the samplers draw on "
-            "coordinates 1..n-1, not by the declared strata rule "
-            "(ROADMAP item 1)")
-    dirs = [_draw_direction(field, rng, tail_len)]
+def _draw_distinct_directions(model, rng, count):
+    """count pairwise non-proportional directions, redrawing each candidate
+    proportional to an earlier one. A rule has at least 2 coordinates, so
+    even over F_2 there are 3 directions."""
+    dirs = [_draw_direction(model, rng)]
     while len(dirs) < count:
-        d = _draw_direction(field, rng, tail_len)
-        if not any(directions_proportional(d, e, field.p) for e in dirs):
+        d = _draw_direction(model, rng)
+        if not any(directions_proportional(d, e, model.field.p)
+                   for e in dirs):
             dirs.append(d)
     return dirs
 
@@ -204,27 +214,10 @@ def _elements(field, values):
     return tuple([FieldElement(field, x) for x in values])
 
 
-def sample_direction(field, rng, tail_len):
-    """Nonzero tail direction."""
-    return _elements(field, _draw_direction(field, rng, tail_len))
-
-
-def sample_distinct_directions(field, rng, tail_len, count):
-    """count pairwise non-proportional tail directions."""
-    return [_elements(field, d) for d in
-            _draw_distinct_directions(field, rng, tail_len, count)]
-
-
-def _direction_draws(field, rng, n, count, trials):
-    """Lazily, one list of count distinct tail directions per trial."""
+def _direction_draws(model, rng, count, trials):
+    """Lazily, one list of count distinct directions per trial."""
     for _ in range(trials):
-        yield _draw_distinct_directions(field, rng, n - 1, count)
-
-
-def sample_on_direction(field, rng, direction):
-    """Random vector with the given tail direction: head free, scale nonzero."""
-    return _elements(field, _draw_on_direction(
-        field, rng, [field.element(x).value for x in direction]))
+        yield _draw_distinct_directions(model, rng, count)
 
 
 def require_rule(model):
@@ -286,8 +279,8 @@ def _sample_consistency_sa1(model, rng, count=100):
     def fail(kind, *vs):
         return False, (kind, *[_elements(field, v) for v in vs])
     for _ in range(count):
-        d = _draw_direction(field, rng, model.dimension - 1)
-        a, b, c = (_draw_on_direction(field, rng, d) for _ in range(3))
+        d = _draw_direction(model, rng)
+        a, b, c = (_draw_on_direction(model, rng, d) for _ in range(3))
         ab = multiply_values(op, a, b)
         if ab != multiply_values(op, b, a):
             return fail("commutator", a, b)
@@ -385,8 +378,8 @@ def check_sa1(model, strata=None, plan=None):
 def _sa2_point(model, rng, da, db):
     """(ok, note, a, b) for a on direction da and b on db, fresh scales."""
     op = model.operation
-    a = _draw_on_direction(model.field, rng, da)
-    b = _draw_on_direction(model.field, rng, db)
+    a = _draw_on_direction(model, rng, da)
+    b = _draw_on_direction(model, rng, db)
     ab = multiply_values(op, a, b)
     if multiply_values(op, b, a) == ab:
         return False, "pair commutes", a, b
@@ -407,7 +400,7 @@ def check_sa2(model, plan=None):
     plan = plan or SamplingPlan()
     rng = plan.rng("SA2")
     trials = plan.samples
-    draws = _direction_draws(model.field, rng, model.dimension, 2, trials)
+    draws = _direction_draws(model, rng, 2, trials)
     (ok_count,), failed = _rated(
         enumerate(draws), lambda cfg: _sa2_point(model, rng, *cfg[1]))
     exceptions = [{"trial": cfg[0], "a": _vec_json(a), "b": _vec_json(b),
@@ -485,8 +478,8 @@ def _lps_pointwise(model, rng, count):
     op = model.operation
     field = model.field
     for _ in range(count):
-        da, db = _draw_distinct_directions(field, rng, model.dimension - 1, 2)
-        a, b, c = (_draw_on_direction(field, rng, d) for d in (da, db, db))
+        da, db = _draw_distinct_directions(model, rng, 2)
+        a, b, c = (_draw_on_direction(model, rng, d) for d in (da, db, db))
         if multiply_values(op, multiply_values(op, a, b), c) != \
                 multiply_values(op, multiply_values(op, a, c), b):
             return [_elements(field, v) for v in (a, b, c)]
@@ -497,12 +490,11 @@ def _chain_agreement(model, rng, m, trials):
     """Over trials drawn (base, m co-stratal multipliers off the base's
     stratum): how many agree on every left-chain ordering, and the first
     (base, mults) that does not, or None."""
-    field = model.field
     agreed = 0
     first_disagreement = None
-    for da, db in _direction_draws(field, rng, model.dimension, 2, trials):
-        base = _draw_on_direction(field, rng, da)
-        mults = [_draw_on_direction(field, rng, db) for _ in range(m)]
+    for da, db in _direction_draws(model, rng, 2, trials):
+        base = _draw_on_direction(model, rng, da)
+        mults = [_draw_on_direction(model, rng, db) for _ in range(m)]
         values = {v for _, v in chain_orderings(model.operation, base, mults)}
         if len(values) == 1:
             agreed += 1
@@ -565,8 +557,8 @@ def _sa4_point(model, rng, m, split, da, db):
     """(ok, note, base, mults): base on direction db, m multipliers on da,
     the chain bracketed after its first split multipliers."""
     mul = functools.partial(multiply_values, model.operation)
-    base = _draw_on_direction(model.field, rng, db)
-    mults = [_draw_on_direction(model.field, rng, da) for _ in range(m)]
+    base = _draw_on_direction(model, rng, db)
+    mults = [_draw_on_direction(model, rng, da) for _ in range(m)]
     la = label_str(model, mults[0])
     lb = label_str(model, base)
     head = functools.reduce(mul, mults[:split], base)  # left chains
@@ -602,8 +594,7 @@ def check_sa4(model, plan=None):
     def configs():
         # one direction pair per (m, trial), shared by its splits
         for m in chain_lengths:
-            draws = _direction_draws(model.field, rng, model.dimension, 2,
-                                     trials)
+            draws = _direction_draws(model, rng, 2, trials)
             for t, (da, db) in enumerate(draws):
                 for split in range(1, m - 1):
                     yield m, t, split, da, db
@@ -869,7 +860,7 @@ def _case2_point(model, rng, dirs):
     """(noncommutative, associator nonzero, lps nonzero, landed outside
     the operands' strata) for a, b, c on three distinct directions."""
     mul = functools.partial(multiply_values, model.operation)
-    a, b, c = (_draw_on_direction(model.field, rng, d) for d in dirs)
+    a, b, c = (_draw_on_direction(model, rng, d) for d in dirs)
     ab, bc, ac = mul(a, b), mul(b, c), mul(a, c)
     nc = ab != mul(b, a) and bc != mul(c, b) and ac != mul(c, a)
     u, v, w = mul(ab, c), mul(a, bc), mul(ac, b)
@@ -885,7 +876,7 @@ def _case3_point(model, rng, da, db, gammas, deltas):
     outside the operands' strata) for a on da and b, c on db; the strata of
     landings outside go into gammas and deltas."""
     mul = functools.partial(multiply_values, model.operation)
-    a, b, c = (_draw_on_direction(model.field, rng, d) for d in (da, db, db))
+    a, b, c = (_draw_on_direction(model, rng, d) for d in (da, db, db))
     la = label_str(model, a)
     lb = label_str(model, b)
     bc = mul(b, c)
@@ -905,8 +896,8 @@ def _case3_point(model, rng, da, db, gammas, deltas):
 def _case5_point(model, rng, da, db):
     """(ab)(cd) differs from ((ab)c)d, a on da and b, c, d on db."""
     mul = functools.partial(multiply_values, model.operation)
-    a = _draw_on_direction(model.field, rng, da)
-    b, c, d = (_draw_on_direction(model.field, rng, db) for _ in range(3))
+    a = _draw_on_direction(model, rng, da)
+    b, c, d = (_draw_on_direction(model, rng, db) for _ in range(3))
     ab = mul(a, b)
     return (mul(ab, mul(c, d)) != mul(mul(ab, c), d),)
 
@@ -916,7 +907,6 @@ def case_analysis(model, plan=None):
     canonical operand configurations: all co-stratal; all distinct;
     multipliers aligned; permutation symmetry; bracket-sensitive splits."""
     plan = plan or SamplingPlan()
-    field = model.field
     n = model.dimension
     report = {}
 
@@ -934,8 +924,8 @@ def case_analysis(model, plan=None):
         mul = functools.partial(multiply_values, model.operation)
         ok = True
         for _ in range(plan.samples):
-            d = _draw_direction(field, rng, n - 1)
-            a, b, c = (_draw_on_direction(field, rng, d) for _ in range(3))
+            d = _draw_direction(model, rng)
+            a, b, c = (_draw_on_direction(model, rng, d) for _ in range(3))
             u = mul(mul(a, b), c)
             if u != mul(a, mul(b, c)) or u != mul(mul(a, c), b):
                 ok = False
@@ -948,7 +938,7 @@ def case_analysis(model, plan=None):
     trials = plan.samples
 
     # each of the four predicates is retested on its own draws
-    tallies, failed = _rated(_direction_draws(field, rng, n, 3, trials),
+    tallies, failed = _rated(_direction_draws(model, rng, 3, trials),
                              lambda dirs: _case2_point(model, rng, dirs), k=4)
     nc, an, ln, out = tallies
     report["case2"] = {
@@ -966,7 +956,7 @@ def case_analysis(model, plan=None):
     deltas = set()
 
     tallies, _ = _rated(
-        _direction_draws(field, rng, n, 2, trials),
+        _direction_draws(model, rng, 2, trials),
         lambda cfg: _case3_point(model, rng, *cfg, gammas, deltas), k=3)
     an, bc_in, gd_out = tallies
     report["case3"] = {
@@ -986,7 +976,7 @@ def case_analysis(model, plan=None):
 
     rng = plan.rng("case5")
 
-    (differs,), _ = _rated(_direction_draws(field, rng, n, 2, trials),
+    (differs,), _ = _rated(_direction_draws(model, rng, 2, trials),
                            lambda cfg: _case5_point(model, rng, *cfg))
     report["case5"] = {"bracketing_differs_rate": str(Fraction(differs,
                                                                trials)),

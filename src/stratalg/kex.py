@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .algebra import is_zero_vector, model_to_json
-from .axioms import _draw_direction, label_str, require_rule
+from .axioms import _draw_direction, _place, label_str, require_rule
 from .dynamics import chain_path
 from .field import _vec_json
 from .strata import label_index_to_str, label_indices, space_matrix, \
@@ -184,8 +184,10 @@ def eavesdropper_view(transcript):
 
 def seeded_session(model, seed, lengths=(3, 4)):
     """Deterministic session over F_p: pick a multiplier stratum (a
-    tail direction) and a base outside it, then draw secret chains of
-    the given lengths."""
+    direction on the rule's coordinates) and a base outside it, then draw
+    secret chains of the given lengths. Each vector draws its scale before
+    its coordinates off the rule, the reverse of the axiom samplers; the
+    seeded CLI sessions and recovery reports are pinned to this order."""
     field = model.field
     p = field.p
     if p is None:
@@ -193,18 +195,17 @@ def seeded_session(model, seed, lengths=(3, 4)):
     if max(lengths) > MAX_SECRET_LENGTH:
         raise ValueError(f"secret lengths must be at most {MAX_SECRET_LENGTH}")
     rng = random.Random(f"{seed}:kex")
-    tail = model.dimension - 1
 
     def on_direction(d):
         scale = rng.randrange(1, p)
-        return tuple(field.element(x) for x in
-                     (rng.randrange(p),) + tuple(c * scale % p for c in d))
+        free = [rng.randrange(p) for _ in range(model.dimension - len(d))]
+        return tuple(field.element(x) for x in _place(model, free, scale, d))
 
-    d = _draw_direction(field, rng, tail)
+    d = _draw_direction(model, rng)
     stratum = label_str(model, on_direction(d))
-    base = on_direction(_draw_direction(field, rng, tail))
+    base = on_direction(_draw_direction(model, rng))
     while label_str(model, base) == stratum:
-        base = on_direction(_draw_direction(field, rng, tail))
+        base = on_direction(_draw_direction(model, rng))
     alice_secret = [on_direction(d) for _ in range(lengths[0])]
     bob_secret = [on_direction(d) for _ in range(lengths[1])]
     return init_session(model, base, alice_secret, bob_secret)

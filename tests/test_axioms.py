@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stratalg
 from stratalg import (
@@ -39,8 +40,8 @@ from stratalg import (
     verify_identity_suite,
 )
 from stratalg import algebra
-from stratalg.algebra import BUILTIN_NAMES, RATIO_RULE_3D, associator, \
-    is_zero_vector, lps
+from stratalg.algebra import BUILTIN_NAMES, RATIO_RULE_3D, RATIO_RULE_4D, \
+    associator, is_zero_vector, lps
 from stratalg.axioms import (
     DEGENERATE,
     FAILS,
@@ -53,7 +54,10 @@ from stratalg.axioms import (
     _case3_point,
     _case5_point,
     _chain_agreement,
+    _draw_direction,
     _draw_distinct_directions,
+    _draw_on_direction,
+    _elements,
     _lps_pointwise,
     _non_associative_triple,
     _rated,
@@ -64,12 +68,12 @@ from stratalg.axioms import (
     _symbolic_lps_costratal,
     label_str,
     ratio_subs,
-    sample_direction,
-    sample_distinct_directions,
-    sample_on_direction,
     shared_direction_subs,
 )
-from stratalg.strata import directions_proportional, ratio_stratum_of
+from stratalg.field import _vec_json
+from stratalg.kex import run_exchange, seeded_session
+from stratalg.strata import directions_proportional, ratio_stratum_of, \
+    tails_proportional
 
 
 def test_sampling_plan_validation():
@@ -672,24 +676,36 @@ def twin_rngs(*key):
     return random.Random(repr(key)), random.Random(repr(key))
 
 
+def tail_model(field, tail_len):
+    """A model whose rule is the tail 1..tail_len, as the built-ins' rules
+    are. The old_* samplers draw on the tail whatever the rule is, so they
+    are references only on such a model."""
+    n = tail_len + 1
+    op = AffineOperation(StructureTensor(n, {}), zero=field.zero())
+    return ModelSpec("tail", n, field, op,
+                     strata_rule=RATIO_RULE_4D if n == 4 else RATIO_RULE_3D)
+
+
 @pytest.mark.parametrize("p", DIFF_PRIMES, ids=lambda p: f"F_{p}" if p else "Q")
 def test_samplers_match_the_field_element_samplers(p):
     field = Field(p)
-    for tail_len in (1, 2, 3):
+    for tail_len in (2, 3):
+        model = tail_model(field, tail_len)
         old, new = twin_rngs(p, tail_len)
         for _ in range(40):
             pairs = [
                 (old_sample_direction(field, old, tail_len),
-                 sample_direction(field, new, tail_len)),
+                 _elements(field, _draw_direction(model, new))),
                 (old_sample_distinct_directions(field, old, tail_len, 1),
-                 sample_distinct_directions(field, new, tail_len, 1))]
-            if tail_len > 1:  # all directions of length 1 are one line
-                pairs.append(
-                    (old_sample_distinct_directions(field, old, tail_len, 3),
-                     sample_distinct_directions(field, new, tail_len, 3)))
+                 [_elements(field, d) for d in
+                  _draw_distinct_directions(model, new, 1)]),
+                (old_sample_distinct_directions(field, old, tail_len, 3),
+                 [_elements(field, d) for d in
+                  _draw_distinct_directions(model, new, 3)])]
             d = pairs[0][0]
             pairs.append((old_sample_on_direction(field, old, d),
-                          sample_on_direction(field, new, d)))
+                          _elements(field, _draw_on_direction(
+                              model, new, plain(d)))))
             for want, got in pairs:
                 assert exact(got) == exact(want)
                 assert new.getstate() == old.getstate()
@@ -727,32 +743,21 @@ def test_distinct_directions_reduce_cross_products_mod_p():
     """Over F_7 a candidate proportional to an earlier direction mod 7 but
     not in Z is redrawn, by the old and the new sampler alike."""
     f7 = Field(7)
+    model = tail_model(f7, 2)
     assert directions_proportional(vector(f7, (1, 3)), vector(f7, (3, 2)))
     hits = 0
     for seed in range(60):
         old, new = twin_rngs("mod-p", seed)
         seen = []
         want = old_sample_distinct_directions(f7, old, 2, 3, seen)
-        assert exact(sample_distinct_directions(f7, new, 2, 3)) == exact(want)
+        got = _draw_distinct_directions(model, new, 3)
+        assert exact([_elements(f7, d) for d in got]) == exact(want)
         assert new.getstate() == old.getstate()
         for d, e in seen:
             x, y = ([v.value for v in w] for w in (d, e))
             hits += (directions_proportional(d, e)
                      and x[0] * y[1] != x[1] * y[0])
     assert hits
-
-
-def test_distinct_directions_refuse_a_one_coordinate_tail():
-    """Two nonzero 1-coordinate tails are always proportional, so asking
-    for two distinct ones raises at once instead of redrawing forever."""
-    for p in (7, None):
-        field = Field(p)
-        with pytest.raises(ValueError, match="ROADMAP item 1"):
-            sample_distinct_directions(field, random.Random(0), 1, 2)
-        with pytest.raises(ValueError):
-            _draw_distinct_directions(field, random.Random(0), 1, 3)
-        assert len(sample_distinct_directions(field, random.Random(0),
-                                              1, 1)) == 1
 
 
 # Differential test of the plain-value trials (the SA2 and SA4 points, the
@@ -887,7 +892,7 @@ def test_trials_match_the_field_element_trials(name, p):
     old, new = twin_rngs(name, p, "points")
     for trial in range(12):
         dirs = old_sample_distinct_directions(field, old, n - 1, 3)
-        got_dirs = _draw_distinct_directions(field, new, n - 1, 3)
+        got_dirs = _draw_distinct_directions(model, new, 3)
         assert got_dirs == plain(dirs)
         (da, db, _), (oda, odb, _) = got_dirs, dirs
         m = 3 + trial % 3
@@ -926,8 +931,7 @@ def test_trial_models_reach_every_verdict():
             model = diff_model(name, Field(p))
             rng = random.Random(repr((name, p)))
             for _ in range(12):
-                da, db, dc = _draw_distinct_directions(
-                    model.field, rng, model.dimension - 1, 3)
+                da, db, dc = _draw_distinct_directions(model, rng, 3)
                 seen.add(("sa2", _sa2_point(model, rng, da, db)[1]))
                 seen.add(("sa4", _sa4_point(model, rng, 3, 1, da, db)[0]))
                 seen |= {("case2", v) for v in
@@ -1026,6 +1030,19 @@ def test_a_symbolic_proof_that_fails_is_reported(monkeypatch):
     assert rep["verdict"] != HOLDS
 
 
+def run_script(lines):
+    """stdout of a Python script run in a subprocess, so a hang fails the
+    calling test instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(stratalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
 ONE_DIMENSIONAL_CALLS = {
     "axiom_report-q": "axiom_report(line(Field()), "
                       "plan=SamplingPlan(samples=5))",
@@ -1036,10 +1053,10 @@ ONE_DIMENSIONAL_CALLS = {
 @pytest.mark.parametrize("call", ONE_DIMENSIONAL_CALLS.values(),
                          ids=ONE_DIMENSIONAL_CALLS.keys())
 def test_one_dimensional_models_raise_instead_of_hanging(call):
-    """A 1-D model has an empty tail, which is never a nonzero direction:
-    the co-stratal draw raises ValueError (it redrew forever before). Run
-    in a subprocess, so a hang fails the test."""
-    script = "\n".join([
+    """A 1-D model cannot declare a strata rule (a ratio needs two
+    coordinates), so the co-stratal draw refuses it with require_rule's
+    ValueError."""
+    out = run_script([
         "from stratalg import (AffineOperation, Field, ModelSpec,",
         "                      SamplingPlan, StructureTensor, axiom_report)",
         "from stratalg.kex import seeded_session",
@@ -1052,12 +1069,115 @@ def test_one_dimensional_models_raise_instead_of_hanging(call):
         "except ValueError as exc:",
         "    print(exc)",
     ])
-    src = os.path.dirname(os.path.dirname(stratalg.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60, env=env)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == ("a 1-dimensional model has no tail coordinates "
-                           "to draw a co-stratal direction on\n")
+    assert out == ("model line1 declares no strata rule; SA2-SA4 and kex "
+                   "need one\n")
+
+
+def test_plane_case_analysis_ends_over_f2():
+    """Case 2 asks for three distinct directions, and P^1(F_2) has exactly
+    three, so the draw ends for both rules a 2-D model can declare."""
+    out = run_script([
+        "from stratalg import (AffineOperation, Field, ModelSpec,",
+        "                      SamplingPlan, StructureTensor, case_analysis)",
+        "f = Field(2)",
+        "entries = {(0, 0, 0): f.one(), (0, 1, 1): f.one(),",
+        "           (1, 0, 1): f.one()}",
+        "op = AffineOperation(StructureTensor(2, entries), zero=f.zero())",
+        "for coords in ((0, 1), (1, 0)):",
+        "    rule = {'kind': 'ratio', 'coords': coords}",
+        "    model = ModelSpec('plane2', 2, f, op, strata_rule=rule)",
+        "    print(sorted(case_analysis(model, SamplingPlan(samples=30))))",
+    ])
+    assert out == "['case1', 'case2', 'case3', 'case4', 'case5']\n" * 2
+
+
+# Equivariance: a built-in with its coordinates permuted so that the rule
+# sits on (0, 1) must report what the built-in reports, vector for vector.
+SIGMA = (2, 0, 1)  # coordinate i moves to SIGMA[i]: the rule (1, 2) to (0, 1)
+
+
+def permuted(model):
+    """model with coordinate i moved to SIGMA[i], under a name that has no
+    symbolic twin."""
+    op = model.operation
+    entries = {tuple(SIGMA[i] for i in key): c
+               for key, c in op.bilinear.entries.items()}
+    linear_a, linear_b = ({(SIGMA[i], SIGMA[k]): c
+                           for (i, k), c in part.items()}
+                          for part in (op.linear_a, op.linear_b))
+    rule = dict(model.strata_rule,
+                coords=tuple(SIGMA[c] for c in model.strata_rule["coords"]))
+    moved = AffineOperation(StructureTensor(3, entries), linear_a, linear_b,
+                            zero=model.field.zero())
+    return ModelSpec("permuted", 3, model.field, moved, strata_rule=rule)
+
+
+def unpermuted(obj):
+    """obj with every printed 3-vector (a list of three strings) moved back
+    to the built-in's coordinates."""
+    if isinstance(obj, dict):
+        return {k: unpermuted(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 3 and all(isinstance(x, str) for x in obj):
+            return [obj[SIGMA[i]] for i in range(3)]
+        return [unpermuted(x) for x in obj]
+    return obj
+
+
+@pytest.mark.parametrize("p", (19, None), ids=lambda p: f"F_{p}" if p else "Q")
+@pytest.mark.parametrize("name", ("parametric3", "nonlinear3"))
+def test_draws_follow_the_rule_under_a_coordinate_permutation(name, p):
+    model = builtin_model(name, params=(2, 3, 5, 1, 4, 6), field=Field(p))
+    moved = permuted(model)
+    assert moved.strata_rule["coords"] == (0, 1)
+    plan = SamplingPlan(samples=40, seed=5, chain_length_max=4)
+    want, got = (axiom_report(m, plan)["axioms"] for m in (model, moved))
+    got = unpermuted(got)
+    for key in ("cross_stratum_asymmetry", "exceptions"):
+        assert got["SA2"]["clauses"].get(key) == \
+            want["SA2"]["clauses"].get(key)
+    for key in ("lps_pointwise", "chain_orderings"):
+        assert got["SA3"]["clauses"][key] == want["SA3"]["clauses"][key]
+    assert got["SA3"]["witnesses"] == want["SA3"]["witnesses"]
+    assert got["SA4"] == want["SA4"]
+    assert classify(got) == classify(want)
+    if p is None:
+        return
+    (a1, b1), (a2, b2) = (seeded_session(m, 4) for m in (model, moved))
+    assert a2.stratum == b2.stratum == a1.stratum
+    for x, y in ((a1, a2), (b1, b2)):
+        assert unpermuted(_vec_json(y.base)) == _vec_json(x.base)
+        assert [unpermuted(_vec_json(q)) for q in y.secret] == \
+            [_vec_json(q) for q in x.secret]
+    t1, t2 = run_exchange(a1, b1), run_exchange(a2, b2)
+    assert (t2.agreed, t2.path_strata) == (t1.agreed, t1.path_strata)
+    for v, w in ((t1.s1, t2.s1), (t1.s2, t2.s2), (t1.s12, t2.s12)):
+        assert unpermuted(_vec_json(w)) == _vec_json(v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_costratal_draws_share_the_declared_stratum(data):
+    """Under any rule a model file may declare, vectors drawn on one
+    direction are co-stratal and vectors on distinct directions are not.
+    Their labels may still agree: (1, 0, 1) and (1, 0, 2) share the lumped
+    ratio-pair label (inf,0)."""
+    n = data.draw(st.integers(2, 5), label="n")
+    kind = data.draw(st.sampled_from(("ratio", "ratio-pair") if n > 2
+                                     else ("ratio",)), label="kind")
+    coords = tuple(data.draw(st.permutations(range(n)), label="order")
+                   [:2 if kind == "ratio" else 3])
+    field = Field(data.draw(st.sampled_from((2, 3, 7, 101, None)), label="p"))
+    rule = {"kind": kind, "coords": coords}
+    model = ModelSpec("custom", n, field,
+                      AffineOperation(StructureTensor(n, {}),
+                                      zero=field.zero()), strata_rule=rule)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    groups = [[_elements(field, _draw_on_direction(model, rng, d))
+               for _ in range(3)]
+              for d in _draw_distinct_directions(model, rng, 3)]
+    for i, (v, *rest) in enumerate(groups):
+        assert all(tails_proportional(v, w, rule) for w in rest)
+        assert len({label_str(model, w) for w in (v, *rest)}) == 1
+        assert not any(tails_proportional(v, other[0], rule)
+                       for other in groups[i + 1:])

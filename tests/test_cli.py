@@ -330,19 +330,28 @@ def test_builtin_name_needs_the_builtin_operation(capsys, tmp_path, name,
     # the symbolic proofs of SA1, SA3, case 1 and identities key on the
     # name; a written-out built-in loads, the same name on any other
     # operation (one more bilinear entry, as the benchmark's broken3 has
-    # over basic3) is refused
+    # over basic3) or a rule moved off the built-in's coordinates (the
+    # proofs bind those) is refused; a file may leave the rule out
     obj = model_to_json(builtin_model(name, params=params,
                                       field=Field(p) if p else None))
     assert model_from_json(obj).name == name
+    norule = {k: v for k, v in obj.items() if k != "strata_rule"}
+    assert model_from_json(norule).strata_rule is None
+    rule = obj["strata_rule"]
+    moved = dict(obj, strata_rule=dict(rule, coords=[c - 1 for c in
+                                                     rule["coords"]]))
+    with pytest.raises(ValueError, match=f"rule is not built-in {name}'s"):
+        model_from_json(moved)
     obj["operation"]["bilinear"].append({"i": 1, "j": 0, "k": 0, "c": "1"})
     with pytest.raises(ValueError, match=f"not built-in {name}'s"):
         model_from_json(obj)
-    path = tmp_path / "impostor.json"
-    path.write_text(json.dumps(obj))
-    for argv in (["axioms", "--samples", "10"], ["identities"]):
-        rc, out, err = run(capsys, argv + ["--model", str(path)])
-        assert (rc, out) == (2, "")
-        assert err.startswith("error: bad model file")
+    for i, impostor in enumerate((obj, moved)):
+        path = tmp_path / f"impostor{i}.json"
+        path.write_text(json.dumps(impostor))
+        for argv in (["axioms", "--samples", "10"], ["identities"]):
+            rc, out, err = run(capsys, argv + ["--model", str(path)])
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: bad model file")
 
 
 def test_float_model_parameter_is_a_usage_error(capsys, tmp_path):
@@ -428,9 +437,9 @@ def test_model_without_strata_rule_is_a_usage_error(capsys, tmp_path,
 
 
 def test_axioms_on_a_plane_model_exits_instead_of_hanging(tmp_path):
-    """A 2-D model's tail has one coordinate, where no two co-stratal
-    directions are distinct: axioms exits 2 with a message (it looped
-    forever before). Run in a subprocess, so a hang fails the test."""
+    """A 2-D model's rule takes both coordinates, and its co-stratal draws
+    vary there: axioms classifies it and exits by its verdicts. Run in a
+    subprocess, so a hang fails the test."""
     entries = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 2}
     obj = {"name": "plane2", "dimension": 2,
            "field": {"kind": "Fp", "p": 7},
@@ -444,12 +453,14 @@ def test_axioms_on_a_plane_model_exits_instead_of_hanging(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-m", "stratalg.cli", "axioms", "--model", str(path)],
-        capture_output=True, text=True, timeout=60, env=env)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: 2 distinct co-stratal directions "
-                                  "need a tail of at least 2 coordinates")
-    assert "ROADMAP item 1" in proc.stderr
+        [sys.executable, "-m", "stratalg.cli", "axioms", "--model", str(path),
+         "--json"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["model"] == "plane2"
+    assert report["classification"] in ("none", "weak", "symmetric", "fully")
+    failed = any(a["verdict"] == "fails" for a in report["axioms"].values())
+    assert proc.returncode == (1 if failed else 0)
 
 
 P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
