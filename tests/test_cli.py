@@ -629,3 +629,33 @@ def test_output_matches_golden_digest(capsys, argv, code, digest):
     rc, out, _ = run(capsys, argv)
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `stratalg [COMMAND] --help` at 80 columns, frozen while the
+# parser read the orbit and kex caps (--steps, --lengths) from dynamics and kex
+GOLDEN_HELP = [
+    ([], "9178bf5592be40dd668f98298251db2f3d0e67e1fadb689d2d6c1a5f40a9d7f2"),
+    (["check-assoc"],
+     "011a252c92e3e0651b3bf1a36b01a765f678aa7cafed468a161f576ad55d3f7e"),
+    (["axioms"],
+     "50f6180d94876827ba95e2d61091df68e6bfb5f920b5510d6deec948a3418ef6"),
+    (["strata"],
+     "b68337ddc47fd70bd7794079be2bccaa16a336b09091bfccbd2e9e14f17dd3bc"),
+    (["orbit"],
+     "ed48cdbf69b091ca5a9ce4907f2689ac63bc3a828da20c01f6f73887ffb127c9"),
+    (["kex"],
+     "328a89b1a4c3635db961624d5c4ff5769bd56d6b47cd7e8743f6b516863d7bc4"),
+    (["identities"],
+     "0b9eef213c325f54b5d63b5cfe361a5d0e91cb1de98669dab80fc1f4d6f068ba"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN_HELP,
+                         ids=[(g[0] or ["stratalg"])[0] for g in GOLDEN_HELP])
+def test_help_matches_golden_digest(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
