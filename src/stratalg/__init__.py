@@ -5,7 +5,13 @@ Bilinear and affine products on K^n — K the rationals or a prime field
 declared ratio rules or commutant discovery, traced through orbit and
 transition-graph dynamics, and exercised by a toy key-agreement demo.
 All arithmetic is exact; randomized checks are seeded and reproducible.
+
+The numpy-backed modules strata, dynamics and kex, and the names taken
+from them, load on first use (PEP 562), so the value-level work over Q
+and over large primes runs without numpy.
 """
+
+from importlib import import_module as _import_module
 
 from .field import Field, FieldElement, format_scalar
 from .poly import Polynomial
@@ -33,18 +39,7 @@ from .algebra import (
     symbolic_model,
     vector,
 )
-from .strata import (
-    StratumPartition,
-    discover_strata,
-    enumerate_space,
-    is_stratum_stable,
-    partitions_agree,
-    ratio_partition,
-    ratio_stratum_of,
-    stratified_depth,
-    tails_proportional,
-    verify_closure,
-)
+from .rules import ratio_stratum_of, tails_proportional
 from .axioms import (
     SamplingPlan,
     axiom_report,
@@ -57,26 +52,32 @@ from .axioms import (
     identity_suite_json,
     verify_identity_suite,
 )
-from .dynamics import (
-    Trajectory,
-    TransitionGraph,
-    chain_path,
-    orbit,
-    permutation_invariance,
-    return_edge_stats,
-    self_loop_report,
-    transition_graph,
-)
-from .kex import (
-    Party,
-    SessionTranscript,
-    brute_force_recover,
-    eavesdropper_view,
-    init_session,
-    run_exchange,
-    seeded_session,
-)
+
+_LAZY = {
+    "strata": ("StratumPartition", "discover_strata", "enumerate_space",
+               "is_stratum_stable", "partitions_agree", "ratio_partition",
+               "stratified_depth", "verify_closure"),
+    "dynamics": ("Trajectory", "TransitionGraph", "chain_path", "orbit",
+                 "permutation_invariance", "return_edge_stats",
+                 "self_loop_report", "transition_graph"),
+    "kex": ("Party", "SessionTranscript", "brute_force_recover",
+            "eavesdropper_view", "init_session", "run_exchange",
+            "seeded_session"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    # not cached here: a later lookup sees what the module holds then
+    if name in _LAZY:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# rules is bound here by the imports above but is not exported
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
+                 - {"rules"} | {*_LAZY, *_HOME})

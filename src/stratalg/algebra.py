@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .field import Field, FieldElement, format_scalar
 from .poly import Polynomial
+from .rules import RATIO_RULE_3D, RATIO_RULE_4D
 
 MAX_DIMENSION = 16
 
@@ -207,6 +208,16 @@ def left_chain(op, b, multipliers):
 # orderings (720 at 6), so each step up multiplies the work by about m.
 MAX_CHAIN = 6
 
+# Longest orbit walk (dynamics.orbit). Every step is kept (~0.5 KB each)
+# until a value repeats, which over F_p can take p**n steps: 100,000 steps
+# over a 40-bit prime took 3.1 s and 82 MB ru_maxrss on a 2-vCPU host.
+MAX_STEPS = 10 ** 5
+
+# Longest seeded secret chain (kex.seeded_session). A session's time and
+# memory grow linearly with it: two chains of 10,000 took 1.0 s and 39 MB
+# ru_maxrss at F_101 on a 2-vCPU host.
+MAX_SECRET_LENGTH = 10 ** 4
+
 
 def chain_orderings(op, base, mults):
     """[(ordering, left chain of base by it)] for each distinct ordering of
@@ -383,10 +394,6 @@ def format_assoc_report(mismatches):
 BUILTIN_NAMES = ("basic3", "parametric3", "parametric4", "nonlinear3")
 
 PARAM_LETTERS = ("A", "B", "C", "D", "E", "F")
-
-RATIO_RULE_3D = {"kind": "ratio", "coords": (1, 2)}
-RATIO_RULE_4D = {"kind": "ratio-pair", "coords": (1, 2, 3)}
-
 
 class ModelSpec:
     def __init__(self, name, dimension, field, operation, strata_rule=None,

@@ -36,8 +36,8 @@ from .algebra import (
     symbolic_components,
     symbolic_model,
 )
-from .strata import ratio_partition, ratio_stratum_of, verify_closure, \
-    constraint_for_label, directions_proportional, SPACE_CAP, _as_value
+from .rules import ratio_stratum_of, constraint_for_label, \
+    directions_proportional, SPACE_CAP, _as_value
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -313,6 +313,7 @@ def check_sa1(model, strata=None, plan=None):
                               "vectors": [_vec_json(v) for v in gate_wit[1:]]})
     field = model.field
     if field.is_prime_field and field.p ** model.dimension <= SPACE_CAP:
+        from .strata import ratio_partition, verify_closure  # loads numpy
         part = strata if strata is not None else ratio_partition(model)
         rng = plan.rng("SA1:closure")
         per_stratum = {}

@@ -19,14 +19,14 @@ import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .algebra import (BUILTIN_NAMES, associativity_check, builtin_model,
+# strata, dynamics and kex load numpy, so the commands that need them
+# import them when they run
+from .algebra import (BUILTIN_NAMES, MAX_SECRET_LENGTH, MAX_STEPS,
+                      associativity_check, builtin_model,
                       format_assoc_report, make_params, model_from_json)
 from .axioms import (MAX_SAMPLES, SamplingPlan, axiom_report,
                      identity_suite_json, require_rule)
 from .field import Field, format_scalar
-from .strata import discover_strata, partitions_agree, ratio_partition
-from . import dynamics
-from . import kex
 
 
 class UsageError(Exception):
@@ -94,6 +94,7 @@ def make_plan(args):
 
 
 def partition_for(args, model):
+    from .strata import discover_strata, ratio_partition
     field = model.field
     if not field.is_prime_field:
         raise UsageError("stratum enumeration needs a prime field; "
@@ -254,6 +255,7 @@ def cmd_axioms(args):
 
 
 def cmd_strata(args):
+    from .strata import partitions_agree
     model = load_model(args)
     part = partition_for(args, model)
     agreement = None
@@ -285,6 +287,7 @@ def cmd_strata(args):
 
 
 def cmd_orbit(args):
+    from . import dynamics
     model = load_model(args)
     part = partition_for(args, model)
     if args.dot or not args.start:
@@ -323,6 +326,7 @@ def cmd_orbit(args):
 
 
 def cmd_kex(args):
+    from . import kex
     model = load_model(args)
     try:
         lengths = tuple(int(x) for x in args.lengths.split(","))
@@ -449,7 +453,7 @@ def build_parser():
     p.add_argument("--q", help="fixed multiplier vector")
     p.add_argument("--steps", type=int, default=50,
                    help=f"maximum multiplications (at most "
-                        f"{dynamics.MAX_STEPS})")
+                        f"{MAX_STEPS})")
     p.add_argument("--dot", action="store_true",
                    help="emit the transition graph as DOT")
     p.set_defaults(fn=cmd_orbit)
@@ -458,7 +462,7 @@ def build_parser():
     common(p)
     p.add_argument("--lengths", default="3,4",
                    help=f"secret chain lengths, e.g. 3,4 (each at most "
-                        f"{kex.MAX_SECRET_LENGTH})")
+                        f"{MAX_SECRET_LENGTH})")
     p.add_argument("--recover", action="store_true",
                    help="run the exhaustive toy recovery demo")
     p.set_defaults(fn=cmd_kex)

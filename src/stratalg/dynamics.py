@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import MAX_CHAIN, chain_orderings, is_zero_vector, multiply
+from .algebra import MAX_CHAIN, MAX_STEPS, chain_orderings, \
+    is_zero_vector, multiply
 from .field import FieldElement, _vec_json
 from .strata import _as_operation, space_matrix, to_dense_arrays
 from ._kernels import bulk_multiply, left_tables, lex_digits, \
@@ -27,11 +28,6 @@ EXHAUSTIVE_SPACE = 10 ** 4
 
 # Sampled-mode pair budget (pairs drawn with the plan's seed).
 SAMPLED_PAIRS = 10 ** 5
-
-# Longest orbit walk. Every step is kept (~0.5 KB each) until a value
-# repeats, which over F_p can take p**n steps: 100,000 steps over a 40-bit
-# prime took 3.1 s and 82 MB ru_maxrss on a 2-vCPU host.
-MAX_STEPS = 10 ** 5
 
 # Most transition tally bins (labels**2 * (labels + 1)). The tally and each
 # scan block's bincount are int64 arrays of this many bins, 512 MiB each at
@@ -134,6 +130,8 @@ def orbit(op, start, q, steps, partition):
     exact repeat of a vector value (cycle_info records entry index and
     period; the repeated value is kept as the last step) or at a zero
     product (truncated flag)."""
+    if steps < 0:
+        raise ValueError("orbit steps must be at least 0")
     if steps > MAX_STEPS:
         raise ValueError(f"orbit steps must be at most {MAX_STEPS}")
     op = _as_operation(op)
@@ -392,3 +390,6 @@ def self_loop_report(graph):
         else:
             entry[f"to {c}"] += count
     return {label: dict(counts) for label, counts in report.items()}
+
+
+from . import kex  # noqa: E402  loaded with strata; see the end of strata.py

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .algebra import is_zero_vector, model_to_json
+from .algebra import MAX_SECRET_LENGTH, is_zero_vector, model_to_json
 from .axioms import _draw_direction, _place, label_str, require_rule
 from .dynamics import chain_path
 from .field import _vec_json
@@ -24,11 +24,6 @@ from ._kernels import bulk_multiply, left_tables, lex_indices, \
 
 # Exhaustive recovery is capped at this many candidate chains.
 BRUTE_FORCE_CAP = 10 ** 6
-
-# Longest seeded secret chain. A session's time and memory grow linearly
-# with it: two chains of 10,000 took 1.0 s and 39 MB ru_maxrss at F_101 on
-# a 2-vCPU host.
-MAX_SECRET_LENGTH = 10 ** 4
 
 
 # ---------------------------------------------------------------------------

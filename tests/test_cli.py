@@ -467,6 +467,7 @@ P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
 
 # Budget caps: the largest value of each flag is accepted, one more exits 2
 # (axioms at MAX_SAMPLES takes seconds, so its bound is checked on the plan).
+# Orbit steps also have a floor: a zero-step walk runs, -3 exits 2.
 # The transition tally grows with the strata of the field: parametric4's
 # graph over F_13 (172 strata) is drawn and F_23's (532) refused; F_19 (364)
 # fits but would allocate 2 x 387 MB.
@@ -475,6 +476,8 @@ CAPPED_ARGVS = [
      f"error: samples must be at most {MAX_SAMPLES}\n"),
     (["orbit", *P3, "--start", "1,2,1", "--q", "0,3,4", "--steps"], MAX_STEPS,
      MAX_STEPS + 1, f"error: orbit steps must be at most {MAX_STEPS}\n"),
+    (["orbit", *P3, "--start", "1,2,1", "--q", "0,3,4", "--steps"], 0, -3,
+     "error: orbit steps must be at least 0\n"),
     (["kex", *P3, "--seed", "1", "--lengths"], f"1,{MAX_SECRET_LENGTH}",
      f"1,{MAX_SECRET_LENGTH + 1}",
      f"error: secret lengths must be at most {MAX_SECRET_LENGTH}\n"),
@@ -486,7 +489,8 @@ CAPPED_ARGVS = [
 
 
 @pytest.mark.parametrize("argv,accepted,refused,err", CAPPED_ARGVS,
-                         ids=["samples", "steps", "lengths", "tally"])
+                         ids=["samples", "steps", "negative-steps", "lengths",
+                              "tally"])
 def test_budget_caps(capsys, argv, accepted, refused, err):
     if accepted is None:
         assert SamplingPlan(samples=MAX_SAMPLES).samples == MAX_SAMPLES

@@ -1,4 +1,11 @@
-"""The package's public names."""
+"""The package's public names, and which commands load numpy."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import stratalg
 
@@ -31,3 +38,78 @@ def test_public_names_match_golden_list():
     assert stratalg.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(stratalg, name) is not None, name
+
+
+# Numpy stays out of the processes that never call a kernel: importing the
+# CLI or any numpy-free module, and the commands that work on values alone
+# (axioms over Q or a prime past SPACE_CAP, identities, check-assoc, help).
+# Each probe runs in a fresh interpreter, under a timeout.
+
+SRC = os.path.dirname(os.path.dirname(stratalg.__file__))
+
+RUN_MAIN = """
+import sys
+from stratalg import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+BUDGET = ["--samples", "10", "--chain-max", "3", "--json"]
+
+
+def probe(code, *argv):
+    """The last stdout line of code run in a fresh interpreter with argv."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["field", "poly", "rules", "algebra",
+                                    "axioms", "cli"])
+def test_light_modules_import_without_numpy(module):
+    assert probe(f"import sys, stratalg.{module}\n"
+                 "print('numpy' in sys.modules)") == "False"
+
+
+@pytest.fixture(scope="module")
+def broken3_file(tmp_path_factory):
+    """basic3 over Q with the structure entry (1, 0, 0) = 1 added."""
+    obj = stratalg.model_to_json(stratalg.builtin_model("basic3"))
+    obj["name"] = "broken3"
+    obj["operation"]["bilinear"].append({"i": 1, "j": 0, "k": 0, "c": "1"})
+    path = tmp_path_factory.mktemp("models") / "broken3.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+VALUE_COMMANDS = {
+    "axioms-q": (["axioms", "--builtin", "parametric3", "--params",
+                  "16,8,5,3,7,11", *BUDGET], 0),
+    "axioms-broken3": (["axioms", *BUDGET, "--model"], 1),
+    "axioms-bigp": (["axioms", "--builtin", "nonlinear3", "--params",
+                     "2,3,5,1,4,6", "--field", "fp:1000000000039", *BUDGET],
+                    0),
+    "identities": (["identities", "--builtin", "basic3"], 0),
+    "check-assoc": (["check-assoc", "--builtin", "basic3"], 0),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_COMMANDS)
+def test_value_commands_run_without_numpy(name, broken3_file):
+    argv, code = VALUE_COMMANDS[name]
+    if argv[-1] == "--model":
+        argv = argv + [broken3_file]
+    assert probe(RUN_MAIN, *argv) == f"{code} False"
+
+
+def test_kernel_commands_still_load_numpy():
+    argv = ["strata", "--builtin", "basic3", "--field", "fp:5"]
+    assert probe(RUN_MAIN, *argv) == "0 True"

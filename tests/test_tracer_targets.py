@@ -7,6 +7,10 @@ that would break `perfbench/run.py --trace 1` fails here.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stratalg
@@ -36,3 +40,48 @@ def test_every_tracer_target_resolves():
 def test_names_the_tracer_tests_rebind_are_shared():
     assert stratalg.kex.bulk_multiply is stratalg._kernels.bulk_multiply
     assert stratalg.strata.multiply is stratalg.algebra.multiply
+
+
+# strata, dynamics and kex load on first use, and the CLI imports them inside
+# its commands; a traced run of one job each must still reach every wrapper.
+P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
+TRACED_JOBS = [
+    ["strata", *P3, "--discover", "--json"],
+    ["orbit", *P3, "--json"],
+    ["kex", *P3, "--seed", "1", "--lengths", "1,2", "--recover", "--json"],
+    ["axioms", "--builtin", "parametric3", "--params", "16,8,5,3,7,11",
+     "--samples", "10", "--chain-max", "3", "--json"],
+    ["axioms", "--builtin", "basic3", "--field", "fp:3", "--samples", "10",
+     "--chain-max", "3", "--json"],
+]
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+import stratalg.cli as cli
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer, installed_wrappers
+tracer = Tracer()
+with tracer, contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "calls": tracer.calls,
+                  "leftover": installed_wrappers()}))
+"""
+
+
+def test_lazy_imports_reach_the_tracer_wrappers():
+    src = os.path.dirname(os.path.dirname(stratalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACER.parent),
+         json.dumps(TRACED_JOBS)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 1]  # basic3 is only symmetric
+    for name in ("strata.discover_strata", "dynamics.transition_graph",
+                 "kex.brute_force_recover", "kernels.bulk_multiply",
+                 "axioms.check_sa1", "strata.verify_closure"):
+        assert result["calls"].get(name, 0) >= 1, name
+    assert result["leftover"] == []
