@@ -395,6 +395,7 @@ BUILTIN_NAMES = ("basic3", "parametric3", "parametric4", "nonlinear3")
 
 PARAM_LETTERS = ("A", "B", "C", "D", "E", "F")
 
+
 class ModelSpec:
     def __init__(self, name, dimension, field, operation, strata_rule=None,
                  params=None):
