@@ -663,3 +663,43 @@ def test_help_matches_golden_digest(capsys, monkeypatch, command, digest):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.err) == (0, "")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the stdout of each walk with its exit code, frozen while
+# trajectories multiplied FieldElement tuples and labeled each step through
+# the whole-space partition, and kex walks labeled through ratio_stratum_of:
+# a ratio-pair trajectory, one that ends in a cycle, one cut by a zero
+# product, the text form of a ratio-pair cycle, and a ratio-pair key
+# exchange as JSON, as text, and as text where deriving hits a zero product
+P4 = ["--builtin", "parametric4", "--params", "2,3,5,7,11,13"]
+WALK4 = ["--start", "1,2,3,4", "--q", "2,1,3,1", "--steps", "40"]
+GOLDEN_WALKS = [
+    (["orbit", *P4, "--field", "fp:11", *WALK4, "--json"], 0,
+     "27f8c971b8ee9273657c45ca78018a5ba1c56b431a10a23ebbd2cc9d78d4c23d"),
+    (["orbit", *P3, "--start", "1,2,1", "--q", "0,3,4", "--steps", "30",
+      "--json"], 0,
+     "227d31fdf86765ece968f14b7de5f3c52e1bd136c316ae3f631251d9183a5028"),
+    (["orbit", *P3, "--start", "0,1,2", "--q", "1,0,1", "--steps", "10",
+      "--json"], 0,
+     "07e6a3aa6e272b1a865cd15b9f549f84573c2f767dad086bdcab7153d155300c"),
+    (["orbit", *P4, "--field", "fp:7", *WALK4], 0,
+     "69f1d830cf4f984eb17c1a49f612523accf62f610f0b7d07f616414ab45f3ee7"),
+    (["kex", *P4, "--field", "fp:7", "--seed", "2", "--json"], 0,
+     "9aa522e0cd98aac84fe916956fbb3dee6b1284f9f89ad74cace5a55efa7eb3ea"),
+    (["kex", *P4, "--field", "fp:7", "--seed", "2"], 0,
+     "ff24d760d024cdd7ab1ac115e61e16c1729809f41086d0d75e42def00d462532"),
+    (["kex", *P4, "--field", "fp:7", "--seed", "5"], 1,
+     "cee907b216e960a0a5fb5d80fe37fca217f1d78874dce1f2f7737d6ee4ac62ce"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN_WALKS,
+    ids=["trajectory-parametric4-f11", "trajectory-cycle-f5",
+         "trajectory-zero-f5", "trajectory-text-parametric4-f7",
+         "kex-parametric4-f7", "kex-text-parametric4-f7",
+         "kex-text-failed-parametric4-f7"])
+def test_walk_matches_golden_digest(capsys, argv, code, digest):
+    rc, out, _ = run(capsys, argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
