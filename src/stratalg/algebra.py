@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .field import Field, FieldElement, format_scalar
+from .field import Field, FieldElement, _elements, format_scalar
 from .poly import Polynomial
 from .rules import RATIO_RULE_3D, RATIO_RULE_4D
 
@@ -178,14 +178,27 @@ def multiply_values(op, av, bv):
     return out
 
 
+def _as_operation(op):
+    return op.operation if hasattr(op, "operation") else op
+
+
+def _plain(op, v):
+    """v as multiply_values' operands: residues in [0, p) or Fractions."""
+    if op.plain is None:
+        raise ValueError("plain values need an operation over one field")
+    if len(v) != op.n:
+        raise ValueError(f"operand length != {op.n}")
+    f = op.plain.field
+    return tuple([x.value if type(x) is FieldElement and x.field is f
+                  else f.element(x).value for x in v])
+
+
 def multiply(op, a, b):
+    if op.plain is not None:
+        return _elements(op.plain.field, multiply_values(
+            op, _plain(op, a), _plain(op, b)))
     if len(a) != op.n or len(b) != op.n:
         raise ValueError(f"operand length != {op.n}")
-    if op.plain is not None:
-        f = op.plain.field
-        av, bv = ([x.value if type(x) is FieldElement and x.field is f
-                   else f.element(x).value for x in v] for v in (a, b))
-        return tuple([FieldElement(f, x) for x in multiply_values(op, av, bv)])
     out = [op.zero] * op.n
     for (i, j, k), c in op.bilinear.entries.items():
         out[k] = out[k] + c * a[i] * b[j]

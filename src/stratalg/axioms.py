@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .poly import Polynomial
-from .field import QQ, FieldElement, _vec_json
+from .field import QQ, _elements, _vec_json
 from .algebra import (
     BUILTIN_NAMES,
     MAX_CHAIN,
@@ -37,7 +37,7 @@ from .algebra import (
     symbolic_model,
 )
 from .rules import ratio_stratum_of, constraint_for_label, \
-    directions_proportional, SPACE_CAP, _as_value
+    directions_proportional, rule_label, SPACE_CAP, _as_value
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -210,10 +210,6 @@ def _draw_distinct_directions(model, rng, count):
     return dirs
 
 
-def _elements(field, values):
-    return tuple([FieldElement(field, x) for x in values])
-
-
 def _direction_draws(model, rng, count, trials):
     """Lazily, one list of count distinct directions per trial."""
     for _ in range(trials):
@@ -231,11 +227,13 @@ def require_rule(model):
 def label_str(model, v):
     """Stratum of v under the model's declared rule (require_rule)."""
     require_rule(model)
-    if model.field.is_prime_field:  # plain ints may be unreduced
-        v = [_as_value(x) % model.field.p for x in v]
-    if is_zero_vector(v):
-        return "zero"
-    return str(ratio_stratum_of(v, model.strata_rule, model.field))
+    p = model.field.p
+    if p is None:
+        return "zero" if is_zero_vector(v) else str(
+            ratio_stratum_of(v, model.strata_rule, model.field))
+    if any(_as_value(x) % p for x in v):  # plain ints may be unreduced
+        return rule_label(v, model.strata_rule, p)
+    return "zero"
 
 
 # ---------------------------------------------------------------------------

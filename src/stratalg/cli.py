@@ -19,8 +19,8 @@ import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
-# strata, dynamics and kex load numpy, so the commands that need them
-# import them when they run
+# strata and dynamics load numpy, so the commands that need them import
+# them (and walks and kex) when they run
 from .algebra import (BUILTIN_NAMES, MAX_SECRET_LENGTH, MAX_STEPS,
                       associativity_check, builtin_model,
                       format_assoc_report, make_params, model_from_json)
@@ -93,17 +93,24 @@ def make_plan(args):
                         chain_length_max=getattr(args, "chain_max", 5))
 
 
-def partition_for(args, model):
-    from .strata import discover_strata, ratio_partition
+def partition_for(args, model, walk=False):
+    """The labeler of the command's vectors. A walk under the declared rule
+    labels through the rule and enumerates nothing, at any prime."""
     field = model.field
     if not field.is_prime_field:
         raise UsageError("stratum enumeration needs a prime field; "
                          "pass --field fp:P")
     if args.discover:
+        from .strata import discover_strata
         return discover_strata(model.operation, field.p)
     if model.strata_rule is None:
         raise UsageError(f"model {model.name or 'custom'} declares no "
                          "strata rule; pass --discover")
+    if walk:
+        from .rules import rule_label
+        return functools.partial(rule_label, rule=model.strata_rule,
+                                 p=field.p)
+    from .strata import ratio_partition
     return ratio_partition(model)
 
 
@@ -287,10 +294,10 @@ def cmd_strata(args):
 
 
 def cmd_orbit(args):
-    from . import dynamics
     model = load_model(args)
-    part = partition_for(args, model)
     if args.dot or not args.start:
+        from . import dynamics
+        part = partition_for(args, model)
         plan = make_plan(args)
         graph = dynamics.transition_graph(model.operation, part, plan)
         if args.dot:
@@ -305,13 +312,15 @@ def cmd_orbit(args):
                        f"zero products\ncross-stratum returns: "
                        f"{stats['returning_pairs']}/{stats['cross_pairs']}")
         return 0
+    from . import walks
+    part = partition_for(args, model, walk=True)
     field = model.field
     start = parse_vector(args.start, field, "--start")
     q = parse_vector(args.q, field, "--q") if args.q else None
     if q is None:
         raise UsageError("orbit needs --q MULTIPLIER (or --dot for the "
                          "aggregate graph)")
-    traj = dynamics.orbit(model.operation, start, q, args.steps, part)
+    traj = walks.orbit(model.operation, start, q, args.steps, part)
     if args.json:
         emit(args, traj.to_json_lines())
     else:

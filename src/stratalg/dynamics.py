@@ -1,26 +1,21 @@
-"""Chained-product dynamics over prime fields.
-
-Traces left-associated multiplication chains through the stratum
-partition: fixed-multiplier orbits with exact cycle detection,
-multi-multiplier paths, exhaustive permutation experiments, and
-aggregated stratum-transition graphs with DOT/JSON export.
+"""Chained-product dynamics over prime fields: exhaustive permutation
+experiments and aggregated stratum-transition graphs with DOT/JSON export.
+Loads numpy for the transition scans; the trajectories (orbit, chain_path)
+live in the numpy-free walks module and are re-exported here.
 """
 
-import json
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import MAX_CHAIN, MAX_STEPS, chain_orderings, \
-    is_zero_vector, multiply
-from .field import FieldElement, _vec_json
-from .strata import _as_operation, space_matrix, to_dense_arrays
+from .algebra import MAX_CHAIN, _as_operation, _plain, chain_orderings
+from .field import _elements
+from .strata import space_matrix, to_dense_arrays
+from .walks import MAX_STEPS, ZERO_LABEL, UNLABELED, Trajectory, \
+    chain_path, orbit, _labeler, _require_nonzero
 from ._kernels import bulk_multiply, left_tables, lex_digits, \
     lex_indices, space_products
-
-ZERO_LABEL = "zero"
-UNLABELED = "unlabeled"
 
 # State-space sizes up to this bound (space_products needs p**n <= 2**16) get
 # the all-pairs transition scan; larger spaces are sampled.
@@ -33,155 +28,6 @@ SAMPLED_PAIRS = 10 ** 5
 # scan block's bincount are int64 arrays of this many bins, 512 MiB each at
 # the bound, so this protects the host's memory: 406 labels fit.
 MAX_TALLY_BINS = 1 << 26
-
-
-# ---------------------------------------------------------------------------
-# labeling helpers
-
-
-def _labeler(partition):
-    """Vector -> stratum label. Accepts a StratumPartition or any
-    callable; the zero vector is always labeled ZERO_LABEL."""
-    if callable(partition) and not hasattr(partition, "label_of"):
-        fn = partition
-    else:
-        fn = partition.label_of
-
-    def label(v):
-        if is_zero_vector(v):
-            return ZERO_LABEL
-        got = fn(v)
-        return UNLABELED if got is None else str(got)
-
-    return label
-
-
-def _require_nonzero(v, what):
-    if is_zero_vector(v):
-        raise ValueError(f"{what} must be nonzero")
-
-
-# ---------------------------------------------------------------------------
-# trajectories
-
-
-class Trajectory:
-    """A left-associated chain with per-step stratum labels.
-
-    steps[0] is the start; steps[k+1] is steps[k] * multipliers[k].
-    cycle_info = (entry, period) when the walk revisits an exact vector
-    value; truncated is set when a zero product cut the chain short.
-    """
-
-    def __init__(self, start, multipliers, steps, cycle_info=None,
-                 truncated=False):
-        self.start = start
-        self.multipliers = multipliers
-        self.steps = steps
-        self.cycle_info = cycle_info
-        self.truncated = truncated
-
-    @property
-    def labels(self):
-        return [label for _, label in self.steps]
-
-    @property
-    def final(self):
-        return self.steps[-1][0]
-
-    def __len__(self):
-        return len(self.steps)
-
-    def to_json(self):
-        return {
-            "start": _vec_json(self.start),
-            "multipliers": [_vec_json(q) for q in self.multipliers],
-            "steps": [{"step": k, "value": _vec_json(v), "stratum": label}
-                      for k, (v, label) in enumerate(self.steps)],
-            "cycle": list(self.cycle_info) if self.cycle_info else None,
-            "truncated": self.truncated,
-        }
-
-    def to_json_lines(self):
-        """One JSON object per line: a header, then one line per step."""
-        obj = self.to_json()
-        header = {"type": "trajectory",
-                  "start": obj["start"],
-                  "multipliers": obj["multipliers"],
-                  "cycle": obj["cycle"],
-                  "truncated": obj["truncated"]}
-        dump = lambda o: json.dumps(o, sort_keys=True, separators=(",", ":"))
-        return "\n".join([dump(header)] + [dump(s) for s in obj["steps"]])
-
-    def __repr__(self):
-        path = " -> ".join(self.labels)
-        extra = ""
-        if self.cycle_info:
-            extra = f" cycle(entry={self.cycle_info[0]}, " \
-                    f"period={self.cycle_info[1]})"
-        if self.truncated:
-            extra += " truncated"
-        return f"Trajectory({path}{extra})"
-
-
-def orbit(op, start, q, steps, partition):
-    """Walk start, start*q, (start*q)*q, ... for at most `steps`
-    multiplications, labeling each value. Stops early at the first
-    exact repeat of a vector value (cycle_info records entry index and
-    period; the repeated value is kept as the last step) or at a zero
-    product (truncated flag)."""
-    if steps < 0:
-        raise ValueError("orbit steps must be at least 0")
-    if steps > MAX_STEPS:
-        raise ValueError(f"orbit steps must be at most {MAX_STEPS}")
-    op = _as_operation(op)
-    _require_nonzero(start, "orbit start")
-    _require_nonzero(q, "orbit multiplier")
-    label = _labeler(partition)
-
-    start = tuple(start)
-    q = tuple(q)
-    walk = [(start, label(start))]
-    applied = []
-    seen = {start: 0}
-    v = start
-    for k in range(1, steps + 1):
-        v = tuple(multiply(op, v, q))
-        applied.append(q)
-        if is_zero_vector(v):
-            walk.append((v, ZERO_LABEL))
-            return Trajectory(start, applied, walk, truncated=True)
-        walk.append((v, label(v)))
-        if v in seen:
-            return Trajectory(start, applied, walk,
-                              cycle_info=(seen[v], k - seen[v]))
-        seen[v] = k
-    return Trajectory(start, applied, walk)
-
-
-def chain_path(op, start, multipliers, partition):
-    """Label sequence of the left-associated chain
-    ((start * m_0) * m_1) * ... . A zero product truncates the walk
-    and leaves the remaining multipliers unapplied."""
-    op = _as_operation(op)
-    _require_nonzero(start, "chain start")
-    for q in multipliers:
-        _require_nonzero(q, "chain multiplier")
-    label = _labeler(partition)
-
-    start = tuple(start)
-    walk = [(start, label(start))]
-    applied = []
-    v = start
-    for q in multipliers:
-        q = tuple(q)
-        v = tuple(multiply(op, v, q))
-        applied.append(q)
-        if is_zero_vector(v):
-            walk.append((v, ZERO_LABEL))
-            return Trajectory(start, applied, walk, truncated=True)
-        walk.append((v, label(v)))
-    return Trajectory(start, applied, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +66,13 @@ def permutation_invariance(op, start, multiset, partition):
     # the chains run on plain values; finals and their orderings are
     # reported as field elements
     field = op.plain.field
-    values = [tuple(field.element(x).value for x in v)
-              for v in (start, *multiset)]
+    values = [_plain(op, v) for v in (start, *multiset)]
     element_of = dict(zip(values[1:], multiset))
     orderings = chain_orderings(op, values[0], values[1:])
     finals = {}
     for ordering, v in orderings:
         finals.setdefault(v, ordering)
-    finals = {tuple(FieldElement(field, x) for x in v):
+    finals = {_elements(field, v):
               tuple(element_of[q] for q in ordering)
               for v, ordering in finals.items()}
 
@@ -391,5 +236,3 @@ def self_loop_report(graph):
             entry[f"to {c}"] += count
     return {label: dict(counts) for label, counts in report.items()}
 
-
-from . import kex  # noqa: E402  loaded with strata; see the end of strata.py

@@ -241,3 +241,7 @@ def format_scalar(x):
 
 def _vec_json(v):
     return [format_scalar(x) for x in v]
+
+
+def _elements(field, values):
+    return tuple([FieldElement(field, x) for x in values])

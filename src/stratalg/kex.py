@@ -6,24 +6,31 @@ publishes the endpoint, then walks the other's endpoint through the
 same secret chain. Same-stratum order independence makes the two
 final values agree. This is explicitly a toy: the brute-force helper
 demonstrates that desk-scale parameters fall to exhaustive search.
+Sessions walk plain residues (walks.chain_path) and load no numpy;
+brute_force_recover imports strata and the kernels, and with them numpy,
+when it runs.
 """
 
 import json
 import random
 
-import numpy as np
-
 from .algebra import MAX_SECRET_LENGTH, is_zero_vector, model_to_json
 from .axioms import _draw_direction, _place, label_str, require_rule
-from .dynamics import chain_path
-from .field import _vec_json
-from .strata import label_index_to_str, label_indices, space_matrix, \
-    to_dense_arrays
-from ._kernels import bulk_multiply, left_tables, lex_indices, \
-    space_products
+from .field import _elements, _vec_json
+from .rules import label_index_to_str
+from .walks import chain_path
 
 # Exhaustive recovery is capped at this many candidate chains.
 BRUTE_FORCE_CAP = 10 ** 6
+
+
+def __getattr__(name):
+    # kex.bulk_multiply stays the kernel, as perfbench's tracer tests read
+    # it, but loads numpy only when asked for
+    if name == "bulk_multiply":
+        from ._kernels import bulk_multiply
+        return bulk_multiply
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +136,17 @@ class SessionTranscript:
 
 def _walk(model, start, multipliers):
     """Left chain with per-step labels; stops at a zero product.
-    Returns (final, labels, truncated)."""
+    Returns (final as plain values, labels, truncated)."""
     walk = chain_path(model.operation, start, multipliers,
                       lambda v: label_str(model, v))
-    return walk.final, walk.labels, walk.truncated
+    return walk.values[-1], walk.labels, walk.truncated
 
 
 def run_exchange(alice, bob):
     """Announce S1 = base*alice_chain and S2 = base*bob_chain, then
     cross-derive S12 = S1*bob_chain and S21 = S2*alice_chain. Agreement
-    means S12 = S21. A zero product anywhere voids the session."""
+    means S12 = S21. A zero product anywhere voids the session. The
+    walks run on plain values; the transcript holds FieldElements."""
     model = alice.model
     base = alice.base
     s1, alice_announce, t1 = _walk(model, base, alice.secret)
@@ -158,6 +166,8 @@ def run_exchange(alice, bob):
         alice.name: {"announce": alice_announce, "derive": alice_derive},
         bob.name: {"announce": bob_announce, "derive": bob_derive},
     }
+    s1, s2, s12, s21 = (v and _elements(model.operation.plain.field, v)
+                        for v in (s1, s2, s12, s21))  # None stays None
     return SessionTranscript(model, base, alice.stratum, s1, s2, s12, s21,
                              agreed, path_strata, failure=failure)
 
@@ -194,7 +204,7 @@ def seeded_session(model, seed, lengths=(3, 4)):
     def on_direction(d):
         scale = rng.randrange(1, p)
         free = [rng.randrange(p) for _ in range(model.dimension - len(d))]
-        return tuple(field.element(x) for x in _place(model, free, scale, d))
+        return _elements(field, _place(model, free, scale, d))
 
     d = _draw_direction(model, rng)
     stratum = label_str(model, on_direction(d))
@@ -229,6 +239,8 @@ def brute_force_recover(model, view, max_len=2):
         raise ValueError("the recovery demo searches chains of length "
                          "1 or 2 only")
     require_rule(model)
+    import numpy as np
+    from . import _kernels, strata
     field = model.field
     p = field.p
     n = model.dimension
@@ -236,39 +248,39 @@ def brute_force_recover(model, view, max_len=2):
     if nonzero + nonzero ** 2 > BRUTE_FORCE_CAP:
         raise ValueError("candidate space exceeds the brute-force cap; "
                          "this demo is for toy parameters")
-    T, La, Lb = to_dense_arrays(model.operation, p)
-    V = space_matrix(p, n)
+    T, La, Lb = strata.to_dense_arrays(model.operation, p)
+    V = strata.space_matrix(p, n)
     base, target, s2 = (np.array([int(x.value) % p for x in v], dtype=np.int64)
                         for v in (view.base, view.s1, view.s2))
 
     tried = nonzero
-    step1 = bulk_multiply(T, La, Lb, np.repeat(base[None], nonzero, axis=0),
-                          V, p)
+    step1 = _kernels.bulk_multiply(
+        T, La, Lb, np.repeat(base[None], nonzero, axis=0), V, p)
     chains = [np.flatnonzero((step1 == target).all(axis=1))[:, None]]
     if max_len == 2:
         # idx[i, j] is the lex index of step1[i] * V[j]
-        idx = space_products(left_tables(T, Lb, step1, p), step1 @ La % p,
-                             p)[:, 1:]
+        idx = _kernels.space_products(_kernels.left_tables(T, Lb, step1, p),
+                                      step1 @ La % p, p)[:, 1:]
         tried += idx.size
-        flat = np.flatnonzero(idx == lex_indices(target[None], p)[0])
+        flat = np.flatnonzero(idx == _kernels.lex_indices(target[None], p)[0])
         chains.append(np.stack(np.divmod(flat, nonzero), axis=1))
 
     # public[i]: V[i] lies in the public stratum
-    codes = label_indices(V, p, model.strata_rule)
+    codes = strata.label_indices(V, p, model.strata_rule)
     public = np.array([label_index_to_str(c, p, model.strata_rule)
                        == view.stratum for c in range(codes.max() + 1)])[codes]
-    vecs = [tuple(field.element(x) for x in row) for row in V.tolist()]
+    vecs = [_elements(field, row) for row in V.tolist()]
     hits = []
     for chain in chains:
         keys = np.repeat(s2[None], len(chain), axis=0)
         for col in chain.T:
-            keys = bulk_multiply(T, La, Lb, keys, V[col], p)
+            keys = _kernels.bulk_multiply(T, La, Lb, keys, V[col], p)
         in_stratum = public[chain].all(axis=1)
         for row, key, inside in zip(chain.tolist(), keys.tolist(),
                                     in_stratum.tolist()):
             hits.append({
                 "chain": [vecs[i] for i in row],
-                "key": tuple(field.element(x) for x in key),
+                "key": _elements(field, key),
                 "in_stratum": inside,
             })
     return {"tried": tried, "hits": hits}

@@ -1,6 +1,7 @@
 """Declared strata rules: the ratio labels of a vector and the constraint
 set behind a label, on plain values or field elements. Numpy-free, so the
-axiom checks over Q and over primes past SPACE_CAP load no array code."""
+axiom checks, walks and key exchanges over Q and over primes past
+SPACE_CAP load no array code."""
 
 import itertools
 from fractions import Fraction
@@ -137,6 +138,18 @@ def label_index_to_str(idx, p, rule):
     s = INFINITY if second == p else str(second)
     return f"({f},{s})"
 
+
+def rule_label(v, rule, p):
+    """label_index_to_str of strata.label_indices' code for one nonzero
+    vector over F_p (residues, plain ints or FieldElements): the label of
+    ratio_stratum_of, one pow(y, -1, p) per ratio and no RatioPoints."""
+    x, y, *z = (_as_value(v[c]) % p for c in rule["coords"])
+    ratio = lambda a, b: str(a * pow(b, -1, p) % p) if b else INFINITY
+    if not z:
+        return ratio(x, y)
+    # a ratio pair's first slot is 0, not inf, on (0, 0, nonzero)
+    first = ratio(x, y) if x or y or not z[0] else "0"
+    return f"({first},{ratio(y, z[0])})"
 
 
 def constraint_for_label(rule, label, p):

@@ -15,7 +15,7 @@ from . import _kernels
 from ._kernels import inverse_table
 # multiply is unused here; perfbench's tracer tests check its binding
 from .algebra import multiply, multiply_values, is_zero_vector, \
-    _subexpression_values
+    _as_operation, _subexpression_values
 # the declared-rule helpers live in the numpy-free rules module and stay
 # importable from here as the same objects
 from .rules import SPACE_CAP, INFINITY, EXCEPTIONAL, RATIO_RULE_3D, \
@@ -43,10 +43,6 @@ def space_matrix(p, n):
     if p ** n > SPACE_CAP:
         raise ValueError(f"{p}**{n} exceeds enumeration cap 2**24")
     return _kernels.lex_digits(np.arange(1, p ** n), p, n)
-
-
-def _as_operation(op):
-    return op.operation if hasattr(op, "operation") else op
 
 
 def to_dense_arrays(op, p):
@@ -400,7 +396,7 @@ def stratified_depth(op, tree, leaves, labeler):
     return DepthReport(len(set(labels)), labels, flags)
 
 
-# The numpy-backed modules load as one unit. dynamics and kex bind kernel
-# functions by name, so a tracer that rebinds kernels after this import
-# (perfbench/tracer.py) finds them already holding the originals.
-from . import dynamics  # noqa: E402  (dynamics loads kex in turn)
+# The numpy-backed modules load as one unit. dynamics binds kernel functions
+# by name, so a tracer that rebinds kernels after this import
+# (perfbench/tracer.py) finds it already holding the originals.
+from . import dynamics  # noqa: E402

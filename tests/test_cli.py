@@ -498,6 +498,68 @@ def test_budget_caps(capsys, argv, accepted, refused, err):
         assert run(capsys, argv + [str(accepted)])[0] in (0, 1)
     assert run(capsys, argv + [str(refused)]) == (2, "", err)
 
+# orbit --start labels its steps by the declared rule and enumerates
+# nothing, so it runs at a prime past SPACE_CAP. Q stays refused: it has no
+# enumerable strata for --discover, and its entries grow without bound.
+# --discover still enumerates the space, so it keeps the cap.
+NO_FIELD = ("error: stratum enumeration needs a prime field; "
+            "pass --field fp:P\n")
+START_FIELDS = [
+    (["--field", "fp:1000000000039"], 0, ""),
+    (["--field", "fp:1000000000039", "--json"], 0, ""),
+    (["--field", "q"], 2, NO_FIELD),
+    ([], 2, NO_FIELD),
+    (["--field", "fp:1000000000039", "--discover"], 2,
+     "error: 1000000000039**3 exceeds enumeration cap 2**24\n"),
+]
+
+
+@pytest.mark.parametrize("extra,code,err", START_FIELDS,
+                         ids=["bigp", "bigp-json", "q", "default-q",
+                              "bigp-discover"])
+def test_orbit_start_fields(capsys, extra, code, err):
+    argv = ["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,4,6,1",
+            "--start", "1,2,3", "--q", "2,1,1", "--steps", "20", *extra]
+    rc, out, got = run(capsys, argv)
+    assert (rc, got) == (code, err)
+    if "--json" in extra:
+        steps = [json.loads(line) for line in out.splitlines()[1:]]
+        assert [s["step"] for s in steps] == list(range(21))
+    elif code == 0:
+        assert out.count(" -> ") == 20
+
+
+# Aim 3, no input exhausts memory: a trajectory labels its steps by the
+# rule, so its peak does not grow with the field. At F_251 (16.6M vectors)
+# the whole-space partition these 51 labels once came from peaked at 875 MB;
+# labeled by the rule the process peaks near 30 MB.
+TRAJECTORY_PEAK = """
+import resource, sys
+from stratalg import cli
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_trajectory_near_space_cap_stays_small(tmp_path):
+    src = os.path.dirname(os.path.dirname(stratalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = tmp_path / "trajectory.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRAJECTORY_PEAK, "orbit", "--builtin",
+         "nonlinear3", "--params", "2,3,5,4,6,1", "--field", "fp:251",
+         "--start", "1,2,3", "--q", "2,1,1", "--steps", "50", "--json",
+         "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 52
+    assert peak_kb < 150 * 1024
+
+
 # Flags come and go between neighbours, and every error sits between two
 # successful calls whichever way the list is run.
 IN_PROCESS_ARGVS = [

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -26,13 +27,17 @@ from stratalg import (
     orbit,
     permutation_invariance,
     ratio_partition,
+    ratio_stratum_of,
     return_edge_stats,
     self_loop_report,
+    symbolic_model,
     transition_graph,
     vector,
 )
 from stratalg import dynamics
+from stratalg.algebra import coordinate_vars
 from stratalg.dynamics import ZERO_LABEL, _labeler
+from stratalg.rules import rule_label
 from stratalg.field import format_scalar
 from stratalg.strata import INFINITY
 
@@ -124,6 +129,96 @@ def test_trajectory_json_forms(zero_divisor_model, zero_divisor_partition, f5):
     assert head["cycle"] == [0, 4]
     assert len(lines) == 1 + len(t)
     assert json.loads(lines[1])["stratum"] == "3"
+
+
+def reference_walk(op, start, multipliers, label, cycles):
+    """The walk as it ran before plain values: algebra.multiply on
+    FieldElement tuples, every step labeled by label. Returns (steps,
+    applied, cycle_info, truncated)."""
+    steps, applied, seen = [(start, label(start))], [], {start: 0}
+    for k, q in enumerate(multipliers, 1):
+        v = multiply(op, steps[-1][0], q)
+        applied.append(q)
+        if not any(v):
+            steps.append((v, ZERO_LABEL))
+            return steps, applied, None, True
+        steps.append((v, label(v)))
+        if cycles and v in seen:
+            return steps, applied, (seen[v], k - seen[v]), False
+        seen[v] = k
+    return steps, applied, None, False
+
+
+WALK_MODELS = [  # (name, params, field): ratio and ratio-pair rules, and Q
+    ("parametric3", (2, 3, 1, 4, 1, 2), 5),
+    ("nonlinear3", (2, 3, 5, 1, 4, 6), 7),
+    ("parametric4", (2, 3, 5, 7, 11, 13), 5),
+    ("parametric4", (2, 3, 5, 7, 11, 13), 3),
+    ("nonlinear3", (2, 3, 5, 1, 4, 6), None),
+    ("parametric4", (2, 3, 5, 7, 11, 13), None),
+]
+
+
+@pytest.mark.parametrize("name,params,p", WALK_MODELS,
+                         ids=[f"{m[0]}-f{m[2] or 'q'}" for m in WALK_MODELS])
+def test_walks_match_the_field_element_reference(name, params, p):
+    """orbit and chain_path on plain values against the FieldElement walk,
+    labeled by the partition over F_p (and by the rule labeler the CLI
+    passes) and by ratio_stratum_of over Q, on seeded starts and
+    multipliers."""
+    f = Field(p)
+    model = builtin_model(name, params=params, field=f)
+    op, rule, n = model.operation, model.strata_rule, model.dimension
+    rng = random.Random(f"{name}:{p}:walks")
+    if p:
+        part = ratio_partition(model)
+        labelers = [(part, part.label_of), (partial(rule_label, rule=rule,
+                                                    p=p), part.label_of)]
+        longest = 60
+    else:
+        by_rule = lambda v: str(ratio_stratum_of(v, rule, f))
+        labelers = [(by_rule, by_rule)]
+        longest = 8  # entries over Q grow without bound
+
+    def draw():
+        while True:
+            v = vector(f, [rng.randint(-4, 4) for _ in range(n)])
+            if any(v):
+                return v
+
+    seen = Counter()
+    for trial in range(40):
+        start, q = draw(), draw()
+        steps = 0 if trial == 0 else rng.randint(1, longest)
+        mults = [draw() for _ in range(rng.randint(0, 6))]
+        for labeler, reference in labelers:
+            for got, (walk, applied, cycle, cut) in [
+                    (orbit(model, start, q, steps, labeler),
+                     reference_walk(op, start, [q] * steps, reference, True)),
+                    (chain_path(model, start, mults, labeler),
+                     reference_walk(op, start, mults, reference, False))]:
+                assert got.steps == [(v, str(label)) for v, label in walk]
+                assert got.labels == [str(label) for _, label in walk]
+                assert got.multipliers == applied
+                assert got.start == start and got.final == walk[-1][0]
+                assert (got.cycle_info, got.truncated) == (cycle, cut)
+                seen["cycle" if cycle else "zero" if cut else "open"] += 1
+        seen["no steps"] += steps == 0
+    assert seen["open"] and seen["no steps"]
+    if p:
+        assert seen["cycle"]
+    if (name, p) in (("parametric3", 5), ("parametric4", 3)):
+        assert seen["zero"]
+
+
+def test_walks_need_an_operation_over_one_field():
+    # a symbolic operation has no plain form for multiply_values
+    model = symbolic_model("basic3")
+    v = coordinate_vars("a", 3)
+    for walk in (lambda: orbit(model, v, v, 2, lambda x: "all"),
+                 lambda: chain_path(model, v, [v], lambda x: "all")):
+        with pytest.raises(ValueError, match="operation over one field"):
+            walk()
 
 
 def test_permutation_invariance_tracks_lps(nonlinear19, f19):

@@ -42,8 +42,9 @@ def test_public_names_match_golden_list():
 
 # Numpy stays out of the processes that never call a kernel: importing the
 # CLI or any numpy-free module, and the commands that work on values alone
-# (axioms over Q or a prime past SPACE_CAP, identities, check-assoc, help).
-# Each probe runs in a fresh interpreter, under a timeout.
+# (axioms over Q or a prime past SPACE_CAP, identities, check-assoc, help,
+# trajectories and key exchanges without --recover). Each probe runs in a
+# fresh interpreter, under a timeout.
 
 SRC = os.path.dirname(os.path.dirname(stratalg.__file__))
 
@@ -58,6 +59,8 @@ print(code, "numpy" in sys.modules)
 """
 
 BUDGET = ["--samples", "10", "--chain-max", "3", "--json"]
+NL3 = ["--builtin", "nonlinear3", "--params", "2,3,5,1,4,6"]
+WALK = ["--start", "1,2,3", "--q", "4,5,6", "--steps", "50", "--json"]
 
 
 def probe(code, *argv):
@@ -72,7 +75,7 @@ def probe(code, *argv):
 
 
 @pytest.mark.parametrize("module", ["field", "poly", "rules", "algebra",
-                                    "axioms", "cli"])
+                                    "axioms", "cli", "walks", "kex"])
 def test_light_modules_import_without_numpy(module):
     assert probe(f"import sys, stratalg.{module}\n"
                  "print('numpy' in sys.modules)") == "False"
@@ -99,6 +102,10 @@ VALUE_COMMANDS = {
     "identities": (["identities", "--builtin", "basic3"], 0),
     "check-assoc": (["check-assoc", "--builtin", "basic3"], 0),
     "help": (["--help"], 0),
+    "orbit-start": (["orbit", *NL3, "--field", "fp:19", *WALK], 0),
+    "orbit-start-bigp": (["orbit", *NL3, "--field", "fp:1000000000039",
+                          *WALK], 0),
+    "kex": (["kex", *NL3, "--field", "fp:19", "--seed", "4", "--json"], 0),
 }
 
 
@@ -112,4 +119,10 @@ def test_value_commands_run_without_numpy(name, broken3_file):
 
 def test_kernel_commands_still_load_numpy():
     argv = ["strata", "--builtin", "basic3", "--field", "fp:5"]
+    assert probe(RUN_MAIN, *argv) == "0 True"
+
+
+def test_kex_recovery_still_loads_numpy():
+    argv = ["kex", "--builtin", "parametric3", "--params", "2,3,1,4,1,2",
+            "--field", "fp:5", "--seed", "1", "--lengths", "1,2", "--recover"]
     assert probe(RUN_MAIN, *argv) == "0 True"

@@ -27,6 +27,7 @@ from stratalg import (
 )
 from stratalg import algebra, axioms, strata
 from stratalg.algebra import RATIO_RULE_3D, RATIO_RULE_4D
+from stratalg.rules import rule_label
 from stratalg.strata import (
     INFINITY,
     ClosureReport,
@@ -144,6 +145,44 @@ def test_label_indices_match_scalar_labels_4d(f5):
     for row, lab in zip(V, idx):
         want = ratio_stratum_of(tuple(int(x) for x in row), rule, field=f5)
         assert label_index_to_str(int(lab), 5, rule) == str(want)
+
+
+# the tail rules of the built-ins, and rules whose coordinates are off the
+# tail and out of order
+RULES = [RATIO_RULE_3D, RATIO_RULE_4D, {"kind": "ratio", "coords": (3, 0)},
+         {"kind": "ratio-pair", "coords": (2, 0, 3)}]
+
+
+@pytest.mark.parametrize("rule", RULES,
+                         ids=["ratio", "ratio-pair", "ratio-30", "pair-203"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rule_label_matches_label_indices(p, rule):
+    """The scalar labeler is the array labeler's label string, for every
+    nonzero vector of F_p^4 given as field elements, as residues and as
+    unreduced ints."""
+    f = Field(p)
+    rng = random.Random(f"{p}:{rule}")
+    V = space_matrix(p, 4)
+    codes = label_indices(V, p, rule).tolist()
+    for row, code in zip(V.tolist(), codes):
+        want = label_index_to_str(code, p, rule)
+        assert rule_label(row, rule, p) == want
+        assert rule_label(vector(f, row), rule, p) == want
+        assert rule_label([x + p * rng.randint(-3, 3) for x in row],
+                          rule, p) == want
+
+
+def test_rule_label_matches_ratio_stratum_of_at_a_large_prime():
+    p = 1000000000039
+    f = Field(p)
+    rng = random.Random(0)
+    for rule in RULES:
+        for _ in range(300):
+            v = [rng.choice((0, 1, p - 1, rng.randrange(p), -rng.randrange(p)))
+                 for _ in range(4)]
+            if any(x % p for x in v):
+                assert rule_label(v, rule, p) == str(ratio_stratum_of(v, rule,
+                                                                      f))
 
 
 def test_ratio_partition_counts(f7):

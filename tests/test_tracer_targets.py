@@ -42,13 +42,17 @@ def test_names_the_tracer_tests_rebind_are_shared():
     assert stratalg.strata.multiply is stratalg.algebra.multiply
 
 
-# strata, dynamics and kex load on first use, and the CLI imports them inside
-# its commands; a traced run of one job each must still reach every wrapper.
+# strata, dynamics, walks and kex load on first use, and the CLI imports them
+# inside its commands; a traced run of one job each must still reach every
+# wrapper.
 P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
 TRACED_JOBS = [
     ["strata", *P3, "--discover", "--json"],
     ["orbit", *P3, "--json"],
     ["kex", *P3, "--seed", "1", "--lengths", "1,2", "--recover", "--json"],
+    ["orbit", *P3, "--start", "1,2,1", "--q", "0,3,4", "--steps", "30",
+     "--json"],
+    ["kex", *P3, "--seed", "4", "--lengths", "2,3", "--json"],
     ["axioms", "--builtin", "parametric3", "--params", "16,8,5,3,7,11",
      "--samples", "10", "--chain-max", "3", "--json"],
     ["axioms", "--builtin", "basic3", "--field", "fp:3", "--samples", "10",
@@ -79,9 +83,13 @@ def test_lazy_imports_reach_the_tracer_wrappers():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0, 1]  # basic3 is only symmetric
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 1]  # basic3: symmetric
     for name in ("strata.discover_strata", "dynamics.transition_graph",
                  "kex.brute_force_recover", "kernels.bulk_multiply",
                  "axioms.check_sa1", "strata.verify_closure"):
         assert result["calls"].get(name, 0) >= 1, name
+    # walks and key exchanges load no numpy, and still reach their wrappers
+    calls = result["calls"]
+    assert calls["dynamics.orbit"] == 1
+    assert calls["kex.seeded_session"] == calls["kex.run_exchange"] == 2
     assert result["leftover"] == []
