@@ -254,23 +254,19 @@ def _symbolic_in_stratum(name, n):
             crosses.append(prod[i] * dj - prod[j] * di)
     assoc = [x - y for x, y in zip(multiply(op, prod, c),
                                    multiply(op, a, multiply(op, b, c)))]
-    out = {
-        "commutative": _all_zero(comm),
-        "closed_direction": _all_zero(crosses),
-        "associative": _all_zero(assoc),
-    }
-    residuals = {}
+    out, residuals = {}, {}
     for key, polys in (("commutative", comm), ("closed_direction", crosses),
                        ("associative", assoc)):
-        if not _all_zero(polys):
+        out[key] = _all_zero(polys)
+        if not out[key]:
             residuals[key] = [str(p) for p in polys if not p.is_zero()]
     return out, residuals
 
 
 def _sample_consistency_sa1(model, rng, count=100):
-    """Value-level gate behind a symbolic 'holds': fresh co-stratal samples
-    must agree pointwise. Runs on plain values, so op.plain must exist (it
-    does over every field); FieldElements are built only for a witness."""
+    """Sampled in-stratum laws: count co-stratal triples must commute and
+    associate on plain values. check_sa1 draws it where no proof holds: for
+    a model with no symbolic twin, or a built-in whose proof fails."""
     op = model.operation
     field = model.field
 
@@ -291,7 +287,9 @@ def _sample_consistency_sa1(model, rng, count=100):
 def check_sa1(model, strata=None, plan=None):
     """In-stratum laws. Symbolic shared-direction proof where the model has
     a built-in symbolic twin, plus per-stratum closure verdicts over prime
-    fields (exhaustive for small strata, seeded sampling otherwise)."""
+    fields (exhaustive for small strata, seeded sampling otherwise). Only a
+    failed proof draws the sample gate; after one that holds, `sample_gate`
+    states what the proof implies, not what a run observed."""
     plan = plan or SamplingPlan()
     clauses = {}
     witnesses = []
@@ -303,7 +301,8 @@ def check_sa1(model, strata=None, plan=None):
         clauses["symbolic"] = {"laws": ok}
         if residuals:
             clauses["symbolic"]["residuals"] = residuals
-        gate_ok, gate_wit = _sample_consistency_sa1(model, plan.rng("SA1:gate"))
+        gate_ok, gate_wit = (True, None) if symbolic_ok else \
+            _sample_consistency_sa1(model, plan.rng("SA1:gate"))
         clauses["symbolic"]["sample_gate"] = gate_ok
         if not gate_ok:
             witnesses.append({"clause": "sample_gate",
@@ -317,14 +316,14 @@ def check_sa1(model, strata=None, plan=None):
         per_stratum = {}
         empirical_ok = True
         exhaustive = True
+        if part.provenance != "declared-ratio":
+            exc = set(part.exceptional)
+            constraint = lambda t: t in exc
         for label, members in part.strata:
             if part.provenance == "declared-ratio":
                 lab = ratio_stratum_of(members[0], model.strata_rule, field)
                 constraint = constraint_for_label(model.strata_rule, lab,
                                                   field.p)
-            else:
-                exc = set(part.exceptional)
-                constraint = lambda t, _exc=exc: t in _exc
             rep = verify_closure(model.operation, members, field,
                                  constraint=constraint, rng=rng,
                                  triple_samples=plan.samples)
@@ -348,10 +347,8 @@ def check_sa1(model, strata=None, plan=None):
         clauses["per_stratum"] = per_stratum
         if not empirical_ok:
             verdict = FAILS
-        elif symbolic_ok:
-            verdict = HOLDS
         else:
-            verdict = HOLDS if exhaustive else SAMPLES
+            verdict = HOLDS if symbolic_ok or exhaustive else SAMPLES
     if verdict is None:
         if symbolic_ok is None:
             # no symbolic twin and no finite enumeration: sampled laws only
@@ -363,7 +360,7 @@ def check_sa1(model, strata=None, plan=None):
                 witnesses.append({"clause": gate_wit[0],
                                   "vectors": [_vec_json(v)
                                               for v in gate_wit[1:]]})
-        elif symbolic_ok and clauses["symbolic"]["sample_gate"]:
+        elif symbolic_ok:
             verdict = HOLDS
         else:
             verdict = FAILS

@@ -39,7 +39,7 @@ from stratalg import (
     vector,
     verify_identity_suite,
 )
-from stratalg import algebra
+from stratalg import algebra, axioms
 from stratalg.algebra import BUILTIN_NAMES, RATIO_RULE_3D, RATIO_RULE_4D, \
     associator, is_zero_vector, lps
 from stratalg.axioms import (
@@ -497,7 +497,8 @@ GOLDEN_REPORTS = [
      "6591b89a0274a00d4f942c387c26e71ecdec09683c71926531af8e48127afee5"),
     ("sym3", None, BIG_PRIME, 30, 16, False,
      "7a58d9e67ca9dd847fc122b791701f84fe493878defacf39e3f4bed18b507e22"),
-    # a built-in past SPACE_CAP: the 100-draw gate behind the symbolic proof
+    # a built-in past SPACE_CAP: SA1 rests on the symbolic proof alone, with
+    # no closure enumeration and no sample gate
     ("nonlinear3", (2, 3, 5, 1, 4, 6), BIG_PRIME, 20, 17, False,
      "15d1fe44ce9896ffd9d187ed02e85c818055201d38a32ef5b6aa092c93a1bdc4"),
 ]
@@ -1028,6 +1029,70 @@ def test_a_symbolic_proof_that_fails_is_reported(monkeypatch):
     rep = check_sa1(model, plan=SamplingPlan(samples=20, seed=1))
     assert rep["clauses"]["symbolic"]["laws"]["commutative"] is False
     assert rep["verdict"] != HOLDS
+    # the failed proof draws the sample gate, which sees it on values
+    assert rep["clauses"]["symbolic"]["sample_gate"] is False
+    assert [(w["clause"], w["kind"]) for w in rep["witnesses"]] == \
+        [("sample_gate", "commutator")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BUILTIN_NAMES),
+       st.lists(st.integers(2, 29), min_size=6, max_size=6, unique=True),
+       st.sampled_from((None, 3, 5, 7, BIG_PRIME)),
+       st.integers(0, 2 ** 32))
+def test_symbolic_sa1_proof_agrees_with_the_sample_gate(name, params, p,
+                                                         seed):
+    """check_sa1 draws no sample gate behind a symbolic proof that holds:
+    the proof covers every specialization. That trust rests on Polynomial
+    and multiply_values computing the same products, so the gate runs here
+    on drawn params, fields and seeds instead of in every report."""
+    model = builtin_model(name, params=params, field=Field(p))
+    laws, residuals = _symbolic_in_stratum(name, model.dimension)
+    assert all(laws.values()) and not residuals
+    assert _sample_consistency_sa1(model, random.Random(seed), count=20) == \
+        (True, None)
+
+
+@pytest.mark.parametrize("p", (5, None), ids=lambda p: f"F_{p}" if p else "Q")
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_proof_that_holds_draws_no_sample_gate(name, p, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample gate drawn behind a proof that holds")
+
+    monkeypatch.setattr(axioms, "_sample_consistency_sa1", refuse)
+    model = builtin_model(name, params=(2, 3, 7, 1, 4, 6), field=Field(p))
+    rep = check_sa1(model, plan=SamplingPlan(samples=20, seed=1))
+    assert rep["clauses"]["symbolic"]["sample_gate"] is True
+    # parametric4's lumped ratio-pair stratum (inf,0) holds several
+    # directions, so it fails closure on F_5 with or without the gate
+    assert rep["verdict"] == (FAILS if (name, p) == ("parametric4", 5)
+                              else HOLDS)
+
+
+@pytest.mark.parametrize("p", (5, None), ids=lambda p: f"F_{p}" if p else "Q")
+def test_a_failed_proof_draws_the_sample_gate(p, monkeypatch):
+    """With one law unproved, check_sa1 draws the gate once, on its own
+    stream, and records what the draws observed (a gate that fails is
+    recorded in test_a_symbolic_proof_that_fails_is_reported)."""
+    real = axioms._sample_consistency_sa1
+    drawn = []
+
+    def spy(model, rng, count=100):
+        drawn.append(rng.getstate())
+        return real(model, rng, count)
+
+    laws = {"commutative": True, "closed_direction": True,
+            "associative": False}
+    monkeypatch.setattr(axioms, "_symbolic_in_stratum",
+                        lambda name, n: (laws, {"associative": ["a0"]}))
+    monkeypatch.setattr(axioms, "_sample_consistency_sa1", spy)
+    model = builtin_model("parametric3", params=(2, 3, 7, 1, 4, 6),
+                          field=Field(p))
+    plan = SamplingPlan(samples=20, seed=1)
+    rep = check_sa1(model, plan=plan)
+    assert drawn == [plan.rng("SA1:gate").getstate()]
+    assert rep["clauses"]["symbolic"]["sample_gate"] is True
+    assert rep["verdict"] == (HOLDS if p else FAILS)
 
 
 def run_script(lines):
