@@ -765,3 +765,34 @@ def test_walk_matches_golden_digest(capsys, argv, code, digest):
     rc, out, _ = run(capsys, argv)
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of reports over spaces of more than 2**16 nonzero vectors, frozen
+# while each whole-space labeling ran in one call and the sampled scan
+# multiplied its 10**5 pairs at once: a sampled transition graph and its text
+# summary over F_41^3 (68,920 vectors), the text report of parametric4's
+# ratio-pair partition of F_17^4 (83,520 vectors), and a discovery over F_41^3
+# checked against the declared rule
+N41 = ["--builtin", "nonlinear3", "--params", "2,3,5,1,4,6",
+       "--field", "fp:41"]
+GOLDEN_BLOCKS = [
+    (["orbit", *N41, "--seed", "3", "--json"], 0,
+     "25bcb004020b87724dd949e4b62e02ec4f43c5d36472599852b972d880e36e2a"),
+    (["orbit", *N41, "--seed", "3"], 0,
+     "53f3aebba177051c5904829514bbc974d49521bd1db9ebbf451dd1455fe1b300"),
+    (["strata", *P4, "--field", "fp:17"], 0,
+     "1a1e90c6de250c6905aa3f0c74b3eba49df0f4e2cb07f8c3f6989078d1c55836"),
+    (["strata", *N41, "--discover"], 0,
+     "337905a817df80467d69a6ca9ca073d88b8e2ee98b17f9f39b418dbaef83ba9a"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN_BLOCKS,
+    ids=["graph-f41", "graph-text-f41", "strata-text-parametric4-f17",
+         "discover-text-f41"])
+def test_report_past_one_label_block_matches_golden_digest(capsys, argv,
+                                                            code, digest):
+    rc, out, _ = run(capsys, argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
