@@ -1,8 +1,7 @@
 """Chained-product dynamics over prime fields: exhaustive permutation
 experiments and aggregated stratum-transition graphs with DOT/JSON export.
 Loads numpy for the transition scans; the trajectories (orbit, chain_path)
-live in the numpy-free walks module and are re-exported here.
-"""
+live in the numpy-free walks module and are re-exported here."""
 
 from collections import Counter
 from fractions import Fraction
@@ -25,9 +24,11 @@ EXHAUSTIVE_SPACE = 10 ** 4
 SAMPLED_PAIRS = 10 ** 5
 
 # Most transition tally bins (labels**2 * (labels + 1)). The tally and each
-# scan block's bincount are int64 arrays of this many bins, 512 MiB each at
-# the bound, so this protects the host's memory: 406 labels fit.
+# exhaustive block's bincount are int64 arrays of this many bins, 512 MiB
+# each at the bound, so this protects the host's memory: 406 labels fit.
 MAX_TALLY_BINS = 1 << 26
+
+SCAN_BLOCK = 1 << 13  # pairs per sampled-scan block: bounds its digit rows
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +145,9 @@ def transition_graph(op, partition, plan):
     """Scan ordered pairs (a, q) of nonzero vectors and count stratum
     transitions (label(a), label(q)) -> label(a*q). All pairs when the
     state space has at most EXHAUSTIVE_SPACE vectors; otherwise
-    SAMPLED_PAIRS pairs drawn with the plan's seed. Deterministic. A
-    partition whose tally would pass MAX_TALLY_BINS raises ValueError."""
+    SAMPLED_PAIRS pairs drawn with the plan's seed, multiplied SCAN_BLOCK at
+    a time and tallied by one bincount. Deterministic. A partition whose
+    tally would pass MAX_TALLY_BINS raises ValueError."""
     op = _as_operation(op)
     p, n = partition.p, partition.n
     space = p ** n
@@ -183,10 +185,13 @@ def transition_graph(op, partition, plan):
         mode = "sampled"
         pairs = min(SAMPLED_PAIRS, nonzero ** 2)
         rng = np.random.default_rng(plan.seed)
-        ia = rng.integers(0, nonzero, size=pairs) + 1
-        iq = rng.integers(0, nonzero, size=pairs) + 1
-        prods = lex_indices(bulk_multiply(T, La, Lb, lex_digits(ia, p, n),
-                                          lex_digits(iq, p, n), p), p)
+        ia = rng.integers(1, space, size=pairs)
+        iq = rng.integers(1, space, size=pairs)
+        prods = np.empty(pairs, dtype=np.int64)
+        for lo in range(0, pairs, SCAN_BLOCK):
+            a, q = (lex_digits(i[lo:lo + SCAN_BLOCK], p, n) for i in (ia, iq))
+            prods[lo:lo + SCAN_BLOCK] = lex_indices(
+                bulk_multiply(T, La, Lb, a, q, p), p)
         tally = count(codes[ia], codes[iq], codes[prods])
 
     flat = np.flatnonzero(tally)
@@ -205,17 +210,15 @@ def return_edge_stats(graph):
     thin coincidence sets that axiom-level rescaling clears; the
     fraction should sit near 2/p, far from generic."""
     cross = 0
-    returns = 0
     returning_edges = {}
     for (a, via, c), count in graph.edges.items():
-        if a == via:
-            continue
-        cross += count
-        if c == a or c == via:
-            returns += count
-            returning_edges[(a, via, c)] = count
+        if a != via:
+            cross += count
+            if c in (a, via):
+                returning_edges[(a, via, c)] = count
     # zero products of cross pairs are landings too, but carry no edge;
     # they are reported separately on the graph itself.
+    returns = sum(returning_edges.values())
     fraction = Fraction(returns, cross) if cross else Fraction(0)
     return {"cross_pairs": cross, "returning_pairs": returns,
             "fraction": fraction, "edges": returning_edges}
@@ -230,9 +233,6 @@ def self_loop_report(graph):
             continue
         entry = report.setdefault(a, Counter())
         entry["total"] += count
-        if c == a:
-            entry["closed"] += count
-        else:
-            entry[f"to {c}"] += count
+        entry["closed" if c == a else f"to {c}"] += count
     return {label: dict(counts) for label, counts in report.items()}
 

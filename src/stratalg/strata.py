@@ -1,9 +1,6 @@
 """Strata over F_p^n and Q^n: declarative ratio labels, empirical discovery
-by commutant clustering, and closure checks.
-
-Vectors inside this module are tuples of canonical residues (plain ints)
-when a prime field is in play; the numpy kernels chew those in bulk.
-"""
+by commutant clustering, and closure checks. Over F_p a partition holds one
+int32 label code per lex index; the numpy kernels label in bulk."""
 
 import itertools
 from collections import namedtuple
@@ -22,6 +19,8 @@ from .rules import SPACE_CAP, INFINITY, EXCEPTIONAL, RATIO_RULE_3D, \
     RATIO_RULE_4D, RatioPoint, RatioPair, _as_value, _ratio, \
     ratio_stratum_of, directions_proportional, tails_proportional, \
     label_index_to_str, constraint_for_label
+
+LABEL_BLOCK = 1 << 16  # vectors per space_labels block: bounds the digit rows
 
 # without full=True (the CLI's --full), to_json lists the members of a
 # stratum only up to this size and gives just the size of a larger one, so
@@ -63,26 +62,33 @@ def to_dense_arrays(op, p):
     return T[:n, :n], T[:n, n], T[n, :n]
 
 
-def label_indices(V, p, rule):
+def label_indices(V, p, rule, inv=None):
     """Numeric stratum label per row of V. Single ratio: index in [0, p],
     p meaning infinity. Ratio pair: first*(p+1) + second with the same
-    convention per slot."""
-    inv = inverse_table(p)
+    convention per slot. inv is inverse_table(p), built when not given."""
+    inv = inverse_table(p) if inv is None else inv
     coords = rule["coords"]
     if rule["kind"] == "ratio":
-        x = V[:, coords[0]]
-        y = V[:, coords[1]]
+        x, y = V[:, coords[0]], V[:, coords[1]]
         return np.where(y != 0, (x * inv[y]) % p, p)
-    v1 = V[:, coords[0]]
-    v2 = V[:, coords[1]]
-    v3 = V[:, coords[2]]
+    v1, v2, v3 = V[:, coords[0]], V[:, coords[1]], V[:, coords[2]]
     second = np.where(v3 != 0, (v2 * inv[v3]) % p, p)
-    first = np.where(
-        v2 != 0,
-        (v1 * inv[v2]) % p,
-        np.where((v3 != 0) & (v1 == 0), 0, p),
-    )
+    first = np.where(v2 != 0, (v1 * inv[v2]) % p,
+                     np.where((v3 != 0) & (v1 == 0), 0, p))
     return first * (p + 1) + second
+
+
+def space_labels(p, n, rule):
+    """label_indices of every nonzero vector, in lex order, as int32."""
+    if p ** n > SPACE_CAP:
+        raise ValueError(f"{p}**{n} exceeds enumeration cap 2**24")
+    inv = inverse_table(p)
+    out = np.empty(p ** n - 1, dtype=np.int32)
+    for lo in range(0, len(out), LABEL_BLOCK):
+        idx = np.arange(lo + 1, min(lo + LABEL_BLOCK, len(out)) + 1)
+        out[lo:lo + LABEL_BLOCK] = label_indices(
+            _kernels.lex_digits(idx, p, n), p, rule, inv)
+    return out
 
 
 Landings = namedtuple("Landings", "inside boundary zero outside")
@@ -102,9 +108,8 @@ class StratumPartition:
     lists strata and exceptional are built on first use, in lex order."""
 
     def __init__(self, p, n, codes, labels, provenance):
-        self.p = p
-        self.n = n
-        self.codes = np.concatenate([[-1], codes]).astype(np.int32)
+        self.p, self.n = p, n
+        self.codes = np.concatenate([[-1], codes], dtype=np.int32)
         self.labels = labels
         self.provenance = provenance
         self._k = len(labels) - (labels[-1:] == [EXCEPTIONAL])  # strata
@@ -145,10 +150,8 @@ class StratumPartition:
         return dict(zip(self.labels[:self._k], counts.tolist()))
 
     def total(self):
-        """Number of stratum members, excluding the exceptional ledger.
-
-        For every partition, total() + len(exceptional) == p**n - 1.
-        """
+        """Number of stratum members, excluding the exceptional ledger:
+        for every partition, total() + len(exceptional) == p**n - 1."""
         return sum(self.sizes().values())
 
     def to_json(self, full=False):
@@ -159,30 +162,28 @@ class StratumPartition:
             if full or len(members) <= INLINE_MEMBERS:
                 entry["members"] = members
             strata.append(entry)
-        return {
-            "p": self.p,
-            "n": self.n,
-            "provenance": self.provenance,
-            "strata": strata,
-            "exceptional": groups[-1] if self._k < len(self.labels) else [],
-        }
+        exceptional = groups[-1] if self._k < len(self.labels) else []
+        return {"p": self.p, "n": self.n, "provenance": self.provenance,
+                "strata": strata, "exceptional": exceptional}
 
 
 def ratio_partition(model, p=None):
     """Enumerated partition of F_p^n by the model's declarative rule."""
-    field = model.field
-    p = p or field.p
+    p = p or model.field.p
     if p is None:
         raise ValueError("ratio_partition needs a prime field")
     rule = model.strata_rule
     if rule is None:
         raise ValueError(f"model {model.name} declares no strata rule")
-    idx = label_indices(space_matrix(p, model.dimension), p, rule)
-    present = np.bincount(idx) > 0  # label indices are small: no sort
-    labels = [label_index_to_str(i, p, rule)
-              for i in np.flatnonzero(present).tolist()]
-    return StratumPartition(p, model.dimension, (np.cumsum(present) - 1)[idx],
-                            labels, "declared-ratio")
+    idx = space_labels(p, model.dimension, rule)
+    code = np.zeros(int(idx.max()) + 1, dtype=np.int32)
+    code[idx] = 1  # label indices are small: no sort
+    present = np.flatnonzero(code)
+    code[present] = np.arange(len(present))
+    for lo in range(0, len(idx), LABEL_BLOCK):  # in place: take buffers out
+        np.take(code, idx[lo:lo + LABEL_BLOCK], out=idx[lo:lo + LABEL_BLOCK])
+    labels = [label_index_to_str(i, p, rule) for i in present.tolist()]
+    return StratumPartition(p, model.dimension, idx, labels, "declared-ratio")
 
 
 def discover_strata(op, p):
@@ -234,7 +235,7 @@ def partitions_agree(discovered, model):
     k = discovered._k  # strata, not the ledger
     span = (p + 1) ** 2  # above every ratio label index
     code = discovered.codes[1:].astype(np.int64)
-    pairs = code * span + label_indices(space_matrix(p, discovered.n), p, rule)
+    pairs = code * span + space_labels(p, discovered.n, rule)
     # distinct (stratum, ratio label) pairs, sorted: strata before `clean`
     # have one ratio label each
     s, r = np.divmod(np.unique(pairs[code < k]), span)
@@ -396,7 +397,6 @@ def stratified_depth(op, tree, leaves, labeler):
     return DepthReport(len(set(labels)), labels, flags)
 
 
-# The numpy-backed modules load as one unit. dynamics binds kernel functions
-# by name, so a tracer that rebinds kernels after this import
-# (perfbench/tracer.py) finds it already holding the originals.
+# The numpy-backed modules load as one unit: dynamics binds kernels by name,
+# so a tracer (perfbench/tracer.py) rebinding them later finds the originals.
 from . import dynamics  # noqa: E402

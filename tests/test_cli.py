@@ -533,31 +533,57 @@ def test_orbit_start_fields(capsys, extra, code, err):
 # rule, so its peak does not grow with the field. At F_251 (16.6M vectors)
 # the whole-space partition these 51 labels once came from peaked at 875 MB;
 # labeled by the rule the process peaks near 30 MB.
-TRAJECTORY_PEAK = """
+# A child's ru_maxrss starts at its parent's peak (Linux keeps it across
+# exec), so the test process's own size would count; the child reports
+# VmHWM, the high-water mark of its own memory, where /proc has it.
+CLI_PEAK = """
 import resource, sys
 from stratalg import cli
 code = cli.main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak)
 """
 
 
-def test_trajectory_near_space_cap_stays_small(tmp_path):
+def cli_peak(argv, timeout):
+    """(exit code, peak kB) of one CLI run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(stratalg.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = tmp_path / "trajectory.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-c", TRAJECTORY_PEAK, "orbit", "--builtin",
-         "nonlinear3", "--params", "2,3,5,4,6,1", "--field", "fp:251",
-         "--start", "1,2,3", "--q", "2,1,1", "--steps", "50", "--json",
-         "--output", str(out)],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", CLI_PEAK, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     code, peak_kb = map(int, proc.stdout.split())
+    return code, peak_kb
+
+
+def test_trajectory_near_space_cap_stays_small(tmp_path):
+    out = tmp_path / "trajectory.jsonl"
+    code, peak_kb = cli_peak(
+        ["orbit", "--builtin", "nonlinear3", "--params", "2,3,5,4,6,1",
+         "--field", "fp:251", "--start", "1,2,3", "--q", "2,1,1",
+         "--steps", "50", "--json", "--output", str(out)], timeout=60)
     assert code == 0
     assert len(out.read_text().splitlines()) == 52
     assert peak_kb < 150 * 1024
+
+
+def test_text_strata_near_space_cap_stays_small(tmp_path):
+    """The declared partition of F_251^3 (16.6M vectors) labels its
+    vectors in blocks: the int32 labels and codes are the largest arrays.
+    Labeled in one shot it peaked at 874 MB."""
+    out = tmp_path / "strata.txt"
+    code, peak_kb = cli_peak(
+        ["strata", "--builtin", "nonlinear3", "--params", "2,3,5,4,6,1",
+         "--field", "fp:251", "--output", str(out)], timeout=120)
+    assert code == 0
+    assert "252 strata" in out.read_text()
+    assert peak_kb < 300 * 1024
 
 
 # Flags come and go between neighbours, and every error sits between two

@@ -11,6 +11,7 @@ from stratalg import (
     AffineOperation,
     BracketTree,
     Field,
+    ModelSpec,
     StructureTensor,
     builtin_model,
     discover_strata,
@@ -172,6 +173,51 @@ def test_rule_label_matches_label_indices(p, rule):
                           rule, p) == want
 
 
+def one_shot_labels(p, n, rule):
+    """The whole-space labeling before it went blockwise: one digit row
+    per nonzero vector, labeled in one call."""
+    return label_indices(space_matrix(p, n), p, rule)
+
+
+def one_shot_ratio_partition(model, p):
+    """(codes, labels) of ratio_partition as built in one shot."""
+    rule = model.strata_rule
+    idx = one_shot_labels(p, model.dimension, rule)
+    present = np.bincount(idx) > 0
+    labels = [label_index_to_str(i, p, rule)
+              for i in np.flatnonzero(present).tolist()]
+    return (np.cumsum(present) - 1)[idx], labels
+
+
+def rule_cases():
+    """(p, n, rule) for p in 2, 3, 5, 7 and n in 2..4: the tail rules of
+    both kinds that fit n, and every other rule of RULES that fits."""
+    for p in (2, 3, 5, 7):
+        for n in (2, 3, 4):
+            tail = [{"kind": "ratio", "coords": (n - 2, n - 1)},
+                    {"kind": "ratio-pair", "coords": (n - 3, n - 2, n - 1)}]
+            for rule in tail[:n - 1] + [r for r in RULES if r not in tail]:
+                if max(rule["coords"]) < n:
+                    yield p, n, rule
+
+
+@pytest.mark.parametrize("p,n,rule", list(rule_cases()))
+def test_labels_in_blocks_match_the_one_shot_labeling(p, n, rule, monkeypatch):
+    """Blocks of 5 lex indices, the last one full or ragged, give the
+    one-shot labels, the partition's codes and its label list."""
+    monkeypatch.setattr(strata, "LABEL_BLOCK", 5)
+    labels = strata.space_labels(p, n, rule)
+    assert labels.dtype == np.int32
+    assert labels.tolist() == one_shot_labels(p, n, rule).tolist()
+    f = Field(p)
+    model = ModelSpec("rule", n, f, AffineOperation(StructureTensor(n, {}),
+                                                    zero=f.zero()), rule)
+    part = ratio_partition(model)
+    codes, labels = one_shot_ratio_partition(model, p)
+    assert part.codes[1:].tolist() == codes.tolist()
+    assert part.labels == labels
+
+
 def test_rule_label_matches_ratio_stratum_of_at_a_large_prime():
     p = 1000000000039
     f = Field(p)
@@ -303,26 +349,44 @@ def test_discovery_over_f2():
         False, "discovered stratum S0 spans ratio labels [0, 1, 2]")
 
 
-def test_partitions_agree_details_are_frozen(f7):
-    """The detail strings of an agreement, a stratum spanning labels and a
-    label split across strata, frozen from the implementation that kept
-    members as tuples in a dict."""
+def agreement_cases(f7):
+    """An agreement, a stratum spanning labels and a label split across
+    strata, as (discovered partition, model, frozen partitions_agree)."""
     model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6), field=f7)
-    assert partitions_agree(discover_strata(model, 7), model) == (
-        True, "8 strata matched one-to-one")
     one = f7.one()
     diag = StructureTensor(3, {(i, i, i): one for i in range(3)})
-    assert partitions_agree(
-        discover_strata(AffineOperation(diag, zero=f7.zero()), 7),
-        model) == (False, "discovered stratum S0 spans ratio labels "
-                          "[0, 1, 2, 3, 4, 5, 6, 7]")
     rng = random.Random(5)
     generic = StructureTensor(3, {
         (i, j, k): f7.element(rng.randrange(7))
         for i in range(3) for j in range(3) for k in range(3)})
-    assert partitions_agree(
-        discover_strata(AffineOperation(generic, zero=f7.zero()), 7),
-        model) == (False, "ratio label inf split across S1 and S8")
+    return [
+        (discover_strata(model, 7), model,
+         (True, "8 strata matched one-to-one")),
+        (discover_strata(AffineOperation(diag, zero=f7.zero()), 7), model,
+         (False, "discovered stratum S0 spans ratio labels "
+                 "[0, 1, 2, 3, 4, 5, 6, 7]")),
+        (discover_strata(AffineOperation(generic, zero=f7.zero()), 7), model,
+         (False, "ratio label inf split across S1 and S8")),
+    ]
+
+
+def test_partitions_agree_details_are_frozen(f7):
+    """The detail strings, frozen from the implementation that kept
+    members as tuples in a dict."""
+    for part, model, want in agreement_cases(f7):
+        assert partitions_agree(part, model) == want
+
+
+def test_partitions_agree_labels_in_blocks(f7, monkeypatch):
+    """Blocks of 5 lex indices give the same agreements and details, over
+    F_2 too."""
+    monkeypatch.setattr(strata, "LABEL_BLOCK", 5)
+    for part, model, want in agreement_cases(f7):
+        assert partitions_agree(part, model) == want
+    model = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
+                          field=Field(2))
+    assert partitions_agree(discover_strata(model, 2), model) == (
+        False, "discovered stratum S0 spans ratio labels [0, 1, 2]")
 
 
 def test_discovery_of_a_commutative_operation_is_one_group(f5):

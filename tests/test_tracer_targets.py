@@ -42,6 +42,27 @@ def test_names_the_tracer_tests_rebind_are_shared():
     assert stratalg.strata.multiply is stratalg.algebra.multiply
 
 
+def test_the_blockwise_labeler_calls_label_indices_by_name(monkeypatch):
+    """The tracer rebinds strata.label_indices; ratio_partition labels
+    through that module-global name, once per LABEL_BLOCK lex indices."""
+    strata = stratalg.strata
+    original = strata.label_indices
+    calls = []
+
+    def counted(V, *args):
+        calls.append(len(V))
+        return original(V, *args)
+
+    monkeypatch.setattr(strata, "label_indices", counted)
+    model = stratalg.builtin_model("basic3", field=stratalg.Field(7))
+    strata.ratio_partition(model)
+    assert calls == [7 ** 3 - 1]
+    calls.clear()
+    monkeypatch.setattr(strata, "LABEL_BLOCK", 100)
+    strata.ratio_partition(model)
+    assert calls == [100, 100, 100, 42]
+
+
 # strata, dynamics, walks and kex load on first use, and the CLI imports them
 # inside its commands; a traced run of one job each must still reach every
 # wrapper.
