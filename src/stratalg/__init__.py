@@ -7,9 +7,9 @@ transition-graph dynamics, and exercised by a toy key-agreement demo.
 All arithmetic is exact; randomized checks are seeded and reproducible.
 
 The modules strata, dynamics and kex, and the names taken from them, load
-on first use (PEP 562). strata and dynamics load numpy, and kex loads it
-only to run brute_force_recover, so the value-level work over Q and over
-large primes, trajectories and key exchanges run without numpy.
+on first use (PEP 562). strata loads numpy; dynamics and kex load it only
+in transition_graph and brute_force_recover, so the value-level work over
+Q and over large primes, trajectories and key exchanges run without numpy.
 """
 
 from importlib import import_module as _import_module
@@ -58,15 +58,14 @@ _LAZY = {
     "strata": ("StratumPartition", "discover_strata", "enumerate_space",
                "is_stratum_stable", "partitions_agree", "ratio_partition",
                "stratified_depth", "verify_closure"),
-    "dynamics": ("TransitionGraph", "permutation_invariance",
-                 "return_edge_stats", "self_loop_report", "transition_graph"),
+    "dynamics": ("Trajectory", "TransitionGraph", "chain_path", "orbit",
+                 "permutation_invariance", "return_edge_stats",
+                 "self_loop_report", "transition_graph"),
     "kex": ("Party", "SessionTranscript", "brute_force_recover",
             "eavesdropper_view", "init_session", "run_exchange",
             "seeded_session"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
-# dynamics re-exports the trajectories from the numpy-free walks module
-_HOME.update(dict.fromkeys(("Trajectory", "chain_path", "orbit"), "walks"))
 
 
 def __getattr__(name):

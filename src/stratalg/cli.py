@@ -19,8 +19,7 @@ import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
-# strata and dynamics load numpy, so the commands that need them import
-# them (and walks and kex) when they run
+# strata (numpy), dynamics and kex load when the commands using them run
 from .algebra import (BUILTIN_NAMES, MAX_SECRET_LENGTH, MAX_STEPS,
                       associativity_check, builtin_model,
                       format_assoc_report, make_params, model_from_json)
@@ -294,9 +293,9 @@ def cmd_strata(args):
 
 
 def cmd_orbit(args):
+    from . import dynamics
     model = load_model(args)
     if args.dot or not args.start:
-        from . import dynamics
         part = partition_for(args, model)
         plan = make_plan(args)
         graph = dynamics.transition_graph(model.operation, part, plan)
@@ -312,7 +311,6 @@ def cmd_orbit(args):
                        f"zero products\ncross-stratum returns: "
                        f"{stats['returning_pairs']}/{stats['cross_pairs']}")
         return 0
-    from . import walks
     part = partition_for(args, model, walk=True)
     field = model.field
     start = parse_vector(args.start, field, "--start")
@@ -320,7 +318,7 @@ def cmd_orbit(args):
     if q is None:
         raise UsageError("orbit needs --q MULTIPLIER (or --dot for the "
                          "aggregate graph)")
-    traj = walks.orbit(model.operation, start, q, args.steps, part)
+    traj = dynamics.orbit(model.operation, start, q, args.steps, part)
     if args.json:
         emit(args, traj.to_json_lines())
     else:

@@ -1,20 +1,17 @@
-"""Chained-product dynamics over prime fields: exhaustive permutation
-experiments and aggregated stratum-transition graphs with DOT/JSON export.
-Loads numpy for the transition scans; the trajectories (orbit, chain_path)
-live in the numpy-free walks module and are re-exported here."""
+"""Chained-product dynamics: left-associated walks on plain values (orbits
+with exact cycle detection, chain paths), exhaustive permutation
+experiments and aggregated stratum-transition graphs with DOT/JSON
+export. Only transition_graph loads numpy (and strata and the kernels)."""
 
+import itertools
+import json
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
-import numpy as np
-
-from .algebra import MAX_CHAIN, _as_operation, _plain, chain_orderings
-from .field import _elements
-from .strata import space_matrix, to_dense_arrays
-from .walks import MAX_STEPS, ZERO_LABEL, UNLABELED, Trajectory, \
-    chain_path, orbit, _labeler, _require_nonzero
-from ._kernels import bulk_multiply, left_tables, lex_digits, \
-    lex_indices, space_products
+from .algebra import MAX_CHAIN, MAX_STEPS, _as_operation, _plain, \
+    chain_orderings, is_zero_vector, multiply_values
+from .field import _elements, _vec_json
 
 # State-space sizes up to this bound (space_products needs p**n <= 2**16) get
 # the all-pairs transition scan; larger spaces are sampled.
@@ -29,6 +26,148 @@ SAMPLED_PAIRS = 10 ** 5
 MAX_TALLY_BINS = 1 << 26
 
 SCAN_BLOCK = 1 << 13  # pairs per sampled-scan block: bounds its digit rows
+
+ZERO_LABEL = "zero"
+UNLABELED = "unlabeled"
+
+
+# ---------------------------------------------------------------------------
+# walks
+
+
+def _labeler(partition):
+    """Vector -> stratum label. Accepts a StratumPartition or any
+    callable; the zero vector is always labeled ZERO_LABEL."""
+    fn = getattr(partition, "label_of", partition)
+
+    def label(v):
+        if is_zero_vector(v):
+            return ZERO_LABEL
+        got = fn(v)
+        return UNLABELED if got is None else str(got)
+
+    return label
+
+
+def _require_nonzero(v, what):
+    if is_zero_vector(v):
+        raise ValueError(f"{what} must be nonzero")
+
+
+def _walk(op, v, multipliers, label, seen=None):
+    """The left chain v, v*m_0, (v*m_0)*m_1, ... of plain values and their
+    labels, cut after the first zero product or, when seen maps values to
+    steps, after the first repeated value. Returns (values, labels,
+    cycle_info, truncated)."""
+    values, labels = [v], [label(v)]
+    for k, q in enumerate(multipliers, 1):
+        v = tuple(multiply_values(op, v, q))
+        values.append(v)
+        labels.append(label(v))  # ZERO_LABEL for the zero vector
+        if not any(v):
+            return values, labels, None, True
+        if seen is not None:
+            if v in seen:
+                return values, labels, (seen[v], k - seen[v]), False
+            seen[v] = k
+    return values, labels, None, False
+
+
+class Trajectory:
+    """A left-associated chain with per-step stratum labels: steps[0] is
+    the start, steps[k+1] is steps[k] * multipliers[k]. cycle_info =
+    (entry, period) when the walk revisits an exact vector value; truncated
+    is set when a zero product cut the chain short. values and applied hold
+    plain values; start, multipliers, steps and final are FieldElements."""
+
+    def __init__(self, field, values, labels, applied, cycle_info=None,
+                 truncated=False):
+        self.field = field
+        self.values = values
+        self.labels = labels
+        self.applied = applied
+        self.cycle_info = cycle_info
+        self.truncated = truncated
+
+    @property
+    def start(self):
+        return _elements(self.field, self.values[0])
+
+    @cached_property
+    def multipliers(self):
+        return [_elements(self.field, q) for q in self.applied]
+
+    @cached_property
+    def steps(self):
+        return [(_elements(self.field, v), label)
+                for v, label in zip(self.values, self.labels)]
+
+    @property
+    def final(self):
+        return _elements(self.field, self.values[-1])
+
+    def __len__(self):
+        return len(self.values)
+
+    def to_json(self):
+        return {
+            "start": _vec_json(self.values[0]),
+            "multipliers": [_vec_json(q) for q in self.applied],
+            "steps": [{"step": k, "value": _vec_json(v), "stratum": label}
+                      for k, (v, label) in enumerate(zip(self.values,
+                                                         self.labels))],
+            "cycle": list(self.cycle_info) if self.cycle_info else None,
+            "truncated": self.truncated,
+        }
+
+    def to_json_lines(self):
+        """One JSON object per line: a header, then one line per step."""
+        header = dict(self.to_json(), type="trajectory")
+        steps = header.pop("steps")
+        dump = lambda o: json.dumps(o, sort_keys=True, separators=(",", ":"))
+        return "\n".join(map(dump, [header, *steps]))
+
+    def __repr__(self):
+        extra = " truncated" if self.truncated else ""
+        if self.cycle_info:
+            extra = " cycle(entry={}, period={})".format(*self.cycle_info)
+        return f"Trajectory({' -> '.join(self.labels)}{extra})"
+
+
+def orbit(op, start, q, steps, partition):
+    """Walk start, start*q, (start*q)*q, ... for at most `steps`
+    multiplications, labeling each value with partition (a StratumPartition
+    or a callable on plain values). Stops early at the first exact repeat
+    of a value (cycle_info records entry index and period; the repeat is
+    kept as the last step) or at a zero product (truncated flag)."""
+    if steps < 0:
+        raise ValueError("orbit steps must be at least 0")
+    if steps > MAX_STEPS:
+        raise ValueError(f"orbit steps must be at most {MAX_STEPS}")
+    op = _as_operation(op)
+    start, q = _plain(op, start), _plain(op, q)
+    _require_nonzero(start, "orbit start")
+    _require_nonzero(q, "orbit multiplier")
+    values, labels, cycle, cut = _walk(op, start, itertools.repeat(q, steps),
+                                       _labeler(partition), {start: 0})
+    return Trajectory(op.plain.field, values, labels,
+                      [q] * (len(values) - 1), cycle, cut)
+
+
+def chain_path(op, start, multipliers, partition):
+    """Label sequence of the left-associated chain
+    ((start * m_0) * m_1) * ... . A zero product truncates the walk
+    and leaves the remaining multipliers unapplied."""
+    op = _as_operation(op)
+    start = _plain(op, start)
+    multipliers = [_plain(op, q) for q in multipliers]
+    _require_nonzero(start, "chain start")
+    for q in multipliers:
+        _require_nonzero(q, "chain multiplier")
+    values, labels, _, cut = _walk(op, start, multipliers,
+                                   _labeler(partition))
+    return Trajectory(op.plain.field, values, labels,
+                      multipliers[:len(values) - 1], truncated=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +287,11 @@ def transition_graph(op, partition, plan):
     SAMPLED_PAIRS pairs drawn with the plan's seed, multiplied SCAN_BLOCK at
     a time and tallied by one bincount. Deterministic. A partition whose
     tally would pass MAX_TALLY_BINS raises ValueError."""
+    # local: numpy loads only here, and traced kernels are looked up per call
+    import numpy as np
+    from ._kernels import bulk_multiply, left_tables, lex_digits, \
+        lex_indices, space_products
+    from .strata import space_matrix, to_dense_arrays
     op = _as_operation(op)
     p, n = partition.p, partition.n
     space = p ** n

@@ -6,7 +6,7 @@ publishes the endpoint, then walks the other's endpoint through the
 same secret chain. Same-stratum order independence makes the two
 final values agree. This is explicitly a toy: the brute-force helper
 demonstrates that desk-scale parameters fall to exhaustive search.
-Sessions walk plain residues (walks.chain_path) and load no numpy;
+Sessions walk plain residues (dynamics.chain_path) and load no numpy;
 brute_force_recover imports strata and the kernels, and with them numpy,
 when it runs.
 """
@@ -16,9 +16,9 @@ import random
 
 from .algebra import MAX_SECRET_LENGTH, is_zero_vector, model_to_json
 from .axioms import _draw_direction, _place, label_str, require_rule
+from .dynamics import chain_path
 from .field import _elements, _vec_json
 from .rules import label_index_to_str
-from .walks import chain_path
 
 # Exhaustive recovery is capped at this many candidate chains.
 BRUTE_FORCE_CAP = 10 ** 6

@@ -79,13 +79,14 @@ def label_indices(V, p, rule, inv=None):
 
 
 def space_labels(p, n, rule):
-    """label_indices of every nonzero vector, in lex order, as int32."""
+    """label_indices of every vector by lex index as int32, -1 at zero."""
     if p ** n > SPACE_CAP:
         raise ValueError(f"{p}**{n} exceeds enumeration cap 2**24")
     inv = inverse_table(p)
-    out = np.empty(p ** n - 1, dtype=np.int32)
-    for lo in range(0, len(out), LABEL_BLOCK):
-        idx = np.arange(lo + 1, min(lo + LABEL_BLOCK, len(out)) + 1)
+    out = np.empty(p ** n, dtype=np.int32)
+    out[0] = -1
+    for lo in range(1, p ** n, LABEL_BLOCK):
+        idx = np.arange(lo, min(lo + LABEL_BLOCK, p ** n))
         out[lo:lo + LABEL_BLOCK] = label_indices(
             _kernels.lex_digits(idx, p, n), p, rule, inv)
     return out
@@ -104,12 +105,14 @@ class StratumPartition:
 
     codes[i] is the position in labels of the vector with lex index i (-1
     at the zero vector); a nonempty ledger is the last label, EXCEPTIONAL.
-    The constructor takes the codes of the nonzero vectors. The member
+    The constructor keeps the p**n codes it is given, -1 first. The member
     lists strata and exceptional are built on first use, in lex order."""
 
     def __init__(self, p, n, codes, labels, provenance):
+        if len(codes) != p ** n or codes[0] != -1:
+            raise ValueError(f"F_{p}^{n} needs {p}**{n} codes, -1 first")
         self.p, self.n = p, n
-        self.codes = np.concatenate([[-1], codes], dtype=np.int32)
+        self.codes = np.asarray(codes, dtype=np.int32)
         self.labels = labels
         self.provenance = provenance
         self._k = len(labels) - (labels[-1:] == [EXCEPTIONAL])  # strata
@@ -146,7 +149,10 @@ class StratumPartition:
         return self.labels[code] if code >= 0 else None
 
     def sizes(self):
-        counts = np.bincount(self.codes[1:], minlength=self._k)
+        # per block: bincount casts its input to int64
+        counts = sum(np.bincount(self.codes[lo:lo + LABEL_BLOCK],
+                                 minlength=len(self.labels))
+                     for lo in range(1, len(self.codes), LABEL_BLOCK))
         return dict(zip(self.labels[:self._k], counts.tolist()))
 
     def total(self):
@@ -177,10 +183,10 @@ def ratio_partition(model, p=None):
         raise ValueError(f"model {model.name} declares no strata rule")
     idx = space_labels(p, model.dimension, rule)
     code = np.zeros(int(idx.max()) + 1, dtype=np.int32)
-    code[idx] = 1  # label indices are small: no sort
+    code[idx[1:]] = 1  # label indices are small: no sort
     present = np.flatnonzero(code)
     code[present] = np.arange(len(present))
-    for lo in range(0, len(idx), LABEL_BLOCK):  # in place: take buffers out
+    for lo in range(1, len(idx), LABEL_BLOCK):  # in place: take buffers out
         np.take(code, idx[lo:lo + LABEL_BLOCK], out=idx[lo:lo + LABEL_BLOCK])
     labels = [label_index_to_str(i, p, rule) for i in present.tolist()]
     return StratumPartition(p, model.dimension, idx, labels, "declared-ratio")
@@ -220,7 +226,8 @@ def discover_strata(op, p):
     rank = np.full(len(first), len(first) - central)  # the ledger goes last
     rank[np.argsort(first[central:]) + central] = range(len(first) - central)
     labels = [f"S{i}" for i in range(len(first) - central)]
-    return StratumPartition(p, n, rank[group],
+    return StratumPartition(p, n, np.concatenate([[-1], rank[group]],
+                                                 dtype=np.int32),
                             labels + [EXCEPTIONAL] * central, "discovered")
 
 
@@ -235,7 +242,7 @@ def partitions_agree(discovered, model):
     k = discovered._k  # strata, not the ledger
     span = (p + 1) ** 2  # above every ratio label index
     code = discovered.codes[1:].astype(np.int64)
-    pairs = code * span + space_labels(p, discovered.n, rule)
+    pairs = code * span + space_labels(p, discovered.n, rule)[1:]
     # distinct (stratum, ratio label) pairs, sorted: strata before `clean`
     # have one ratio label each
     s, r = np.divmod(np.unique(pairs[code < k]), span)
@@ -395,8 +402,3 @@ def stratified_depth(op, tree, leaves, labeler):
             continue
         labels.append(lab)
     return DepthReport(len(set(labels)), labels, flags)
-
-
-# The numpy-backed modules load as one unit: dynamics binds kernels by name,
-# so a tracer (perfbench/tracer.py) rebinding them later finds the originals.
-from . import dynamics  # noqa: E402

@@ -552,7 +552,7 @@ def test_transition_tally_is_bounded(f5, monkeypatch):
     f = Field(9973)
     op = AffineOperation(StructureTensor(1, {}), {(0, 0): f.one()},
                          {(0, 0): f.element(2)}, zero=f.zero())
-    wide = StratumPartition(9973, 1, np.arange(9972),
+    wide = StratumPartition(9973, 1, np.arange(-1, 9972),
                             [f"S{i}" for i in range(9972)], "discovered")
     tracemalloc.start()
     try:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -41,10 +42,10 @@ def test_public_names_match_golden_list():
 
 
 # Numpy stays out of the processes that never call a kernel: importing the
-# CLI or any numpy-free module, and the commands that work on values alone
-# (axioms over Q or a prime past SPACE_CAP, identities, check-assoc, help,
-# trajectories and key exchanges without --recover). Each probe runs in a
-# fresh interpreter, under a timeout.
+# CLI or any module but _kernels and strata, and the commands that work on
+# values alone (axioms over Q or a prime past SPACE_CAP, identities,
+# check-assoc, help, trajectories and key exchanges without --recover).
+# Each probe runs in a fresh interpreter, under a timeout.
 
 SRC = os.path.dirname(os.path.dirname(stratalg.__file__))
 
@@ -74,11 +75,21 @@ def probe(code, *argv):
     return proc.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("module", ["field", "poly", "rules", "algebra",
-                                    "axioms", "cli", "walks", "kex"])
+# every submodule on disk, so a new one that loads numpy at its top fails
+LIGHT_MODULES = sorted(
+    {m.name for m in pkgutil.iter_modules(stratalg.__path__)}
+    - {"_kernels", "strata"})
+
+
+@pytest.mark.parametrize("module", LIGHT_MODULES)
 def test_light_modules_import_without_numpy(module):
     assert probe(f"import sys, stratalg.{module}\n"
                  "print('numpy' in sys.modules)") == "False"
+
+
+def test_strata_loads_without_dynamics():
+    assert probe("import sys, stratalg.strata\n"
+                 "print('stratalg.dynamics' in sys.modules)") == "False"
 
 
 @pytest.fixture(scope="module")

@@ -207,15 +207,18 @@ def test_labels_in_blocks_match_the_one_shot_labeling(p, n, rule, monkeypatch):
     one-shot labels, the partition's codes and its label list."""
     monkeypatch.setattr(strata, "LABEL_BLOCK", 5)
     labels = strata.space_labels(p, n, rule)
-    assert labels.dtype == np.int32
-    assert labels.tolist() == one_shot_labels(p, n, rule).tolist()
+    assert labels.dtype == np.int32 and labels.shape == (p ** n,)
+    assert labels[0] == -1
+    assert labels[1:].tolist() == one_shot_labels(p, n, rule).tolist()
     f = Field(p)
     model = ModelSpec("rule", n, f, AffineOperation(StructureTensor(n, {}),
                                                     zero=f.zero()), rule)
     part = ratio_partition(model)
     codes, labels = one_shot_ratio_partition(model, p)
+    assert part.codes[0] == -1
     assert part.codes[1:].tolist() == codes.tolist()
     assert part.labels == labels
+    assert list(part.sizes().values()) == np.bincount(codes).tolist()
 
 
 def test_rule_label_matches_ratio_stratum_of_at_a_large_prime():
@@ -257,6 +260,22 @@ def test_partition_label_of_handles_unknowns(f7):
 
 def sizes_keys(part):
     return part.sizes().keys()
+
+
+def test_partition_keeps_one_code_per_vector_zero_first(monkeypatch):
+    """The constructor keeps an int32 array of p**n codes as it is, -1 at
+    the zero vector, and refuses any other length or first code; sizes()
+    counts the codes in blocks of LABEL_BLOCK."""
+    codes = np.array([-1, 0, 1, 2, 0, 1, 0, 2], dtype=np.int32)
+    part = strata.StratumPartition(2, 3, codes, ["a", "b", "exceptional"],
+                                   "test")
+    assert part.codes is codes
+    monkeypatch.setattr(strata, "LABEL_BLOCK", 3)
+    assert part.sizes() == {"a": 3, "b": 2}
+    assert part.exceptional == [(0, 1, 1), (1, 1, 1)]
+    for bad in (codes[1:], np.append(codes, 0), np.zeros(8, np.int32)):
+        with pytest.raises(ValueError, match="needs 2\\*\\*3 codes"):
+            strata.StratumPartition(2, 3, bad, ["a", "b"], "test")
 
 
 def test_discovery_matches_declared_ratios(f7):

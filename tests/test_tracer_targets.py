@@ -1,8 +1,8 @@
 """The benchmark tracer's targets still name live stratalg functions.
 
-perfbench/ has its own tests, which the tier-1 run does not collect; this
-one reads the tracer's TARGETS table as it stands, so a rename in src/
-that would break `perfbench/run.py --trace 1` fails here.
+These read the tracer's TARGETS table as it stands, so a rename in src/
+that would break `perfbench/run.py --trace 1` fails here; perfbench/'s own
+tests, which tier-1 also collects, check the bindings it reads.
 """
 
 import importlib
@@ -63,9 +63,10 @@ def test_the_blockwise_labeler_calls_label_indices_by_name(monkeypatch):
     assert calls == [100, 100, 100, 42]
 
 
-# strata, dynamics, walks and kex load on first use, and the CLI imports them
-# inside its commands; a traced run of one job each must still reach every
-# wrapper.
+# strata, dynamics and kex load on first use, and the CLI imports them inside
+# its commands; a traced run of one job each must still reach every wrapper.
+# dynamics binds no kernel at its top, so it may first load after the tracer
+# has wrapped them, and restore still leaves no wrapper behind.
 P3 = ["--builtin", "parametric3", "--params", "2,3,1,4,1,2", "--field", "fp:5"]
 TRACED_JOBS = [
     ["strata", *P3, "--discover", "--json"],
@@ -109,7 +110,8 @@ def test_lazy_imports_reach_the_tracer_wrappers():
                  "kex.brute_force_recover", "kernels.bulk_multiply",
                  "axioms.check_sa1", "strata.verify_closure"):
         assert result["calls"].get(name, 0) >= 1, name
-    # walks and key exchanges load no numpy, and still reach their wrappers
+    # trajectories and key exchanges load no numpy, and still reach their
+    # wrappers
     calls = result["calls"]
     assert calls["dynamics.orbit"] == 1
     assert calls["kex.seeded_session"] == calls["kex.run_exchange"] == 2
