@@ -824,3 +824,28 @@ def test_report_past_one_label_block_matches_golden_digest(capsys, argv,
     rc, out, _ = run(capsys, argv)
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of sampled transition graphs that no digest above covers, frozen
+# while the sampled scan multiplied each block of drawn pairs through
+# bulk_multiply: parametric4 over F_11^4 (n = 4, 124 labels), a DOT graph
+# over F_23^3, and a graph over the discovered partition of F_29^3
+N3 = ["--builtin", "nonlinear3", "--params", "2,3,5,1,4,6"]
+GOLDEN_SAMPLED = [
+    (["orbit", *P4, "--field", "fp:11", "--json", "--seed", "3"], 0,
+     "fda2128945fded27b575c93535318be9c960c5791576353fdc909f9d59ee2f73"),
+    (["orbit", *N3, "--field", "fp:23", "--dot", "--seed", "5"], 0,
+     "5b502367617fa0369d0707b96432ab152fa011f0c4df47a54211656223b60db6"),
+    (["orbit", *N3, "--field", "fp:29", "--discover", "--json", "--seed",
+      "5"], 0,
+     "c649572bf6e3a9276a0e66725b99af62644d228ac28b1d691975dfe45bc40a64"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN_SAMPLED,
+    ids=["graph-parametric4-f11", "graph-dot-f23", "graph-discover-f29"])
+def test_sampled_graph_matches_golden_digest(capsys, argv, code, digest):
+    rc, out, _ = run(capsys, argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
