@@ -1,7 +1,7 @@
 """Chained-product dynamics: left-associated walks on plain values (orbits
 with exact cycle detection, chain paths), exhaustive permutation
 experiments and aggregated stratum-transition graphs with DOT/JSON
-export. Only transition_graph loads numpy (and strata and the kernels)."""
+export. Only the transition scan loads numpy (and strata and the kernels)."""
 
 import itertools
 import json
@@ -25,7 +25,7 @@ SAMPLED_PAIRS = 10 ** 5
 # each at the bound, so this protects the host's memory: 406 labels fit.
 MAX_TALLY_BINS = 1 << 26
 
-SCAN_BLOCK = 1 << 13  # pairs per sampled-scan block: bounds its digit rows
+SCAN_BLOCK = 1 << 13  # pairs per sampled-scan block: bounds its planes
 
 ZERO_LABEL = "zero"
 UNLABELED = "unlabeled"
@@ -280,17 +280,47 @@ class TransitionGraph:
         return "\n".join(lines)
 
 
+def _pair_products(T, La, Lb, ia, iq, p):
+    """Lex index of a*q for each pair of lex indices (ia, iq) over K^n, on
+    coordinate planes. The digit planes a_i, q_j of ia, iq and a_n = q_n = 1
+    meet T+ (n+1, n+1, n), which holds T, La as T+[:n, n] and Lb as
+    T+[n, :n]. Coordinate k is the sum of c * a_i * q_j over the nonzero
+    c = T+[i, j, k], reduced mod p once, and Horner's rule folds the
+    coordinates. A sum has fewer than (n+1)**2 terms below p**3: int32 while
+    that bound and p**n (the digits divide in it) are below 2**31, int64
+    below 2**63. Past that (n = 1 beyond p ~ 1.32e6) each a_i * q_j is
+    reduced mod p first: terms below p**2, sums below (n+1)**2 * p**2,
+    exact while (n+1) * p < 2**31, as on every space SPACE_CAP admits."""
+    import numpy as np
+    n = T.shape[0]
+    Tp = np.zeros((n + 1, n + 1, n), dtype=np.int64)
+    Tp[:n, :n], Tp[:n, n], Tp[n, :n] = T, La, Lb
+    bound = (n + 1) ** 2 * p ** 3
+    dtype = np.int32 if max(bound, p ** n) < 1 << 31 else np.int64
+    powers = np.array([p ** e for e in range(n - 1, -1, -1)], dtype)[:, None]
+    a, q = (np.ones((n + 1, len(i)), dtype) for i in (ia, iq))
+    a[:n], q[:n] = (np.asarray(i, dtype) // powers % p for i in (ia, iq))
+    aq = {(i, j): a[i] * q[j] for i, j in zip(*np.nonzero(Tp.any(axis=2)))}
+    if bound >= 1 << 63:
+        aq = {ij: plane % p for ij, plane in aq.items()}
+    idx = np.zeros(len(ia), dtype)
+    for ck in Tp.transpose(2, 0, 1).tolist():
+        s = sum(ck[i][j] * plane for (i, j), plane in aq.items() if ck[i][j])
+        idx = idx * p + s % p
+    return idx
+
+
 def transition_graph(op, partition, plan):
     """Scan ordered pairs (a, q) of nonzero vectors and count stratum
     transitions (label(a), label(q)) -> label(a*q). All pairs when the
     state space has at most EXHAUSTIVE_SPACE vectors; otherwise
-    SAMPLED_PAIRS pairs drawn with the plan's seed, multiplied SCAN_BLOCK at
-    a time and tallied by one bincount. Deterministic. A partition whose
-    tally would pass MAX_TALLY_BINS raises ValueError."""
+    SAMPLED_PAIRS pairs drawn with the plan's seed, multiplied on digit and
+    product planes SCAN_BLOCK at a time (_pair_products) and tallied by one
+    bincount. Deterministic. A partition whose tally would pass
+    MAX_TALLY_BINS raises ValueError."""
     # local: numpy loads only here, and traced kernels are looked up per call
     import numpy as np
-    from ._kernels import bulk_multiply, left_tables, lex_digits, \
-        lex_indices, space_products
+    from ._kernels import left_tables, space_products
     from .strata import space_matrix, to_dense_arrays
     op = _as_operation(op)
     p, n = partition.p, partition.n
@@ -333,9 +363,8 @@ def transition_graph(op, partition, plan):
         iq = rng.integers(1, space, size=pairs)
         prods = np.empty(pairs, dtype=np.int64)
         for lo in range(0, pairs, SCAN_BLOCK):
-            a, q = (lex_digits(i[lo:lo + SCAN_BLOCK], p, n) for i in (ia, iq))
-            prods[lo:lo + SCAN_BLOCK] = lex_indices(
-                bulk_multiply(T, La, Lb, a, q, p), p)
+            hi = lo + SCAN_BLOCK
+            prods[lo:hi] = _pair_products(T, La, Lb, ia[lo:hi], iq[lo:hi], p)
         tally = count(codes[ia], codes[iq], codes[prods])
 
     flat = np.flatnonzero(tally)

@@ -37,9 +37,10 @@ from stratalg import (
 from stratalg import dynamics
 from stratalg.algebra import coordinate_vars
 from stratalg.dynamics import ZERO_LABEL, _labeler
+from stratalg._kernels import bulk_multiply, lex_digits, lex_indices
 from stratalg.rules import rule_label
 from stratalg.field import format_scalar
-from stratalg.strata import INFINITY
+from stratalg.strata import INFINITY, to_dense_arrays
 
 
 @pytest.fixture(scope="module")
@@ -487,39 +488,128 @@ def test_exhaustive_transition_scan_matches_the_scalar_loop(p):
             op, part, f)
 
 
-def test_sampled_transition_scan_matches_the_scalar_loop(f23, monkeypatch):
+def test_sampled_transition_scan_matches_the_scalar_loop(monkeypatch):
     """Sampled mode labels the scalar products of the pairs drawn from
     numpy's generator with the plan's seed (3,000 pairs here), in scan
     blocks of 7 (the last one ragged), 1,000 (three full blocks) and
-    3,000 pairs (one block)."""
+    3,000 pairs (one block), over F_23^3 (nonlinear3) and F_11^4
+    (parametric4)."""
     monkeypatch.setattr(dynamics, "SAMPLED_PAIRS", 3000)
-    model = builtin_model("nonlinear3", params=(3, 1, 6, 2, 5, 4), field=f23)
-    part = ratio_partition(model)
-    graphs = []
-    for block in (7, 1000, 3000):
-        monkeypatch.setattr(dynamics, "SCAN_BLOCK", block)
-        graphs.append(transition_graph(model, part, SamplingPlan(seed=4)))
-    assert [(g.mode, g.pairs) for g in graphs] == [("sampled", 3000)] * 3
-    rng = np.random.default_rng(4)
-    ia, iq = (rng.integers(0, 23 ** 3 - 1, size=3000) + 1 for _ in "aq")
-    digits = lambda i: vector(f23, (i // 529, i // 23 % 23, i % 23))
-    edges = Counter()
-    zeros = 0
-    for i, j in zip(ia.tolist(), iq.tolist()):
-        a, q = digits(i), digits(j)
-        prod = multiply(model.operation, a, q)
-        if all(x == 0 for x in prod):
-            zeros += 1
-        else:
-            edges[(part.label_of(a), part.label_of(q),
-                   part.label_of(prod))] += 1
-    for g in graphs:
-        assert (g.edges, g.zero_products) == (dict(edges), zeros)
+    for name, params, p in (("nonlinear3", (3, 1, 6, 2, 5, 4), 23),
+                            ("parametric4", (2, 3, 5, 7, 11, 13), 11)):
+        f = Field(p)
+        model = builtin_model(name, params=params, field=f)
+        n = model.dimension
+        part = ratio_partition(model)
+        graphs = []
+        for block in (7, 1000, 3000):
+            monkeypatch.setattr(dynamics, "SCAN_BLOCK", block)
+            graphs.append(transition_graph(model, part, SamplingPlan(seed=4)))
+        assert [(g.mode, g.pairs) for g in graphs] == [("sampled", 3000)] * 3
+        rng = np.random.default_rng(4)
+        ia, iq = (rng.integers(0, p ** n - 1, size=3000) + 1 for _ in "aq")
+        digits = lambda i: vector(f, [i // p ** e % p
+                                      for e in range(n - 1, -1, -1)])
+        edges = Counter()
+        zeros = 0
+        for i, j in zip(ia.tolist(), iq.tolist()):
+            a, q = digits(i), digits(j)
+            prod = multiply(model.operation, a, q)
+            if all(x == 0 for x in prod):
+                zeros += 1
+            else:
+                edges[(part.label_of(a), part.label_of(q),
+                       part.label_of(prod))] += 1
+        for g in graphs:
+            assert (g.edges, g.zero_products) == (dict(edges), zeros)
+
+
+def reference_products(T, La, Lb, ia, iq, p):
+    """The left-table path _pair_products replaced in the sampled scan."""
+    n = T.shape[0]
+    return lex_indices(bulk_multiply(T, La, Lb, lex_digits(ia, p, n),
+                                     lex_digits(iq, p, n), p), p)
+
+
+def drawn_pairs(p, n, count, seed):
+    """count pairs of lex indices over K^n, plus (0, 0) and the pair of
+    all-(p - 1) vectors."""
+    rng = np.random.default_rng(seed)
+    ia, iq = (np.concatenate([[0, p ** n - 1], rng.integers(0, p ** n,
+                                                            size=count)])
+              for _ in "aq")
+    return ia, iq
+
+
+@pytest.mark.parametrize("name,params,p", [
+    ("basic3", None, 23),
+    ("parametric3", (2, 3, 1, 4, 1, 2), 23),
+    ("nonlinear3", (2, 3, 5, 4, 6, 1), 23),
+    ("parametric4", (2, 3, 5, 7, 11, 13), 11),
+])
+def test_pair_products_match_bulk_multiply_on_the_builtins(name, params, p):
+    model = builtin_model(name, params=params, field=Field(p))
+    T, La, Lb = to_dense_arrays(model.operation, p)
+    ia, iq = drawn_pairs(p, model.dimension, 2000, seed=1)
+    got = dynamics._pair_products(T, La, Lb, ia, iq, p)
+    assert np.array_equal(got, reference_products(T, La, Lb, ia, iq, p))
+
+
+# at n = 1, p = 16777213 (the largest prime with p**n <= SPACE_CAP) a single
+# term c * a_0 * q_0 passes 2**63: only the reduced tier keeps it exact
+@pytest.mark.parametrize("n,p", [(1, 10007), (2, 101), (3, 31), (4, 13),
+                                 (1, 16777213)])
+def test_pair_products_match_bulk_multiply_on_dense_operations(n, p):
+    rng = np.random.default_rng(n)
+    T = rng.integers(0, p, size=(n, n, n))
+    La, Lb = rng.integers(0, p, size=(2, n, n))
+    ia, iq = drawn_pairs(p, n, 1000, seed=n)
+    got = dynamics._pair_products(T, La, Lb, ia, iq, p)
+    assert np.array_equal(got, reference_products(T, La, Lb, ia, iq, p))
+
+
+def in_int32_tier(n, p):
+    return max((n + 1) ** 2 * p ** 3, p ** n) < 1 << 31
+
+
+def in_int64_tier(n, p):
+    return (n + 1) ** 2 * p ** 3 < 1 << 63
+
+
+def is_prime(m):
+    return m > 1 and all(m % d for d in range(2, int(m ** 0.5) + 1))
+
+
+# the last prime inside each dtype tier, the first past it, and the dtype
+# of each: p**n decides the int32 tier at n = 4, and at n = 4 p**n passes
+# 2**63 before the int64 tier ends; past it a_i * q_j is reduced mod p
+@pytest.mark.parametrize("n,last,first,tier,dtypes", [
+    (1, 811, 821, in_int32_tier, (np.int32, np.int64)),
+    (2, 619, 631, in_int32_tier, (np.int32, np.int64)),
+    (3, 509, 521, in_int32_tier, (np.int32, np.int64)),
+    (4, 211, 223, in_int32_tier, (np.int32, np.int64)),
+    (1, 1321109, 1321139, in_int64_tier, (np.int64, np.int64)),
+    (2, 1008199, 1008209, in_int64_tier, (np.int64, np.int64)),
+    (3, 832253, 832291, in_int64_tier, (np.int64, np.int64)),
+])
+def test_pair_products_are_exact_at_each_dtype_tier_edge(n, last, first,
+                                                         tier, dtypes):
+    """Every tensor entry at p - 1 meets random pairs and the pair of
+    all-(p - 1) vectors, whose coordinate sums are the largest."""
+    assert tier(n, last) and not tier(n, first)
+    assert [m for m in range(last, first + 1) if is_prime(m)] == [last, first]
+    for p, dtype in zip((last, first), dtypes):
+        T, La, Lb = (np.full(shape, p - 1)
+                     for shape in ((n, n, n), (n, n), (n, n)))
+        ia, iq = drawn_pairs(p, n, 200, seed=p)
+        got = dynamics._pair_products(T, La, Lb, ia, iq, p)
+        assert got.dtype == dtype
+        assert np.array_equal(got, reference_products(T, La, Lb, ia, iq, p))
 
 
 def test_sampled_transition_scan_stays_small(f23):
-    """Only the drawn pairs' lex indices and codes are whole; digit rows
-    and left tables live one SCAN_BLOCK at a time. At nonlinear3/F_23 the
+    """Only the drawn pairs' lex indices and codes are whole; digit and
+    product planes live one SCAN_BLOCK at a time. At nonlinear3/F_23 the
     scan peaked at 20.5 MiB under tracemalloc when it built all 10^5 pairs'
     rows at once."""
     model = builtin_model("nonlinear3", params=(2, 3, 5, 4, 6, 1), field=f23)
@@ -532,6 +622,24 @@ def test_sampled_transition_scan_stays_small(f23):
         tracemalloc.stop()
     assert (g.mode, g.pairs) == ("sampled", 10 ** 5)
     assert peak < 8 << 20
+
+
+def test_many_labels_sampled_graph_stays_small():
+    """parametric4 (2,3,5,7,11,13) over F_11^4 has 124 labels, so the dense
+    tally has 1.9M bins (15 MiB); the whole graph peaked at 35.3 MiB under
+    tracemalloc, and at 51.6 MiB when the tally was reindexed into label
+    order with np.ix_."""
+    model = builtin_model("parametric4", params=(2, 3, 5, 7, 11, 13),
+                          field=Field(11))
+    part = ratio_partition(model)
+    tracemalloc.start()
+    try:
+        g = transition_graph(model, part, SamplingPlan(seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.mode, len(g.nodes)) == ("sampled", 124)
+    assert peak < 40 << 20
 
 
 def test_transition_tally_is_bounded(f5, monkeypatch):
