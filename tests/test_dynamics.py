@@ -535,10 +535,9 @@ def drawn_pairs(p, n, count, seed):
     """count pairs of lex indices over K^n, plus (0, 0) and the pair of
     all-(p - 1) vectors."""
     rng = np.random.default_rng(seed)
-    ia, iq = (np.concatenate([[0, p ** n - 1], rng.integers(0, p ** n,
-                                                            size=count)])
-              for _ in "aq")
-    return ia, iq
+    ends = [0, p ** n - 1]
+    return tuple(np.concatenate([ends, rng.integers(0, p ** n, size=count)])
+                 for _ in "aq")
 
 
 @pytest.mark.parametrize("name,params,p", [
