@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .poly import Polynomial
-from .field import QQ, _elements, _vec_json
+from .field import _vec_json
 from .algebra import (
     BUILTIN_NAMES,
     MAX_CHAIN,
@@ -36,7 +36,7 @@ from .algebra import (
     symbolic_components,
     symbolic_model,
 )
-from .rules import ratio_stratum_of, constraint_for_label, \
+from .rules import EXCEPTIONAL, constraint_for_label, \
     directions_proportional, rule_label, SPACE_CAP, _as_value
 
 HOLDS = "holds"
@@ -228,10 +228,7 @@ def label_str(model, v):
     """Stratum of v under the model's declared rule (require_rule)."""
     require_rule(model)
     p = model.field.p
-    if p is None:
-        return "zero" if is_zero_vector(v) else str(
-            ratio_stratum_of(v, model.strata_rule, model.field))
-    if any(_as_value(x) % p for x in v):  # plain ints may be unreduced
+    if any(_as_value(x) % p if p else x for x in v):  # ints may be unreduced
         return rule_label(v, model.strata_rule, p)
     return "zero"
 
@@ -268,19 +265,15 @@ def _sample_consistency_sa1(model, rng, count=100):
     associate on plain values. check_sa1 draws it where no proof holds: for
     a model with no symbolic twin, or a built-in whose proof fails."""
     op = model.operation
-    field = model.field
-
-    def fail(kind, *vs):
-        return False, (kind, *[_elements(field, v) for v in vs])
     for _ in range(count):
         d = _draw_direction(model, rng)
         a, b, c = (_draw_on_direction(model, rng, d) for _ in range(3))
         ab = multiply_values(op, a, b)
         if ab != multiply_values(op, b, a):
-            return fail("commutator", a, b)
+            return False, ("commutator", tuple(a), tuple(b))
         if multiply_values(op, ab, c) != \
                 multiply_values(op, a, multiply_values(op, b, c)):
-            return fail("associator", a, b, c)
+            return False, ("associator", tuple(a), tuple(b), tuple(c))
     return True, None
 
 
@@ -316,14 +309,10 @@ def check_sa1(model, strata=None, plan=None):
         per_stratum = {}
         empirical_ok = True
         exhaustive = True
-        if part.provenance != "declared-ratio":
-            exc = set(part.exceptional)
-            constraint = lambda t: t in exc
+        in_ledger = lambda t: part.label_of(t) == EXCEPTIONAL
         for label, members in part.strata:
-            if part.provenance == "declared-ratio":
-                lab = ratio_stratum_of(members[0], model.strata_rule, field)
-                constraint = constraint_for_label(model.strata_rule, lab,
-                                                  field.p)
+            constraint = in_ledger if part.provenance != "declared-ratio" \
+                else constraint_for_label(model.strata_rule, label, field.p)
             rep = verify_closure(model.operation, members, field,
                                  constraint=constraint, rng=rng,
                                  triple_samples=plan.samples)
@@ -472,13 +461,12 @@ def _lps_pointwise(model, rng, count):
     """First drawn (a, b, c), b and c co-stratal, with (ab)c != (ac)b, or
     None. On plain values, as in the SA1 gate."""
     op = model.operation
-    field = model.field
     for _ in range(count):
         da, db = _draw_distinct_directions(model, rng, 2)
         a, b, c = (_draw_on_direction(model, rng, d) for d in (da, db, db))
         if multiply_values(op, multiply_values(op, a, b), c) != \
                 multiply_values(op, multiply_values(op, a, c), b):
-            return [_elements(field, v) for v in (a, b, c)]
+            return [tuple(v) for v in (a, b, c)]
     return None
 
 

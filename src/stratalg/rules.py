@@ -1,7 +1,8 @@
-"""Declared strata rules: the ratio labels of a vector and the constraint
-set behind a label, on plain values or field elements. Numpy-free, so the
-axiom checks, walks and key exchanges over Q and over primes past
-SPACE_CAP load no array code."""
+"""Declared strata rules: the label string of a vector, over Q or F_p, and
+the constraint set behind a label string over F_p, on plain values or
+field elements. Numpy-free, so the axiom checks, walks and key exchanges
+over Q and over primes past SPACE_CAP load no array code. RatioPoint,
+RatioPair and ratio_stratum_of spell the same labels as objects."""
 
 import itertools
 from fractions import Fraction
@@ -139,12 +140,18 @@ def label_index_to_str(idx, p, rule):
     return f"({f},{s})"
 
 
-def rule_label(v, rule, p):
-    """label_index_to_str of strata.label_indices' code for one nonzero
-    vector over F_p (residues, plain ints or FieldElements): the label of
-    ratio_stratum_of, one pow(y, -1, p) per ratio and no RatioPoints."""
-    x, y, *z = (_as_value(v[c]) % p for c in rule["coords"])
-    ratio = lambda a, b: str(a * pow(b, -1, p) % p) if b else INFINITY
+def rule_label(v, rule, p=None):
+    """Label string of a nonzero vector (plain values or FieldElements):
+    str(ratio_stratum_of(v, rule, field)), one ratio per slot and no
+    RatioPoints. Over F_p (p given) it is label_index_to_str of
+    strata.label_indices' code, a slot a * pow(b, -1, p) % p; over Q (p
+    None) a slot is str(Fraction(a) / b). A zero denominator gives inf."""
+    if p:
+        x, y, *z = (_as_value(v[c]) % p for c in rule["coords"])
+        ratio = lambda a, b: str(a * pow(b, -1, p) % p) if b else INFINITY
+    else:
+        x, y, *z = (_as_value(v[c]) for c in rule["coords"])
+        ratio = lambda a, b: str(Fraction(a) / b) if b else INFINITY
     if not z:
         return ratio(x, y)
     # a ratio pair's first slot is 0, not inf, on (0, 0, nonzero)
@@ -153,33 +160,18 @@ def rule_label(v, rule, p):
 
 
 def constraint_for_label(rule, label, p):
-    """Membership predicate for the constraint set behind a canonical label
-    (the paper-style set, which also contains the degenerate vectors whose
-    relevant coordinates all vanish)."""
+    """Membership predicate over F_p for the constraint set behind a label
+    string, as rule_label and StratumPartition.labels spell it (the
+    paper-style set, which also contains the degenerate vectors whose
+    relevant coordinates all vanish). Slot a on coordinates (x, y), taken
+    as (c1, c2) and then (c2, c3), asks v[x] = a v[y]; slot inf asks
+    v[y] = 0."""
     coords = rule["coords"]
-    if rule["kind"] == "ratio":
-        c1, c2 = coords
-
-        def check(v):
-            x, y = v[c1] % p, v[c2] % p
-            if label.is_infinite:
-                return y == 0
-            return x == int(label.value) * y % p
-
-        return check
-    c1, c2, c3 = coords
-    first, second = label.first, label.second
+    slots = [(x, y, None if a == INFINITY else int(a)) for (x, y), a in
+             zip(zip(coords, coords[1:]), label.strip("()").split(","))]
 
     def check(v):
-        v1, v2, v3 = v[c1] % p, v[c2] % p, v[c3] % p
-        if second.is_infinite:
-            ok2 = v3 == 0
-        else:
-            ok2 = v2 == int(second.value) * v3 % p
-        if first.is_infinite:
-            ok1 = v2 == 0
-        else:
-            ok1 = v1 == int(first.value) * v2 % p
-        return ok1 and ok2
+        return all(v[y] % p == 0 if a is None else (v[x] - a * v[y]) % p == 0
+                   for x, y, a in slots)
 
     return check

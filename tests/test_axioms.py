@@ -57,7 +57,6 @@ from stratalg.axioms import (
     _draw_direction,
     _draw_distinct_directions,
     _draw_on_direction,
-    _elements,
     _lps_pointwise,
     _non_associative_triple,
     _rated,
@@ -70,7 +69,7 @@ from stratalg.axioms import (
     ratio_subs,
     shared_direction_subs,
 )
-from stratalg.field import _vec_json
+from stratalg.field import _elements, _vec_json
 from stratalg.kex import run_exchange, seeded_session
 from stratalg.strata import directions_proportional, ratio_stratum_of, \
     tails_proportional
@@ -719,11 +718,13 @@ def test_gate_and_lps_loop_match_the_field_element_loops(name, p):
     model = diff_model(name, field)
     for seed in range(4):
         old, new = twin_rngs(name, p, seed, "gate")
-        got = _sample_consistency_sa1(model, new, count=30)
+        ok, wit = _sample_consistency_sa1(model, new, count=30)
+        got = ok, wit and (wit[0], *[_elements(field, v) for v in wit[1:]])
         assert exact(got) == exact(old_gate(model, old, 30))
         assert new.getstate() == old.getstate()
         old, new = twin_rngs(name, p, seed, "lps")
         got = _lps_pointwise(model, new, 30)
+        got = got and [_elements(field, v) for v in got]
         assert exact(got) == exact(old_lps_pointwise(model, old, 30))
         assert new.getstate() == old.getstate()
 

@@ -757,7 +757,8 @@ def test_help_matches_golden_digest(capsys, monkeypatch, command, digest):
 
 # SHA-256 of the stdout of each walk with its exit code, frozen while
 # trajectories multiplied FieldElement tuples and labeled each step through
-# the whole-space partition, and kex walks labeled through ratio_stratum_of:
+# the whole-space partition, and kex walks labeled through ratio_stratum_of
+# (both now label plain values through rules.rule_label):
 # a ratio-pair trajectory, one that ends in a cycle, one cut by a zero
 # product, the text form of a ratio-pair cycle, and a ratio-pair key
 # exchange as JSON, as text, and as text where deriving hits a zero product

@@ -357,6 +357,7 @@ def test_permutation_invariance_matches_golden_digests(nonlinear19, f19):
     (7, "parametric3", (2, 3, 5, 1, 4, 6)),
     (7, "nonlinear3", (2, 3, 5, 1, 4, 6)),
     (7, "basic3", None),
+    (5, "parametric4", (2, 3, 5, 7, 11, 13)),
 ])
 def test_transition_graph_exhaustive_invariants(p, name, params):
     from stratalg import Field
@@ -365,21 +366,32 @@ def test_transition_graph_exhaustive_invariants(p, name, params):
     part = ratio_partition(model)
     g = transition_graph(model, part, SamplingPlan(seed=0))
     assert g.mode == "exhaustive"
-    nonzero = p ** 3 - 1
+    nonzero = p ** model.dimension - 1
     assert g.pairs == nonzero ** 2
     assert sum(g.edges.values()) + g.zero_products == g.pairs
     # every stratum multiplies into itself somewhere
     for label in g.nodes:
         assert (label, label, label) in g.edges
-    # in-stratum pairs only ever escape to the boundary class
+    # in-stratum pairs only ever escape to the boundary class, the label of
+    # the vectors whose rule coordinates vanish (inf, or (inf,inf) for a
+    # ratio pair), except from the lumped ratio-pair label (inf,0), which
+    # holds several directions
+    boundary = rule_label((1,) + (0,) * (model.dimension - 1),
+                          model.strata_rule, p)
+    lumped = "(inf,0)"
     for (a, via, c) in g.edges:
-        if a == via and c != a:
-            assert c == INFINITY
+        if a == via and c != a and a != lumped:
+            assert c == boundary
     # cross-stratum products do land back in an operand stratum, but only
-    # on thin coincidence sets: the observed fraction tracks 2/p
+    # on thin coincidence sets: over the p + 1 labels of a single ratio the
+    # fraction sits a little under 2/p (0.375-0.377 at F_5); over the
+    # p**2 + 3 labels of a ratio pair it is far below (0.093 at F_5)
     stats = return_edge_stats(g)
     assert stats["returning_pairs"] > 0
-    assert abs(stats["fraction"] - 2 / p) < 0.05
+    if len(g.nodes) == p + 1:
+        assert abs(stats["fraction"] - 2 / p) < 0.05
+    else:
+        assert stats["fraction"] < 1 / p
     assert type(stats["fraction"]) is Fraction  # exact, not a float
     assert stats["fraction"] == Fraction(stats["returning_pairs"],
                                          stats["cross_pairs"])
@@ -388,7 +400,7 @@ def test_transition_graph_exhaustive_invariants(p, name, params):
     for label, entry in loops.items():
         assert entry["closed"] > 0
         spill = {k for k in entry if k.startswith("to ")}
-        assert spill <= {f"to {INFINITY}"}
+        assert label == lumped or spill <= {f"to {boundary}"}
 
 
 def test_transition_graph_sampled_determinism(f23):

@@ -234,6 +234,33 @@ def test_rule_label_matches_ratio_stratum_of_at_a_large_prime():
                                                                       f))
 
 
+@pytest.mark.parametrize("rule", RULES,
+                         ids=["ratio", "ratio-pair", "ratio-30", "pair-203"])
+def test_rule_label_over_q_matches_ratio_stratum_of(rule, q_field):
+    """Over Q (no p) rule_label spells ratio_stratum_of's label, on seeded
+    vectors of ints and Fractions and on the same as field elements, with
+    zero rule coordinates mixed in. For a ratio pair every branch of the
+    first slot is met: a ratio, inf from a live numerator, inf from all
+    three rule coordinates zero, and 0 from (0, 0, nonzero)."""
+    rng = random.Random(f"Q:{rule}")
+    branches = set()
+    for _ in range(500):
+        v = [rng.choice((0, 0, rng.randint(-9, 9),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+             for _ in range(4)]
+        if not any(v):
+            continue
+        want = str(ratio_stratum_of(v, rule, q_field))
+        assert rule_label(v, rule) == want
+        assert rule_label(vector(q_field, v), rule) == want
+        x, y, *z = (v[c] for c in rule["coords"])
+        if z:
+            branches.add("ratio" if y else "inf numerator" if x else
+                         "0" if z[0] else "inf zero")
+    assert branches == (set() if rule["kind"] == "ratio" else
+                        {"ratio", "inf numerator", "inf zero", "0"})
+
+
 def test_ratio_partition_counts(f7):
     model = builtin_model("basic3", field=f7)
     part = ratio_partition(model)
@@ -424,9 +451,8 @@ def test_discovery_of_a_commutative_operation_is_one_group(f5):
 def test_verify_closure_closed_stratum(f7):
     model = builtin_model("parametric3", params=(2, 3, 5, 1, 4, 6), field=f7)
     part = ratio_partition(model)
-    label = RatioPoint(3)
     members = dict(part.strata)["3"]
-    constraint = constraint_for_label(model.strata_rule, label, 7)
+    constraint = constraint_for_label(model.strata_rule, "3", 7)
     report = verify_closure(model.operation, members, f7,
                             constraint=constraint, rng=random.Random(0))
     assert report.closed
@@ -624,19 +650,65 @@ def test_verify_closure_over_q_samples_pairs_past_the_cap(q_field):
 def test_constraint_sets_contain_their_stratum(f7):
     model = builtin_model("basic3", field=f7)
     part = ratio_partition(model)
-    for label_str, members in part.strata:
-        if label_str == INFINITY:
-            label = RatioPoint(None)
-        else:
-            label = RatioPoint(int(label_str))
+    for label, members in part.strata:
         check = constraint_for_label(model.strata_rule, label, 7)
         assert all(check(m) for m in members)
     # the infinity constraint set also admits the degenerate (x, 0, 0) line
-    check_inf = constraint_for_label(model.strata_rule, RatioPoint(None), 7)
+    check_inf = constraint_for_label(model.strata_rule, INFINITY, 7)
     assert check_inf((4, 0, 0))
-    check_3 = constraint_for_label(model.strata_rule, RatioPoint(3), 7)
+    check_3 = constraint_for_label(model.strata_rule, "3", 7)
     assert check_3((1, 0, 0))  # 0 = 3*0 holds degenerately
     assert not check_3((1, 2, 5))  # 2 != 3*5 mod 7
+
+
+def old_constraint_for_label(rule, label, p):
+    """constraint_for_label as it read when it took a RatioPoint or a
+    RatioPair: the reference for the string form."""
+    coords = rule["coords"]
+    if rule["kind"] == "ratio":
+        c1, c2 = coords
+
+        def check(v):
+            x, y = v[c1] % p, v[c2] % p
+            if label.is_infinite:
+                return y == 0
+            return x == int(label.value) * y % p
+
+        return check
+    c1, c2, c3 = coords
+    first, second = label.first, label.second
+
+    def check(v):
+        v1, v2, v3 = v[c1] % p, v[c2] % p, v[c3] % p
+        if second.is_infinite:
+            ok2 = v3 == 0
+        else:
+            ok2 = v2 == int(second.value) * v3 % p
+        if first.is_infinite:
+            ok1 = v2 == 0
+        else:
+            ok1 = v1 == int(first.value) * v2 % p
+        return ok1 and ok2
+
+    return check
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name", ["basic3", "parametric4"])
+def test_constraint_for_label_matches_the_ratio_point_predicate(name, p):
+    """The predicate of each label string of the partition agrees with the
+    old one of its RatioPoint or RatioPair on every nonzero vector."""
+    f = Field(p)
+    model = builtin_model(name, params=None if name == "basic3" else
+                          (2, 3, 5, 7, 11, 13), field=f)
+    rule = model.strata_rule
+    space = list(enumerate_space(p, model.dimension))
+    for label, members in ratio_partition(model).strata:
+        lab = ratio_stratum_of(members[0], rule, f)
+        assert str(lab) == label
+        new = constraint_for_label(rule, label, p)
+        old = old_constraint_for_label(rule, lab, p)
+        assert [new(v) for v in space] == [old(v) for v in space]
 
 
 def test_stability_and_depth(f19):
