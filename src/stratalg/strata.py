@@ -16,7 +16,7 @@ from .algebra import multiply, multiply_values, is_zero_vector, \
 # the declared-rule helpers live in the numpy-free rules module and stay
 # importable from here as the same objects
 from .rules import SPACE_CAP, INFINITY, EXCEPTIONAL, RATIO_RULE_3D, \
-    RATIO_RULE_4D, RatioPoint, RatioPair, _as_value, _ratio, \
+    RATIO_RULE_4D, RatioPoint, RatioPair, _as_value, \
     ratio_stratum_of, directions_proportional, tails_proportional, \
     label_index_to_str, constraint_for_label
 
