@@ -850,3 +850,41 @@ def test_sampled_graph_matches_golden_digest(capsys, argv, code, digest):
     rc, out, _ = run(capsys, argv)
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of benchmark-shaped key exchanges (nonlinear3 at F_19 and F_23,
+# lengths 1,1 to 5,5), frozen while sessions drew, checked and walked
+# FieldElement tuples and labeled each vector through label_str: agreeing
+# sessions whose base was redrawn off the multiplier stratum (19/17, 23/14,
+# 19/2371), zero products while deriving (19/59, 19/2371, 23/136) and while
+# announcing (19/419, 23/863), and a plain agreeing session (23/0)
+GOLDEN_KEX = [
+    (19, "17", "1,1", True, 0,
+     "aed4cf6d2c2898a50c09a434e0469259285246d554a945cc3bedea99e9b0a6ef"),
+    (19, "59", "3,3", True, 1,
+     "ad8fba975ee4f2da636c116183b973c1fbb03d67d1f6e95f7509bf443619aea9"),
+    (19, "419", "5,5", False, 1,
+     "1cf2b3d5a9544b8ccfd65c410de49637c99b01ebceabaa655b02a30d8baab870"),
+    (19, "2371", "4,2", True, 1,
+     "1fe627ee3cd0680b9cf553599740e8b2b463b8612e6d86b23ac793deab88323f"),
+    (23, "14", "1,1", False, 0,
+     "4e6adfd36298badd6800bc3a52ef45bc5023102eed8dca988611cba16fd0d41f"),
+    (23, "136", "5,5", True, 1,
+     "fd9d51c69553aed8cfa7d0a1f4aec84398c037c04ad8a47b3ee87756ae303e9e"),
+    (23, "863", "3,3", False, 1,
+     "00a0b4581d8a05606171c9ab7dae021b366c0d3b1bdad9cc8217e6d9cf8ab3cc"),
+    (23, "0", "2,4", True, 0,
+     "ffbadd78125a485fa3ed3113846c5d7770212dad0d2ef8e4aee83c1884cdb0a8"),
+]
+
+
+@pytest.mark.parametrize(
+    "p,seed,lengths,as_json,code,digest", GOLDEN_KEX,
+    ids=[f"kex-f{g[0]}-{g[1]}-{g[2]}{'-json' * g[3]}" for g in GOLDEN_KEX])
+def test_kex_session_matches_golden_digest(capsys, p, seed, lengths, as_json,
+                                           code, digest):
+    argv = ["kex", *N3, "--field", f"fp:{p}", "--seed", seed,
+            "--lengths", lengths] + ["--json"] * as_json
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
