@@ -189,7 +189,9 @@ def _plain(op, v):
     if len(v) != op.n:
         raise ValueError(f"operand length != {op.n}")
     f = op.plain.field
-    return tuple([x.value if type(x) is FieldElement and x.field is f
+    p = f.p or 0  # an exact int already in [0, p) is its own residue
+    return tuple([x if type(x) is int and 0 <= x < p
+                  else x.value if type(x) is FieldElement and x.field is f
                   else f.element(x).value for x in v])
 
 

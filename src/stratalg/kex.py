@@ -6,19 +6,20 @@ publishes the endpoint, then walks the other's endpoint through the
 same secret chain. Same-stratum order independence makes the two
 final values agree. This is explicitly a toy: the brute-force helper
 demonstrates that desk-scale parameters fall to exhaustive search.
-Sessions walk plain residues (dynamics.chain_path) and load no numpy;
-brute_force_recover imports strata and the kernels, and with them numpy,
-when it runs.
+Sessions draw, check, label (rules.rule_label) and walk plain residues
+and load no numpy; parties and transcripts hand out FieldElement tuples
+when read. brute_force_recover imports strata and the kernels, and with
+them numpy, when it runs.
 """
 
 import json
 import random
 
-from .algebra import MAX_SECRET_LENGTH, is_zero_vector, model_to_json
-from .axioms import _draw_direction, _place, label_str, require_rule
-from .dynamics import chain_path
+from .algebra import MAX_SECRET_LENGTH, _plain, model_to_json
+from .axioms import _draw_direction, _place, require_rule
+from .dynamics import ZERO_LABEL, _walk
 from .field import _elements, _vec_json
-from .rules import label_index_to_str
+from .rules import label_index_to_str, rule_label
 
 # Exhaustive recovery is capped at this many candidate chains.
 BRUTE_FORCE_CAP = 10 ** 6
@@ -39,37 +40,50 @@ def __getattr__(name):
 
 class Party:
     """One participant: a public shared base plus a private ordered
-    chain of multipliers, all from one stratum that excludes the base."""
+    chain of multipliers, all from one stratum that excludes the base.
+    Base and secret are taken as FieldElements, ints or Fractions and held
+    as plain values; base and secret read them as FieldElement tuples."""
 
     def __init__(self, name, base, secret, model):
         if not secret:
             raise ValueError(f"{name}: empty secret holds no agreement "
                              "material")
-        base = tuple(base)
-        secret = [tuple(q) for q in secret]
-        if is_zero_vector(base):
+        op, rule, p = model.operation, model.strata_rule, model.field.p
+        base = _plain(op, base)
+        secret = [_plain(op, q) for q in secret]
+        if not any(base):
             raise ValueError(f"{name}: base must be nonzero")
         labels = set()
         for q in secret:
-            if is_zero_vector(q):
+            if not any(q):
                 raise ValueError(f"{name}: zero secret multiplier")
-            labels.add(label_str(model, q))
+            require_rule(model)  # after the zero check, as label_str was
+            labels.add(rule_label(q, rule, p))
         if len(labels) > 1:
             raise ValueError(
                 f"{name}: secret multipliers span strata {sorted(labels)}; "
                 "order independence needs a single stratum")
         stratum = labels.pop()
-        if label_str(model, base) == stratum:
+        if rule_label(base, rule, p) == stratum:
             raise ValueError(
                 f"{name}: base lies in the multiplier stratum {stratum}")
         self.name = name
-        self.base = base
-        self.secret = secret
+        self._base = base
+        self._secret = secret
         self.model = model
         self.stratum = stratum
 
+    @property
+    def base(self):
+        return _elements(self.model.operation.plain.field, self._base)
+
+    @property
+    def secret(self):
+        return [_elements(self.model.operation.plain.field, q)
+                for q in self._secret]
+
     def __repr__(self):
-        return (f"Party({self.name}, |secret|={len(self.secret)}, "
+        return (f"Party({self.name}, |secret|={len(self._secret)}, "
                 f"stratum={self.stratum})")
 
 
@@ -134,31 +148,37 @@ class SessionTranscript:
                           separators=(",", ":"))
 
 
-def _walk(model, start, multipliers):
-    """Left chain with per-step labels; stops at a zero product.
-    Returns (final as plain values, labels, truncated)."""
-    walk = chain_path(model.operation, start, multipliers,
-                      lambda v: label_str(model, v))
-    return walk.values[-1], walk.labels, walk.truncated
-
-
 def run_exchange(alice, bob):
     """Announce S1 = base*alice_chain and S2 = base*bob_chain, then
     cross-derive S12 = S1*bob_chain and S21 = S2*alice_chain. Agreement
     means S12 = S21. A zero product anywhere voids the session. The
-    walks run on plain values; the transcript holds FieldElements."""
+    walks run on the parties' plain values and label each distinct vector
+    once through rule_label; the transcript holds FieldElements."""
     model = alice.model
-    base = alice.base
-    s1, alice_announce, t1 = _walk(model, base, alice.secret)
-    s2, bob_announce, t2 = _walk(model, base, bob.secret)
+    op, rule, p = model.operation, model.strata_rule, model.field.p
+    labels = {}
+
+    def label(v):
+        got = labels.get(v)
+        if got is None:
+            got = labels[v] = rule_label(v, rule, p) if any(v) else ZERO_LABEL
+        return got
+
+    def walk(start, secret):
+        # (final, per-step labels, cut by a zero product)
+        values, path, _, cut = _walk(op, start, secret, label)
+        return values[-1], path, cut
+
+    s1, alice_announce, t1 = walk(alice._base, alice._secret)
+    s2, bob_announce, t2 = walk(alice._base, bob._secret)
     failure = None
     s12 = s21 = None
     bob_derive, alice_derive = [], []
     if t1 or t2:
         failure = "zero product while announcing"
     else:
-        s12, bob_derive, t12 = _walk(model, s1, bob.secret)
-        s21, alice_derive, t21 = _walk(model, s2, alice.secret)
+        s12, bob_derive, t12 = walk(s1, bob._secret)
+        s21, alice_derive, t21 = walk(s2, alice._secret)
         if t12 or t21:
             failure = "zero product while deriving"
     agreed = failure is None and s12 == s21
@@ -166,10 +186,10 @@ def run_exchange(alice, bob):
         alice.name: {"announce": alice_announce, "derive": alice_derive},
         bob.name: {"announce": bob_announce, "derive": bob_derive},
     }
-    s1, s2, s12, s21 = (v and _elements(model.operation.plain.field, v)
+    s1, s2, s12, s21 = (v and _elements(op.plain.field, v)
                         for v in (s1, s2, s12, s21))  # None stays None
-    return SessionTranscript(model, base, alice.stratum, s1, s2, s12, s21,
-                             agreed, path_strata, failure=failure)
+    return SessionTranscript(model, alice.base, alice.stratum, s1, s2, s12,
+                             s21, agreed, path_strata, failure=failure)
 
 
 def eavesdropper_view(transcript):
@@ -193,23 +213,23 @@ def seeded_session(model, seed, lengths=(3, 4)):
     secret chains of the given lengths. Each vector draws its scale before
     its coordinates off the rule, the reverse of the axiom samplers; the
     seeded CLI sessions and recovery reports are pinned to this order."""
-    field = model.field
-    p = field.p
+    p = model.field.p
     if p is None:
         raise ValueError("seeded sessions need a prime field")
     if max(lengths) > MAX_SECRET_LENGTH:
         raise ValueError(f"secret lengths must be at most {MAX_SECRET_LENGTH}")
     rng = random.Random(f"{seed}:kex")
 
-    def on_direction(d):
+    def on_direction(d):  # nonzero, as the scale and d are
         scale = rng.randrange(1, p)
         free = [rng.randrange(p) for _ in range(model.dimension - len(d))]
-        return _elements(field, _place(model, free, scale, d))
+        return tuple(_place(model, free, scale, d))
 
     d = _draw_direction(model, rng)
-    stratum = label_str(model, on_direction(d))
+    label = lambda v: rule_label(v, model.strata_rule, p)
+    stratum = label(on_direction(d))
     base = on_direction(_draw_direction(model, rng))
-    while label_str(model, base) == stratum:
+    while label(base) == stratum:
         base = on_direction(_draw_direction(model, rng))
     alice_secret = [on_direction(d) for _ in range(lengths[0])]
     bob_secret = [on_direction(d) for _ in range(lengths[1])]

@@ -522,3 +522,25 @@ def test_family_builder_matches_the_old_symbolic_builder(name):
                                                     Polynomial.const(-1))
         else:
             assert (new.name, new.params) == (old.name, old.params)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("p", [None, 7, 1000000000039])
+def test_plain_passes_only_exact_residues_through(p):
+    """_plain hands an exact int in [0, p) over as it is and coerces every
+    other scalar through field.element: equal values of equal types."""
+    field = Field(p)
+    op = builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
+                       field=field).operation
+    top = p or 10 ** 6
+    scalars = [0, 1, top - 1, -1, -top, top, top + 3, 5 * top + 2, 3 * top,
+               True, False, _Int(2), _Int(top + 1), Fraction(3, 2),
+               Fraction(-4), field.element(6)]
+    for v in itertools.product(scalars, repeat=3):
+        got = algebra._plain(op, v)
+        want = tuple(field.element(x).value for x in v)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want], v

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from stratalg import (
     Field,
+    FieldElement,
     brute_force_recover,
     builtin_model,
     eavesdropper_view,
@@ -19,7 +23,10 @@ from stratalg import (
     seeded_session,
     vector,
 )
-from stratalg.axioms import label_str
+from stratalg.algebra import is_zero_vector
+from stratalg.axioms import _draw_direction, _place, label_str
+from stratalg.dynamics import chain_path
+from stratalg.field import _elements
 from stratalg.kex import Party, _vec_json
 
 
@@ -257,7 +264,10 @@ def test_recovery_matches_the_per_hit_reference(monkeypatch):
         raise AssertionError("recovery called a per-hit path")
 
     monkeypatch.setattr(kex, "left_chain", per_hit, raising=False)
-    monkeypatch.setattr(kex, "label_str", per_hit)
+    # the names a session labels through: its scalar labeler and the walk
+    # that calls the session's memoized labeler on every step
+    monkeypatch.setattr(kex, "rule_label", per_hit)
+    monkeypatch.setattr(kex, "_walk", per_hit)
     recs = [brute_force_recover(*case) for case in cases]
     monkeypatch.undo()
     in_stratum = 0
@@ -273,3 +283,160 @@ def test_recovery_matches_the_per_hit_reference(monkeypatch):
         assert max(map(len, chains), default=0) <= max_len
         in_stratum += sum(h["in_stratum"] for h in rec["hits"])
     assert in_stratum  # the reference's labels are exercised on both sides
+
+
+# ---------------------------------------------------------------------------
+# differential test: the session path that drew, checked and walked
+# FieldElement tuples, labeling each vector through label_str
+
+
+def reference_party(name, base, secret, model):
+    """Party's checks on the tuples as given, labeled through label_str."""
+    if not secret:
+        raise ValueError(f"{name}: empty secret holds no agreement "
+                         "material")
+    base = tuple(base)
+    secret = [tuple(q) for q in secret]
+    if is_zero_vector(base):
+        raise ValueError(f"{name}: base must be nonzero")
+    labels = set()
+    for q in secret:
+        if is_zero_vector(q):
+            raise ValueError(f"{name}: zero secret multiplier")
+        labels.add(label_str(model, q))
+    if len(labels) > 1:
+        raise ValueError(
+            f"{name}: secret multipliers span strata {sorted(labels)}; "
+            "order independence needs a single stratum")
+    stratum = labels.pop()
+    if label_str(model, base) == stratum:
+        raise ValueError(
+            f"{name}: base lies in the multiplier stratum {stratum}")
+    return SimpleNamespace(name=name, base=base, secret=secret, model=model,
+                           stratum=stratum)
+
+
+def reference_session(model, seed, lengths):
+    """seeded_session drawing FieldElement tuples."""
+    p = model.field.p
+    rng = random.Random(f"{seed}:kex")
+
+    def on_direction(d):
+        scale = rng.randrange(1, p)
+        free = [rng.randrange(p) for _ in range(model.dimension - len(d))]
+        return _elements(model.field, _place(model, free, scale, d))
+
+    d = _draw_direction(model, rng)
+    stratum = label_str(model, on_direction(d))
+    base = on_direction(_draw_direction(model, rng))
+    while label_str(model, base) == stratum:
+        base = on_direction(_draw_direction(model, rng))
+    alice_secret = [on_direction(d) for _ in range(lengths[0])]
+    bob_secret = [on_direction(d) for _ in range(lengths[1])]
+    return (reference_party("alice", base, alice_secret, model),
+            reference_party("bob", base, bob_secret, model))
+
+
+def reference_exchange(alice, bob):
+    """run_exchange's four walks through chain_path and label_str."""
+    model = alice.model
+
+    def walk(start, multipliers):
+        w = chain_path(model.operation, start, multipliers,
+                       lambda v: label_str(model, v))
+        return w.final, w.labels, w.truncated
+
+    s1, alice_announce, t1 = walk(alice.base, alice.secret)
+    s2, bob_announce, t2 = walk(alice.base, bob.secret)
+    s12 = s21 = failure = None
+    alice_derive = bob_derive = []
+    if t1 or t2:
+        failure = "zero product while announcing"
+    else:
+        s12, bob_derive, t12 = walk(s1, bob.secret)
+        s21, alice_derive, t21 = walk(s2, alice.secret)
+        if t12 or t21:
+            failure = "zero product while deriving"
+    return {"stratum": alice.stratum, "s1": s1, "s2": s2, "s12": s12,
+            "s21": s21, "failure": failure, "path_strata": {
+                "alice": {"announce": alice_announce, "derive": alice_derive},
+                "bob": {"announce": bob_announce, "derive": bob_derive}}}
+
+
+def session_fields(t):
+    return {"stratum": t.stratum, "s1": t.s1, "s2": t.s2, "s12": t.s12,
+            "s21": t.s21, "failure": t.failure, "path_strata": t.path_strata}
+
+
+def party_fields(party):
+    return (party.name, party.base, party.secret, party.stratum)
+
+
+BUILTINS = ["basic3", "parametric3", "nonlinear3", "parametric4"]
+
+
+@pytest.mark.parametrize("p", [5, 7, 19])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_sessions_match_the_field_element_path(name, p):
+    model = builtin_model(name, params=(2, 3, 5, 7, 11, 13), field=Field(p))
+    failures = set()
+    for seed in range(12):
+        for lengths in ((1, 1), (2, 3), (5, 4)):
+            want = seeded_session(model, seed, lengths)
+            ref = reference_session(model, seed, lengths)
+            assert list(map(party_fields, want)) == \
+                list(map(party_fields, ref))
+            got = session_fields(run_exchange(*want))
+            assert got == reference_exchange(*ref), (seed, lengths)
+            assert all(type(x) is FieldElement for x in got["s1"] or ())
+            failures.add(got["failure"])
+    assert None in failures
+
+
+def party_inputs(field, vals):
+    """One vector as FieldElements, residues, unreduced ints and
+    Fractions, all of the same value."""
+    p = field.p
+    return [vector(field, vals), tuple(vals),
+            tuple(x + p if i % 2 else x - p for i, x in enumerate(vals)),
+            tuple(Fraction(2 * x + p, 2) for x in vals)]
+
+
+def test_parties_from_any_exact_scalars(model5, f5):
+    base, good, other = (2, 0, 1), [(1, 2, 2), (0, 3, 3)], [(2, 1, 1)]
+    cases = [
+        (base, good),
+        (base, []),  # empty secret
+        ((0, 0, 0), good),  # zero base
+        (base, [(1, 2, 2), (0, 0, 0)]),  # zero multiplier
+        (base, [(1, 2, 2), (1, 0, 1)]),  # secret spans strata
+        ((0, 1, 1), good),  # base in the multiplier stratum
+    ]
+    for base_vals, secret_vals in cases:
+        forms = zip(party_inputs(f5, base_vals),
+                    zip(*[party_inputs(f5, q) for q in secret_vals])
+                    if secret_vals else [()] * 4)
+        results = []
+        for b, secret in forms:
+            try:
+                results.append(party_fields(Party("a", b, list(secret),
+                                                  model5)))
+            except ValueError as err:
+                results.append(str(err))
+        elements = [vector(f5, q) for q in secret_vals]
+        try:
+            want = party_fields(reference_party(
+                "a", vector(f5, base_vals), elements, model5))
+        except ValueError as err:
+            want = str(err)
+        assert results == [want] * 4, (base_vals, secret_vals)
+    sessions = [init_session(model5, b, [q], [r]) for b, q, r in zip(
+        party_inputs(f5, base), party_inputs(f5, good[0]),
+        party_inputs(f5, other[0]))]
+    fields = [list(map(party_fields, s)) for s in sessions]
+    assert fields == [fields[0]] * 4
+    assert len({run_exchange(*s).serialize() for s in sessions}) == 1
+    for b, q, r in zip(party_inputs(f5, base), party_inputs(f5, good[0]),
+                       party_inputs(f5, (1, 1, 3))):
+        with pytest.raises(ValueError, match="secret strata differ"):
+            init_session(model5, b, [q], [r])

@@ -733,3 +733,26 @@ def test_stability_and_depth(f19):
     depth_edge = stratified_depth(model.operation, tree, edge, labeler)
     assert depth_edge.count == 2
     assert INFINITY in depth_edge.labels
+
+
+# ROADMAP item 7: the declared ratio-pair rule gives the p - 1 directions
+# (a : 0 : b), a, b != 0, the one label (inf,0), which discovery splits into
+# p - 1 strata. parametric4's expected details pin that defect as it stands;
+# a fix that labels or closes each direction flips them on purpose.
+BUILTIN_AGREEMENT = {
+    5: "ratio label (inf,0) split across S7 and S8",
+    7: "ratio label (inf,0) split across S9 and S10",
+    11: "ratio label (inf,0) split across S13 and S14",
+}
+
+
+@pytest.mark.parametrize("p", sorted(BUILTIN_AGREEMENT))
+@pytest.mark.parametrize("name", ["basic3", "parametric3", "nonlinear3",
+                                  "parametric4"])
+def test_declared_and_discovered_partitions_of_the_builtins(name, p):
+    model = builtin_model(name, params=(2, 3, 5, 7, 11, 13), field=Field(p))
+    ok, detail = partitions_agree(discover_strata(model, p), model)
+    if name == "parametric4":
+        assert (ok, detail) == (False, BUILTIN_AGREEMENT[p])
+    else:
+        assert (ok, detail) == (True, f"{p + 1} strata matched one-to-one")
