@@ -293,6 +293,73 @@ def test_symbolic_outputs_match_golden_digests(name, suite, in_stratum,
                    for p in symbolic_components(sm, "associator")]) == assoc
 
 
+# SHA-256 of json.dumps of the repr strings of symbolic_components for each
+# built-in and kind, with the free symbols A..F and at params
+# (2, 3, 5, 7, 11, 13) (basic3 takes none): the raw expansions that the
+# identity suite and the symbolic proofs read, pinned term by term.
+GOLDEN_COMPONENTS = [
+    ("basic3", "product",
+     "3362634940fb9fdf0ddf3043b1e01d292d1de950157bb4125a44ea21fc45505a",
+     "3362634940fb9fdf0ddf3043b1e01d292d1de950157bb4125a44ea21fc45505a"),
+    ("basic3", "commutator",
+     "36a5fba49c5238372360739c9f79dab053936abf2fe5ff63262e2a93256baa61",
+     "36a5fba49c5238372360739c9f79dab053936abf2fe5ff63262e2a93256baa61"),
+    ("basic3", "associator",
+     "717ef0c1ea2e9623a5696ee36e630b7f066230c9a9c9f7808a9da2bbe62daf4b",
+     "717ef0c1ea2e9623a5696ee36e630b7f066230c9a9c9f7808a9da2bbe62daf4b"),
+    ("basic3", "lps",
+     "4d8689fd0bd9e7ae99b1ef257bd6f246b7f8eef1f62590586a0edc1838edc3d8",
+     "4d8689fd0bd9e7ae99b1ef257bd6f246b7f8eef1f62590586a0edc1838edc3d8"),
+    ("parametric3", "product",
+     "164838bf8a90d258bced5a0264e121362cd7f738e88f66fcd73b2d661b075777",
+     "ea5d5a3a9e2a7c002c24d7aec50ac35502a8c2e13f599b41e0955cddfd57a6ce"),
+    ("parametric3", "commutator",
+     "dd9985cffba3eb2338c4ef360bc731598e5ebafc031aa2224d312a48d2b8d39a",
+     "1e1948cfdfcf6b40303ebd1bdcf9459601f3d1c48527860e471a490cb0b914eb"),
+    ("parametric3", "associator",
+     "7d791ece92374dac9fbe4aff5e1351b6f1c9e22721f3544f4868f0b43715b765",
+     "bfcd46ffa22ea85ac1e7def22040e9343d1ac0e58cca8fbd74b6da8ab1029d23"),
+    ("parametric3", "lps",
+     "c0a3e6b8b70ec83cd951e0e8c1f3e3046c75611a8118be6734d771cf44ba9596",
+     "392cd8217346c09a7ea1708b1cc884dfdedf31e3732297dc2692a1f638ea320f"),
+    ("parametric4", "product",
+     "a8626130dc43307f60df4618cc99b98bd80bae8aa39d9764dbf91ff8650b06c0",
+     "652fa2680657ffe3ebbd04efcd41ce4d4719d1b83cd71b4b1b73a4c3c12dfe38"),
+    ("parametric4", "commutator",
+     "d935b3aa2a1cc714ad266ce9bdd116892225f761f9263995b109cdeb07ce2b16",
+     "6e7ef5737b5f62c9caf1cfe941e57bcdf763d395c18111b562b93b7af8c13ae1"),
+    ("parametric4", "associator",
+     "edc15c621d80643144af1762f4625159374d4181c5edbcad47dab821cad90390",
+     "7ccaa288848d4c0f6dd3e541dc62556b2fd3272ab830d1fb4189672308c35707"),
+    ("parametric4", "lps",
+     "6111762787dde607e64f7fa00d0c72624f3fe22a03bb89fc81fa85bcd3dcf0f2",
+     "354911e52d638bc19d0e251633996f91d4cc464fed1a31ab745f444580a76500"),
+    ("nonlinear3", "product",
+     "91eedf994047b64becd84d5ee25d2881c98d32d05605ca249d40e11acaff75f8",
+     "276699b21678fb681be2934d5bc5a659cefdeffb53b94e980de42902d4cb314f"),
+    ("nonlinear3", "commutator",
+     "316b1033af010af861ee360ed98b1765eb047bd097485eb576f864abedec7d0c",
+     "7cefdbb822a86d707d0583070f5daaf7705e1d3d5db1dd9a2ddcc751117b8857"),
+    ("nonlinear3", "associator",
+     "a31d2a8754f9d09c81ca550bb5cc19cb0382e9a2a90ceec4f80706a22546453c",
+     "b3ad114051792818c91def3ca677b66219080a4857809f1f11c6d2850eff0b54"),
+    ("nonlinear3", "lps",
+     "14f7c21776133c387e05403c49e0e1db554de50a09f44be1b29646dd8adda072",
+     "213a6bd4d1d6ea62702e7a86995361fb8ad99b219c44e069ce4fdc940115a88e"),
+]
+
+
+@pytest.mark.parametrize("name,kind,at_symbols,at_params", GOLDEN_COMPONENTS,
+                         ids=[f"{g[0]}-{g[1]}" for g in GOLDEN_COMPONENTS])
+def test_symbolic_components_match_golden_digests(name, kind, at_symbols,
+                                                  at_params):
+    for params, digest in ((None, at_symbols),
+                           ((2, 3, 5, 7, 11, 13), at_params)):
+        comps = symbolic_components(symbolic_model(name, params), kind)
+        text = json.dumps([repr(p) for p in comps], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_lps_vanishes_under_shared_ratio_symbols():
     sm = symbolic_model("parametric3")
     binds = ratio_subs(3, ("b", "c"))
@@ -1022,10 +1089,20 @@ def test_a_symbolic_proof_that_fails_is_reported(monkeypatch):
         out[(1, 0, 0)] = out.get((1, 0, 0), ring.zero()) + ring.one()
         return out
 
+    def digest(obj):
+        text = json.dumps(obj, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
     monkeypatch.setattr(algebra, "_parametric3_entries", broken)
     laws, residuals = _symbolic_in_stratum("parametric3", 3)
-    assert laws["commutative"] is False
-    assert residuals["commutative"]
+    assert laws == {"commutative": False, "closed_direction": True,
+                    "associative": False}
+    # the residual strings, frozen from the per-entry product loop
+    assert digest(residuals) == \
+        "2dad7a2a67178f93a9d86f978a57bad5dfe0a1c5ce9654a577c9eaae7c23cf2b"
+    holds, residuals = _symbolic_lps_costratal("parametric3", 3)
+    assert holds is False and digest(residuals) == \
+        "a07a16cb646b525576da2543f9dfa87f1f4c6c65fba06646f02cb050ff57713e"
     model = builtin_model("parametric3", params=(16, 8, 5, 3, 7, 11))
     rep = check_sa1(model, plan=SamplingPlan(samples=20, seed=1))
     assert rep["clauses"]["symbolic"]["laws"]["commutative"] is False
