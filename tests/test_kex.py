@@ -57,6 +57,18 @@ def test_party_validation(model5, f5):
                      [vector(f5, (1, 0, 1))])  # strata differ
 
 
+def test_a_vector_nonzero_only_at_its_head_is_nonzero(model5, f5):
+    """(x, 0, 0) with x != 0, which the 3-D rule labels inf, is neither a
+    zero base nor a zero multiplier: the zero checks read every coordinate,
+    coordinate 0 included."""
+    head = vector(f5, (3, 0, 0))
+    assert Party("a", head, [vector(f5, (1, 2, 2))], model5).stratum == "1"
+    with pytest.raises(ValueError,
+                       match="base lies in the multiplier stratum inf"):
+        Party("a", head, [vector(f5, (0, 1, 0))], model5)
+    assert Party("a", vector(f5, (1, 2, 2)), [head], model5).stratum == "inf"
+
+
 def test_exchange_agreement_and_paths(model5, f5):
     alice, bob = init_session(
         model5, vector(f5, (2, 0, 1)),
