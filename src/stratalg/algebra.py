@@ -1,9 +1,9 @@
 """Bilinear and affine vector operations: tensors, matrix forms, bracketed
 evaluation, and the associativity criterion.
 
-Scalars are duck-typed: FieldElement, Fraction, and Polynomial vectors all
-evaluate through the same code paths, which is what lets the symbolic
-identity checks reuse the numeric machinery.
+Products run on one compiled term form (_compile): int rows over one field,
+or term dicts over Polynomials for the symbolic proofs and identity suite.
+The tensor criterion and matrix forms stay duck-typed over any scalars.
 """
 
 import math
@@ -11,7 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .field import Field, FieldElement, _elements, format_scalar
-from .poly import Polynomial
+from .poly import Polynomial, _clean, _guard, _mono_mul
 from .rules import RATIO_RULE_3D, RATIO_RULE_4D
 
 MAX_DIMENSION = 16
@@ -125,7 +125,7 @@ class AffineOperation:
                 raise ValueError("zero scalar required for an empty tensor")
             zero = _zero_like(some)
         self.zero = zero
-        self.plain = _compile(self)
+        self.plain, self.poly = _compile(self)
 
     @property
     def is_bilinear(self):
@@ -136,24 +136,27 @@ PlainOperation = namedtuple("PlainOperation", "field den rows")
 
 
 def _compile(op):
-    """Plain form of an operation over one field, else None (Polynomials):
-    rows[k] lists (i, j, c) with (a*b)_k = sum c a_i b_j / den for operands
-    extended by a_n = b_n = 1 (so linear terms are bilinear), c an int."""
+    """(plain, poly) of op's terms c a_i b_j, over operands extended by
+    a_n = b_n = 1 (so linear terms are bilinear). Over one field plain's
+    rows[k] lists (i, j, c), c an int over den; with Polynomial scalars poly
+    lists (i, j, k, c's terms, c's degree) in entry order; else neither."""
     n = op.n
     terms = [(i, j, k, c) for (i, j, k), c in op.bilinear.entries.items()]
     terms += [(i, n, k, c) for (i, k), c in op.linear_a.items()]
     terms += [(n, j, k, c) for (j, k), c in op.linear_b.items()]
-    field = getattr(op.zero, "field", None)
-    if not isinstance(op.zero, FieldElement) or any(
-            not isinstance(c, FieldElement) or c.field != field
-            for *_, c in terms):
-        return None
+    scalars = [op.zero] + [c for *_, c in terms]
+    if all(isinstance(c, Polynomial) for c in scalars):
+        return None, [(i, j, k, c.terms, c.degree()) for i, j, k, c in terms
+                      if c]
+    if any(not isinstance(c, FieldElement) or c.field != op.zero.field
+           for c in scalars):  # op.zero comes first
+        return None, None
     den = math.lcm(*(c.value.denominator for *_, c in terms))
     rows = [[] for _ in range(n)]
     for i, j, k, c in terms:
         if c:
             rows[k].append((i, j, int(c.value * den)))
-    return PlainOperation(field, den, rows)
+    return PlainOperation(op.zero.field, den, rows), None
 
 
 def multiply_values(op, av, bv):
@@ -196,19 +199,36 @@ def _plain(op, v):
 
 
 def multiply(op, a, b):
+    """a*b on op's compiled terms. Over Polynomials (ints and Fractions in
+    a and b lift) each component sums into one dict; c*a_i's degree, then
+    c*a_i*b_j's, is guarded per term in entry order, as Polynomial's is."""
     if op.plain is not None:
         return _elements(op.plain.field, multiply_values(
             op, _plain(op, a), _plain(op, b)))
+    if op.poly is None:
+        raise TypeError("multiply needs FieldElements of one field or "
+                        f"Polynomials, not {type(op.zero).__name__} scalars")
     if len(a) != op.n or len(b) != op.n:
         raise ValueError(f"operand length != {op.n}")
-    out = [op.zero] * op.n
-    for (i, j, k), c in op.bilinear.entries.items():
-        out[k] = out[k] + c * a[i] * b[j]
-    for (i, k), c in op.linear_a.items():
-        out[k] = out[k] + c * a[i]
-    for (j, k), c in op.linear_b.items():
-        out[k] = out[k] + c * b[j]
-    return tuple(out)
+    av, bv = ([(p.terms, p.degree()) for p in [x if isinstance(x, Polynomial)
+               else Polynomial() + x for x in v]] + [({(): 1}, 0)]
+              for v in (a, b))
+    out = [{} for _ in a]
+    for i, j, k, tc, degree in op.poly:
+        (ta, da), (tb, db) = av[i], bv[j]
+        if ta and i < op.n:  # c*a_n = c is no product
+            _guard(degree + da)
+        if not (ta and tb):
+            continue
+        _guard(degree + da + db)
+        acc = out[k]
+        for m1, c1 in tc.items():
+            for m2, c2 in ta.items():
+                m12, c12 = _mono_mul(m1, m2), c1 * c2
+                for m3, c3 in tb.items():
+                    m = _mono_mul(m12, m3)
+                    acc[m] = acc.get(m, 0) + c12 * c3
+    return tuple(Polynomial._of(_clean(t)) for t in out)
 
 
 def left_chain(op, b, multipliers):

@@ -17,6 +17,11 @@ class DegreeError(Exception):
 MAX_DEGREE = 12  # well above anything the identity suite produces (< 6)
 
 
+def _guard(degree):  # a nonzero product's degree sums its factors'
+    if degree > MAX_DEGREE:
+        raise DegreeError(f"expansion reached degree {degree} > {MAX_DEGREE}")
+
+
 def _mono_mul(m1, m2):
     if not m1:
         return m2
@@ -129,10 +134,7 @@ class Polynomial:
             return NotImplemented
         # a product of nonzero polynomials has exactly the sum of degrees
         if self.terms and other.terms:
-            degree = self.degree() + other.degree()
-            if degree > MAX_DEGREE:
-                raise DegreeError(
-                    f"expansion reached degree {degree} > {MAX_DEGREE}")
+            _guard(self.degree() + other.degree())
         return Polynomial._of(_clean(_mul_terms(self.terms, other.terms)))
 
     __rmul__ = __mul__
@@ -179,9 +181,7 @@ class Polynomial:
                 factor, d = powers[name, e]
                 if term:  # a zero factor ends the degree count
                     degree += d
-                    if degree > MAX_DEGREE:
-                        raise DegreeError(
-                            f"expansion reached degree {degree} > {MAX_DEGREE}")
+                    _guard(degree)
                     term = _mul_terms(term, factor)
             for m, c in term.items():
                 out[m] = out.get(m, 0) + c

@@ -35,6 +35,8 @@ from stratalg import (
 from stratalg import algebra
 from stratalg.algebra import MAX_DIMENSION, PARAM_LETTERS, chain_orderings, \
     multiply_values
+from stratalg.axioms import _bound_operands, shared_direction_subs
+from stratalg.poly import MAX_DEGREE, DegreeError
 
 # The 3-dimensional base model, written out entry by entry.
 BASIC3_ENTRIES = {
@@ -351,6 +353,129 @@ def test_multiply_matches_the_scalar_loop(p):
                 multiply(op, a + a[:1], b)
             with pytest.raises(ValueError):
                 multiply(op, a, b[1:])
+
+
+def outcome(mul, op, a, b):
+    """A product's term dicts with each coefficient's type (1 and
+    Fraction(1) differ), or the type and message of what it raised."""
+    try:
+        out = mul(op, a, b)
+    except Exception as err:
+        return type(err), str(err)
+    assert type(out) is tuple and all(type(p) is Polynomial for p in out)
+    return [{m: (c, type(c)) for m, c in p.terms.items()} for p in out]
+
+
+@pytest.mark.parametrize("params", [None, (2, 3, 5, 7, 11, 13)],
+                         ids=["symbols", "numeric"])
+@pytest.mark.parametrize("name", algebra.BUILTIN_NAMES)
+def test_symbolic_multiply_matches_the_scalar_loop(name, params):
+    """The compiled Polynomial product against the per-entry loop on each
+    twin: on free coordinates and on the bound operands of the SA1 and LPS
+    proofs, with every product those proofs form from them."""
+    op = symbolic_model(name, params).operation
+    n = op.n
+    for binds in ({}, shared_direction_subs(n, ("a", "b", "c")),
+                  shared_direction_subs(n, ("b", "c"))):
+        a, b, c = _bound_operands(n, binds)
+        ab, ac, bc = (scalar_multiply(op, x, y)
+                      for x, y in ((a, b), (a, c), (b, c)))
+        for x, y in ((a, b), (b, a), (ab, c), (b, c), (a, bc), (a, c),
+                     (ac, b)):
+            assert outcome(multiply, op, x, y) == \
+                outcome(scalar_multiply, op, x, y)
+
+
+def random_component(rng, top=3):
+    """0 (an int or the zero Polynomial), an int, a Fraction, or a
+    Polynomial of up to three terms in x, y, z, exponents up to top."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((0, Polynomial()))
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        names = rng.sample("xyz", rng.randint(0, 3))
+        mono = tuple(sorted((v, rng.randint(1, top)) for v in names))
+        terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Polynomial(terms)
+
+
+def random_symbolic_operation(rng, n, top):
+    """Polynomial coefficients in every part, zero ones among the linear
+    terms (which keep them), degrees up to about 3 * top."""
+    def coeff():
+        return Polynomial() + random_component(rng, top)
+
+    entries = {(i, j, k): coeff() for i in range(n) for j in range(n)
+               for k in range(n) if rng.random() < 0.5}
+    linear_a = {(i, k): coeff() for i in range(n) for k in range(n)
+                if rng.random() < 0.5}
+    linear_b = {(j, k): coeff() for j in range(n) for k in range(n)
+                if rng.random() < 0.5}
+    return AffineOperation(StructureTensor(n, entries), linear_a, linear_b,
+                           zero=Polynomial())
+
+
+@pytest.mark.parametrize("top", [1, 4], ids=["in-degree", "over-degree"])
+def test_symbolic_multiply_matches_the_scalar_loop_on_random_operands(top):
+    """Seeded operands with zero, int and Fraction components, on the
+    symbolic twins and on random affine operations. With exponents up to 4
+    many products pass MAX_DEGREE, and the same DegreeError (the first
+    offending entry's degree) must come out."""
+    rng = random.Random(f"symbolic-multiply:{top}")
+    ops = [symbolic_model(name).operation for name in algebra.BUILTIN_NAMES]
+    ops += [random_symbolic_operation(rng, n, top) for n in (1, 2, 3, 3, 4)]
+    raised = 0
+    for op in ops:
+        for _ in range(40):
+            a, b = ([random_component(rng, top) for _ in range(op.n)]
+                    for _ in range(2))
+            want = outcome(scalar_multiply, op, a, b)
+            raised += type(want) is tuple
+            assert outcome(multiply, op, a, b) == want
+    assert raised == 0 if top == 1 else 0 < raised < 40 * len(ops)
+
+
+def test_symbolic_multiply_raises_the_loops_degree_errors():
+    """c*a_i past MAX_DEGREE raises even with b_j zero; a product that
+    passes it only with b_j raises with the full degree; a linear term in
+    b is guarded on c*b_j alone, even when c itself is past MAX_DEGREE."""
+    x = Polynomial({(("x", MAX_DEGREE),): 1})
+    y = Polynomial.var("y")
+    op = symbolic_model("parametric3").operation  # A at (1, 1, 0)
+    big = Polynomial({(("z", MAX_DEGREE + 1),): 1})
+    lin = AffineOperation(StructureTensor(2, {}), linear_b={(1, 0): big},
+                          zero=Polynomial())
+    cases = [
+        (op, (0, x, 0), (0, 0, 0), f"degree {MAX_DEGREE + 1} >"),
+        (op, (x, 0, 0), (y, 0, 0), f"degree {MAX_DEGREE + 1} >"),
+        (op, (y, y ** 5, 0), (x, y ** 7, 0), f"degree {MAX_DEGREE + 1} >"),
+        (lin, (x, x), (0, y), f"degree {MAX_DEGREE + 2} >"),
+    ]
+    for op, a, b, message in cases:
+        want = outcome(scalar_multiply, op, a, b)
+        assert want[0] is DegreeError and message in want[1]
+        assert outcome(multiply, op, a, b) == want
+    # c past MAX_DEGREE times a zero b_j is no product to guard
+    assert outcome(multiply, lin, (x, x), (y, 0)) == \
+        outcome(scalar_multiply, lin, (x, x), (y, 0))
+
+
+def test_multiply_refuses_scalars_it_has_no_product_for(f7):
+    """Raw Fractions (or mixed scalars) compile to neither form; a
+    FieldElement operand has no product with Polynomial coefficients."""
+    op = AffineOperation(StructureTensor(2, {(0, 0, 0): Fraction(1, 2)}),
+                         zero=Fraction(0))
+    assert op.plain is None and op.poly is None
+    with pytest.raises(TypeError, match="not Fraction scalars"):
+        multiply(op, (1, 2), (3, 4))
+    sop = symbolic_model("basic3").operation
+    with pytest.raises(TypeError, match="'Polynomial' and 'FieldElement'"):
+        multiply(sop, vector(f7, (1, 2, 3)), (1, 2, 3))
 
 
 def test_chain_orderings_match_every_permutation(f19, monkeypatch):
