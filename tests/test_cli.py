@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -887,4 +888,39 @@ def test_kex_session_matches_golden_digest(capsys, p, seed, lengths, as_json,
             "--lengths", lengths] + ["--json"] * as_json
     rc, out, err = run(capsys, argv)
     assert (rc, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def dense_model(field_json, n, seed):
+    """A seeded model file whose n**3 bilinear coefficients are all nonzero
+    fractions with numerator and denominator at most 9."""
+    rng = random.Random(f"dense:{n}:{seed}")
+    entries = [{"i": i, "j": j, "k": k,
+                "c": f"{rng.choice((-1, 1)) * rng.randint(1, 9)}"
+                     f"/{rng.randint(1, 9)}"}
+               for i in range(n) for j in range(n) for k in range(n)]
+    return {"name": "dense", "dimension": n, "field": field_json,
+            "operation": {"bilinear": entries}}
+
+
+# SHA-256 of check-assoc --json on seeded dense n = 6 model files, frozen
+# from the tensor criterion's per-index sums over the coefficients, before
+# it ran on the compiled product
+GOLDEN_DENSE = [
+    ({"kind": "Q"}, 1, 
+     "8452fc2032da25bb2decba1b2b7f007ecdfaf78c45bc30b9f08fe051097a926e"),
+    ({"kind": "Fp", "p": 101}, 2, 
+     "7159caa5e1a25f1ef50f6a30130131de3e4d1d7519b4e7488b7f2770ebb6986e"),
+]
+
+
+@pytest.mark.parametrize("field_json,seed,digest", GOLDEN_DENSE,
+                         ids=["dense6-q", "dense6-f101"])
+def test_dense_check_assoc_matches_golden_digest(capsys, tmp_path, field_json,
+                                                 seed, digest):
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(dense_model(field_json, 6, seed)))
+    rc, out, err = run(capsys, ["check-assoc", "--model", str(path),
+                                "--json"])
+    assert (rc, err) == (1, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
