@@ -3,9 +3,11 @@ evaluation, and the associativity criterion.
 
 Products run on one compiled term form (_compile): int rows over one field,
 or term dicts over Polynomials for the symbolic proofs and identity suite.
-The tensor criterion and matrix forms stay duck-typed over any scalars.
+The tensor criterion runs on that product too; matrix forms stay
+duck-typed over any scalars.
 """
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -374,42 +376,36 @@ def associativity_check(op_or_tensor):
 
 def iter_mismatches(op_or_tensor):
     """associativity_check's mismatches, lazily: callers that need only the
-    first one, or whether one exists, stop the n**4 scan there."""
-    if isinstance(op_or_tensor, AffineOperation):
-        if not op_or_tensor.is_bilinear:
-            raise ValueError(
-                "the tensor criterion applies to bilinear operations only; "
-                "use randomized associativity checks for affine operations")
-        tensor = op_or_tensor.bilinear
-    else:
-        tensor = op_or_tensor
-    n = tensor.n
-    get = tensor.entries.get
+    first one, or whether one exists, stop the scan there. The n**2 basis
+    products e_i e_j are formed once; each (i, j, k) then compares
+    (e_i e_j) e_k with e_i (e_j e_k) entry by entry on the compiled product:
+    plain values over one field (each side a FieldElement when yielded), or
+    multiply over Polynomials. A bare tensor is compiled as an operation."""
+    op = op_or_tensor
+    if isinstance(op, StructureTensor):
+        if not op.entries:  # no scalar to compile, and nothing to compare
+            return
+        op = AffineOperation(op)
+    elif not op.is_bilinear:
+        raise ValueError(
+            "the tensor criterion applies to bilinear operations only; "
+            "use randomized associativity checks for affine operations")
+    if op.plain is not None:
+        mul = functools.partial(multiply_values, op)
+        side = functools.partial(FieldElement, op.plain.field)
+    else:  # Polynomials already, or multiply raises its TypeError
+        mul, side = functools.partial(multiply, op), lambda x: x
+    n = op.n
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    prods = [[mul(x, y) for y in basis] for x in basis]
     for i in range(n):
         for j in range(n):
             for k in range(n):
+                lhs = mul(prods[i][j], basis[k])
+                rhs = mul(basis[i], prods[j][k])
                 for l in range(n):
-                    lhs = None
-                    for r in range(n):
-                        x = get((i, j, r))
-                        y = get((r, k, l))
-                        if x is not None and y is not None:
-                            t = x * y
-                            lhs = t if lhs is None else lhs + t
-                    rhs = None
-                    for s in range(n):
-                        x = get((j, k, s))
-                        y = get((i, s, l))
-                        if x is not None and y is not None:
-                            t = x * y
-                            rhs = t if rhs is None else rhs + t
-                    if lhs is None and rhs is None:
-                        continue
-                    zero = _zero_like(lhs if lhs is not None else rhs)
-                    lhs = zero if lhs is None else lhs
-                    rhs = zero if rhs is None else rhs
-                    if lhs != rhs:
-                        yield Mismatch(i, j, k, l, lhs, rhs)
+                    if lhs[l] != rhs[l]:
+                        yield Mismatch(i, j, k, l, side(lhs[l]), side(rhs[l]))
 
 
 def format_assoc_report(mismatches):

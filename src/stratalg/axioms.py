@@ -5,10 +5,11 @@ associativity, and closure (SA1); cross-stratum asymmetry with an exhibited
 non-associative triple (SA2); left-chain permutation invariance, equivalent
 to the vanishing of the chain-order difference operator on co-stratal
 multipliers (SA3); and bracket sensitivity with stratum-breaking landings
-(SA4). Symbolic proofs run on the polynomial engine by substituting
-proportionality relations; value-level checks sample seeded vectors.
-The module also hosts the identity suite comparing each built-in family's
-documented closed forms against direct expansion, and the five-scenario
+(SA4). Symbolic proofs expand a built-in's polynomial twin on operands
+already bound to a shared direction; value-level checks sample seeded
+vectors. The module also hosts the identity suite comparing each built-in
+family's documented closed forms against direct expansion (the one place
+that substitutes proportionality relations), and the five-scenario
 associator analysis.
 """
 
@@ -22,6 +23,7 @@ from .poly import Polynomial
 from .field import _vec_json
 from .algebra import (
     BUILTIN_NAMES,
+    AffineOperation,
     MAX_CHAIN,
     PARAM_LETTERS,
     associator,
@@ -157,7 +159,7 @@ def _all_zero(polys):
 # A co-stratal vector varies on the declared rule's coordinates only: it is
 # s * d there, for a direction d drawn on those coordinates, and free on the
 # others. Every trial draws, multiplies and labels plain values, ints in
-# [0, p) or Fractions (Field.sample_value, multiply_values, label_str).
+# [0, p) or Fractions (Field.sample_value, multiply_values, rule_label).
 
 SAMPLE_BOUND = 20  # over Q: numerators in [-20, 20], denominators in [1, 20]
 
@@ -210,6 +212,35 @@ def _draw_distinct_directions(model, rng, count):
     return dirs
 
 
+def _first_failure(model, rng, count, law, distinct=False):
+    """law(a, b, c) on the first of count drawn triples where it is truthy
+    (a failure), else None. a, b and c are co-stratal: all on one direction
+    d, drawn first; with distinct, a on its own direction da and b, c on
+    db, drawn as a pair first. Operands are plain value tuples."""
+    for _ in range(count):
+        if distinct:
+            da, db = _draw_distinct_directions(model, rng, 2)
+        else:
+            da = db = _draw_direction(model, rng)
+        failure = law(*(tuple(_draw_on_direction(model, rng, d))
+                        for d in (da, db, db)))
+        if failure:
+            return failure
+    return None
+
+
+def _associates(op, a, b, c):
+    """(ab)c == a(bc) on plain values."""
+    return multiply_values(op, multiply_values(op, a, b), c) == \
+        multiply_values(op, a, multiply_values(op, b, c))
+
+
+def _swaps(op, a, b, c):
+    """(ab)c == (ac)b on plain values: the chain-order difference is zero."""
+    return multiply_values(op, multiply_values(op, a, b), c) == \
+        multiply_values(op, multiply_values(op, a, c), b)
+
+
 def _direction_draws(model, rng, count, trials):
     """Lazily, one list of count distinct directions per trial."""
     for _ in range(trials):
@@ -260,33 +291,29 @@ def _symbolic_in_stratum(name, n):
     return out, residuals
 
 
-def _sample_consistency_sa1(model, rng, count=100):
-    """Sampled in-stratum laws: count co-stratal triples must commute and
-    associate on plain values. check_sa1 draws it where no proof holds: for
-    a model with no symbolic twin, or a built-in whose proof fails."""
-    op = model.operation
-    for _ in range(count):
-        d = _draw_direction(model, rng)
-        a, b, c = (_draw_on_direction(model, rng, d) for _ in range(3))
-        ab = multiply_values(op, a, b)
-        if ab != multiply_values(op, b, a):
-            return False, ("commutator", tuple(a), tuple(b))
-        if multiply_values(op, ab, c) != \
-                multiply_values(op, a, multiply_values(op, b, c)):
-            return False, ("associator", tuple(a), tuple(b), tuple(c))
-    return True, None
+def _in_stratum_failure(op, a, b, c):
+    """The sample gate's law on co-stratal a, b, c: ("commutator", a, b) or
+    ("associator", a, b, c) for the first that fails, else None."""
+    if multiply_values(op, a, b) != multiply_values(op, b, a):
+        return "commutator", a, b
+    if not _associates(op, a, b, c):
+        return "associator", a, b, c
+    return None
 
 
 def check_sa1(model, strata=None, plan=None):
     """In-stratum laws. Symbolic shared-direction proof where the model has
     a built-in symbolic twin, plus per-stratum closure verdicts over prime
-    fields (exhaustive for small strata, seeded sampling otherwise). Only a
-    failed proof draws the sample gate; after one that holds, `sample_gate`
-    states what the proof implies, not what a run observed."""
+    fields (exhaustive for small strata, seeded sampling otherwise). The
+    sample gate, count co-stratal triples that must commute and associate,
+    is drawn where no proof holds: 100 triples behind a failed proof, the
+    plan's budget for a model with no symbolic twin. After a proof that
+    holds, `sample_gate` states what the proof implies, not what a run
+    observed."""
     plan = plan or SamplingPlan()
+    gate = functools.partial(_in_stratum_failure, model.operation)
     clauses = {}
     witnesses = []
-    verdict = None
     symbolic_ok = None
     if model.name in BUILTIN_NAMES:
         ok, residuals = _symbolic_in_stratum(model.name, model.dimension)
@@ -294,10 +321,10 @@ def check_sa1(model, strata=None, plan=None):
         clauses["symbolic"] = {"laws": ok}
         if residuals:
             clauses["symbolic"]["residuals"] = residuals
-        gate_ok, gate_wit = (True, None) if symbolic_ok else \
-            _sample_consistency_sa1(model, plan.rng("SA1:gate"))
-        clauses["symbolic"]["sample_gate"] = gate_ok
-        if not gate_ok:
+        gate_wit = None if symbolic_ok else \
+            _first_failure(model, plan.rng("SA1:gate"), 100, gate)
+        clauses["symbolic"]["sample_gate"] = gate_wit is None
+        if gate_wit:
             witnesses.append({"clause": "sample_gate",
                               "kind": gate_wit[0],
                               "vectors": [_vec_json(v) for v in gate_wit[1:]]})
@@ -338,23 +365,41 @@ def check_sa1(model, strata=None, plan=None):
             verdict = FAILS
         else:
             verdict = HOLDS if symbolic_ok or exhaustive else SAMPLES
-    if verdict is None:
-        if symbolic_ok is None:
-            # no symbolic twin and no finite enumeration: sampled laws only
-            gate_ok, gate_wit = _sample_consistency_sa1(
-                model, plan.rng("SA1:gate"), count=plan.samples)
-            clauses["sampled"] = {"ok": gate_ok, "count": plan.samples}
-            verdict = SAMPLES if gate_ok else FAILS
-            if not gate_ok:
-                witnesses.append({"clause": gate_wit[0],
-                                  "vectors": [_vec_json(v)
-                                              for v in gate_wit[1:]]})
-        elif symbolic_ok:
-            verdict = HOLDS
-        else:
-            verdict = FAILS
+    elif symbolic_ok is None:
+        # no symbolic twin and no finite enumeration: sampled laws only
+        gate_wit = _first_failure(model, plan.rng("SA1:gate"), plan.samples,
+                                  gate)
+        clauses["sampled"] = {"ok": gate_wit is None, "count": plan.samples}
+        verdict = FAILS if gate_wit else SAMPLES
+        if gate_wit:
+            witnesses.append({"clause": gate_wit[0],
+                              "vectors": [_vec_json(v) for v in gate_wit[1:]]})
+    else:
+        verdict = HOLDS if symbolic_ok else FAILS
     return {"axiom": "SA1", "verdict": verdict, "clauses": clauses,
             "witnesses": witnesses}
+
+
+def _rated_report(clause, count_key, total, rated, exception, witness):
+    """(clauses, verdict, witnesses) of a law rated on total configurations,
+    rated being _rated's ((passes,), failed) over points that return (ok,
+    note, x, y): the rate clause, the first ten exceptions as exception(cfg,
+    note, x, y) plus their resolution, and, only when the rate falls short
+    of GENERIC_RATE, witness(cfg, x, y) of the first persistent failure."""
+    (ok_count,), failed = rated
+    rate = Fraction(ok_count, total)
+    ok = rate >= GENERIC_RATE
+    clauses = {clause: {"rate": str(rate), "ok": ok, count_key: total}}
+    exceptions = [{**exception(cfg, *res[1:]), "resolution": RESOLUTIONS[kind]}
+                  for cfg, res, kind in failed[:10]]
+    if exceptions:
+        clauses["exceptions"] = exceptions
+    persistent = [(cfg, *res[2:]) for cfg, res, kind in failed
+                  if kind == "persistent"]
+    witnesses = []
+    if not ok and persistent:
+        witnesses.append({"clause": clause, **witness(*persistent[0])})
+    return clauses, SAMPLES if ok else FAILS, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -386,41 +431,20 @@ def check_sa2(model, plan=None):
     rng = plan.rng("SA2")
     trials = plan.samples
     draws = _direction_draws(model, rng, 2, trials)
-    (ok_count,), failed = _rated(
-        enumerate(draws), lambda cfg: _sa2_point(model, rng, *cfg[1]))
-    exceptions = [{"trial": cfg[0], "a": _vec_json(a), "b": _vec_json(b),
-                   "note": note, "resolution": RESOLUTIONS[kind]}
-                  for cfg, (_ok, note, a, b), kind in failed[:10]]
-    first_fail = next((f for f in failed if f[2] == "persistent"), None)
-    rate = Fraction(ok_count, trials)
+    clauses, verdict, witnesses = _rated_report(
+        "cross_stratum_asymmetry", "trials", trials,
+        _rated(enumerate(draws), lambda cfg: _sa2_point(model, rng, *cfg[1])),
+        lambda cfg, note, a, b: {"trial": cfg[0], "a": _vec_json(a),
+                                 "b": _vec_json(b), "note": note},
+        lambda cfg, a, b: {"vectors": [_vec_json(a), _vec_json(b)]})
     triple = _non_associative_triple(model, plan.rng("SA2:triple"),
                                      plan.samples)
-    clauses = {
-        "cross_stratum_asymmetry": {"rate": str(rate),
-                                    "ok": rate >= GENERIC_RATE,
-                                    "trials": trials},
-        "non_associative_triple": triple,
-    }
-    witnesses = []
-    if exceptions:
-        clauses["exceptions"] = exceptions
-    value_ok = rate >= GENERIC_RATE
-    verdict = SAMPLES if value_ok else FAILS
-    if not value_ok and first_fail:
-        _cfg, (_ok, _note, a, b), _kind = first_fail
-        witnesses.append({"clause": "cross_stratum_asymmetry",
-                          "vectors": [_vec_json(a), _vec_json(b)]})
+    clauses["non_associative_triple"] = triple
     if triple["status"] == HOLDS:
         witnesses.append({"clause": "non_associative_triple",
                           "vectors": triple["witness"]})
     return {"axiom": "SA2", "verdict": verdict, "clauses": clauses,
             "witnesses": witnesses}
-
-
-def _associates(op, a, b, c):
-    """(ab)c == a(bc) on plain values."""
-    return multiply_values(op, multiply_values(op, a, b), c) == \
-        multiply_values(op, a, multiply_values(op, b, c))
 
 
 def _non_associative_triple(model, rng, samples):
@@ -457,19 +481,6 @@ def _symbolic_lps_costratal(name, n):
     return _all_zero(comps), [str(p) for p in comps if not p.is_zero()]
 
 
-def _lps_pointwise(model, rng, count):
-    """First drawn (a, b, c), b and c co-stratal, with (ab)c != (ac)b, or
-    None. On plain values, as in the SA1 gate."""
-    op = model.operation
-    for _ in range(count):
-        da, db = _draw_distinct_directions(model, rng, 2)
-        a, b, c = (_draw_on_direction(model, rng, d) for d in (da, db, db))
-        if multiply_values(op, multiply_values(op, a, b), c) != \
-                multiply_values(op, multiply_values(op, a, c), b):
-            return [tuple(v) for v in (a, b, c)]
-    return None
-
-
 def _chain_agreement(model, rng, m, trials):
     """Over trials drawn (base, m co-stratal multipliers off the base's
     stratum): how many agree on every left-chain ordering, and the first
@@ -502,8 +513,12 @@ def check_sa3(model, plan=None):
         clauses["lps_symbolic"] = {"ok": sym_ok}
         if residuals:
             clauses["lps_symbolic"]["residuals"] = residuals
-    lps_fail = _lps_pointwise(model, plan.rng("SA3:lps"),
-                              min(plan.samples, 100))
+    op = model.operation
+    # a off the stratum of b and c
+    lps_fail = _first_failure(
+        model, plan.rng("SA3:lps"), min(plan.samples, 100),
+        lambda a, b, c: None if _swaps(op, a, b, c) else (a, b, c),
+        distinct=True)
     clauses["lps_pointwise"] = {"ok": lps_fail is None}
     if lps_fail:
         witnesses.append({"clause": "lps_pointwise",
@@ -583,33 +598,18 @@ def check_sa4(model, plan=None):
                 for split in range(1, m - 1):
                     yield m, t, split, da, db
 
-    (ok_count,), failed = _rated(
-        configs(), lambda cfg: _sa4_point(model, rng, cfg[0], *cfg[2:]))
-    exceptions = [{"m": m, "split": split, "trial": t, "note": why,
-                   "base": _vec_json(base),
-                   "multipliers": [_vec_json(v) for v in mults],
-                   "resolution": RESOLUTIONS[kind]}
-                  for (m, t, split, _da, _db), (_ok, why, base, mults), kind
-                  in failed[:10]]
-    first_fail = next((f for f in failed if f[2] == "persistent"), None)
-    total = trials * sum(m - 2 for m in chain_lengths)
-    rate = Fraction(ok_count, total)
-    clauses = {"bracket_sensitivity": {"rate": str(rate),
-                                       "ok": rate >= GENERIC_RATE,
-                                       "checks": total}}
-    if exceptions:
-        clauses["exceptions"] = exceptions
-    witnesses = []
-    if rate >= GENERIC_RATE:
-        verdict = SAMPLES
-    else:
-        verdict = FAILS
-        if first_fail:
-            (_m, _t, split, _da, _db), (_ok, _why, base, mults), _ = first_fail
-            witnesses.append({"clause": "bracket_sensitivity",
-                              "split": split,
-                              "vectors": [_vec_json(base)] +
-                                         [_vec_json(v) for v in mults]})
+    clauses, verdict, witnesses = _rated_report(
+        "bracket_sensitivity", "checks",
+        trials * sum(m - 2 for m in chain_lengths),
+        _rated(configs(),
+               lambda cfg: _sa4_point(model, rng, cfg[0], *cfg[2:])),
+        lambda cfg, why, base, mults: {
+            "m": cfg[0], "split": cfg[2], "trial": cfg[1], "note": why,
+            "base": _vec_json(base),
+            "multipliers": [_vec_json(v) for v in mults]},
+        lambda cfg, base, mults: {
+            "split": cfg[2],
+            "vectors": [_vec_json(v) for v in (base, *mults)]})
     return {"axiom": "SA4", "verdict": verdict, "clauses": clauses,
             "witnesses": witnesses}
 
@@ -668,61 +668,57 @@ def _letters():
     return tuple(Polynomial.var(k) for k in PARAM_LETTERS)
 
 
-def _coords3():
-    return (coordinate_vars("a", 3), coordinate_vars("b", 3),
-            coordinate_vars("c", 3))
+def _coords(n):
+    return tuple(coordinate_vars(x, n) for x in "abc")
 
 
-def _coords4():
-    return (coordinate_vars("a", 4), coordinate_vars("b", 4),
-            coordinate_vars("c", 4))
-
-
-def _closed_forms_3d():
+def _rows_3d():
+    """(name, direct expansion, closed form) of parametric3, whose
+    specialization basic3 shares them."""
+    sm = symbolic_model("parametric3")
     A, B, C, D, E, F = _letters()
-    a, b, c = _coords3()
+    a, b, c = _coords(3)
     a0, a1, a2 = a
     b0, b1, b2 = b
     c0, c1, c2 = c
     w_ab = a2 * b1 - a1 * b2
     w_bc = b1 * c2 - b2 * c1
-    forms = {}
-    forms["commutator_direction_3d"] = [w_ab * (C - D), w_ab * (2 * E),
-                                        w_ab * (2 * F)]
-    forms["associator_expansion_3d"] = [
-        A * E * (w_ab * c1 + a1 * w_bc) + B * F * (w_ab * c2 + a2 * w_bc)
-        + C * (F * w_ab * c1 + E * a2 * w_bc)
-        + D * (E * w_ab * c2 + F * a1 * w_bc),
-        B * (a2 * c1 - a1 * c2) * b2 + C * w_ab * c1
-        + D * (b2 * c1 - b1 * c2) * a1
-        + E * E * (a1 * c2 - a2 * c1) * b2 + E * F * (a2 * c1 - a1 * c2) * b1,
-        A * (a1 * c2 - a2 * c1) * b1 + C * w_bc * a2
-        + D * (a1 * b2 - a2 * b1) * c2
-        + F * F * (a2 * c1 - a1 * c2) * b1 + E * F * (a1 * c2 - a2 * c1) * b2,
+    return [
+        ("commutator_direction_3d", symbolic_components(sm, "commutator"),
+         [w_ab * (C - D), w_ab * (2 * E), w_ab * (2 * F)]),
+        ("associator_expansion_3d", symbolic_components(sm, "associator"), [
+            A * E * (w_ab * c1 + a1 * w_bc) + B * F * (w_ab * c2 + a2 * w_bc)
+            + C * (F * w_ab * c1 + E * a2 * w_bc)
+            + D * (E * w_ab * c2 + F * a1 * w_bc),
+            B * (a2 * c1 - a1 * c2) * b2 + C * w_ab * c1
+            + D * (b2 * c1 - b1 * c2) * a1
+            + E * E * (a1 * c2 - a2 * c1) * b2
+            + E * F * (a2 * c1 - a1 * c2) * b1,
+            A * (a1 * c2 - a2 * c1) * b1 + C * w_bc * a2
+            + D * (a1 * b2 - a2 * b1) * c2
+            + F * F * (a2 * c1 - a1 * c2) * b1
+            + E * F * (a1 * c2 - a2 * c1) * b2,
+        ]),
+        ("lps_expansion_3d", symbolic_components(sm, "lps"), [
+            w_bc * ((D - C) * a0 + (A * E + C * F) * a1
+                    + (B * F + D * E) * a2),
+            (b2 * c1 - b1 * c2) * (2 * E * a0 + (D - E * F) * a1
+                                   + (B + E * E) * a2),
+            w_bc * ((-2) * F * a0 + (A + F * F) * a1 + (C - E * F) * a2),
+        ]),
     ]
-    forms["lps_expansion_3d"] = [
-        w_bc * ((D - C) * a0 + (A * E + C * F) * a1 + (B * F + D * E) * a2),
-        (b2 * c1 - b1 * c2) * (2 * E * a0 + (D - E * F) * a1
-                               + (B + E * E) * a2),
-        w_bc * ((-2) * F * a0 + (A + F * F) * a1 + (C - E * F) * a2),
-    ]
-    return forms
 
 
-def _closed_forms_4d():
+def _rows_4d():
+    """(name, direct expansion, closed form[, note]) of parametric4."""
+    sm = symbolic_model("parametric4")
     A, B, C, D, E, F = _letters()
-    a, b, c = _coords4()
+    a, b, c = _coords(4)
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     c0, c1, c2, c3 = c
-    forms = {}
-    forms["commutator_direction_4d"] = [
-        (C - E) * (a1 * b2 - a2 * b1),
-        (-2) * B * (a2 * b3 - a3 * b2) + (D - F) * (a1 * b3 - a3 * b1),
-        2 * A * (a1 * b3 - a3 * b1) - (D - F) * (a2 * b3 - a3 * b2),
-        2 * (a1 * b2 - a2 * b1),
-    ]
-    forms["associator_reduced_4d"] = [
+    assoc = symbolic_components(sm, "associator")
+    assoc_form = [
         A * (E - F) * c1 * (a1 * b3 - a3 * b1)
         + B * (C + D) * c2 * (a3 * b2 - a2 * b3)
         + C * F * (a3 * b1 * c2 - a1 * b2 * c3)
@@ -734,93 +730,69 @@ def _closed_forms_4d():
         (C + D) * (a1 * b2 * c3 - a3 * b1 * c2)
         + (E - F) * (a2 * b1 * c3 - a3 * b2 * c1),
     ]
-    forms["lps_component0_4d"] = [
-        2 * A * B * a1 * (b3 * c2 - b2 * c3)
-        + 2 * A * B * a2 * (b1 * c3 - b3 * c1)
-        + 2 * A * B * a3 * (b2 * c1 - b1 * c2)
-        + A * D * a1 * (b3 * c1 - b1 * c3)
-        + A * E * a1 * (b3 * c1 - b1 * c3)
-        + B * C * a2 * (b2 * c3 - b3 * c2)
-        + B * F * a2 * (b3 * c2 - b2 * c3)
-        + C * D * a1 * (b3 * c2 - b2 * c3)
-        + C * F * a3 * (b1 * c2 - b2 * c1)
-        + C * a0 * (b1 * c2 - b2 * c1)
-        + D * E * a3 * (b2 * c1 - b1 * c2)
-        + E * F * a2 * (b3 * c1 - b1 * c3)
-        + E * a0 * (b2 * c1 - b1 * c2),
+    binds = ratio_subs(4, ("b", "c"))
+    return [
+        ("commutator_direction_4d", symbolic_components(sm, "commutator"), [
+            (C - E) * (a1 * b2 - a2 * b1),
+            (-2) * B * (a2 * b3 - a3 * b2) + (D - F) * (a1 * b3 - a3 * b1),
+            2 * A * (a1 * b3 - a3 * b1) - (D - F) * (a2 * b3 - a3 * b2),
+            2 * (a1 * b2 - a2 * b1),
+        ]),
+        ("associator_reduced_4d", assoc, assoc_form,
+         "closed form assumes the last two operands are co-stratal; raw "
+         "difference recorded"),
+        ("associator_reduced_4d_costratal", _subbed(assoc, binds),
+         _subbed(assoc_form, binds)),
+        ("lps_component0_4d", symbolic_components(sm, "lps")[:1], [
+            2 * A * B * a1 * (b3 * c2 - b2 * c3)
+            + 2 * A * B * a2 * (b1 * c3 - b3 * c1)
+            + 2 * A * B * a3 * (b2 * c1 - b1 * c2)
+            + A * D * a1 * (b3 * c1 - b1 * c3)
+            + A * E * a1 * (b3 * c1 - b1 * c3)
+            + B * C * a2 * (b2 * c3 - b3 * c2)
+            + B * F * a2 * (b3 * c2 - b2 * c3)
+            + C * D * a1 * (b3 * c2 - b2 * c3)
+            + C * F * a3 * (b1 * c2 - b2 * c1)
+            + C * a0 * (b1 * c2 - b2 * c1)
+            + D * E * a3 * (b2 * c1 - b1 * c2)
+            + E * F * a2 * (b3 * c1 - b1 * c3)
+            + E * a0 * (b2 * c1 - b1 * c2),
+        ]),
     ]
-    return forms
 
 
-def _closed_forms_nonlinear3():
+def _rows_nonlinear3():
+    """(name, direct expansion, closed form) of nonlinear3."""
+    sm = symbolic_model("nonlinear3")
     A, B, C, D, E, F = _letters()
-    a, b, c = _coords3()
-    a1, a2 = a[1], a[2]
-    b1, b2 = b[1], b[2]
-    w_ab = a2 * b1 - a1 * b2
-    return {"commutator_direction_nl3": [w_ab * (C - D), w_ab * (2 * E),
-                                         w_ab * ((-2) * F)]}
+    a, b, c = _coords(3)
+    w_ab = a[2] * b[1] - a[1] * b[2]
+    bl = AffineOperation(sm.operation.bilinear, zero=Polynomial())
+    return [
+        ("commutator_direction_nl3", symbolic_components(sm, "commutator"),
+         [w_ab * (C - D), w_ab * (2 * E), w_ab * ((-2) * F)]),
+        # the affine layer cancels in the associator: it equals the
+        # associator of the bilinear part alone
+        ("associator_equals_bilinear_part_nl3",
+         associator(sm.operation, a, b, c), associator(bl, a, b, c)),
+        # chain-order difference = bilinear chain-order difference plus the
+        # commutator of the two multipliers under the bilinear part
+        ("lps_decomposition_nl3", lps(sm.operation, a, b, c),
+         [x + y for x, y in zip(lps(bl, a, b, c), commutator(bl, b, c))]),
+    ]
+
+
+_IDENTITY_ROWS = {"basic3": _rows_3d, "parametric3": _rows_3d,
+                  "parametric4": _rows_4d, "nonlinear3": _rows_nonlinear3}
 
 
 def verify_identity_suite(name):
     """Compare each documented closed form shipped with a built-in family
     against direct symbolic expansion. Differences are archived verbatim in
     the result, never corrected."""
-    results = []
-    if name in ("parametric3", "basic3"):
-        sm = symbolic_model("parametric3")
-        direct = {
-            "commutator_direction_3d": symbolic_components(sm, "commutator"),
-            "associator_expansion_3d": symbolic_components(sm, "associator"),
-            "lps_expansion_3d": symbolic_components(sm, "lps"),
-        }
-        forms = _closed_forms_3d()
-        for key, polys in direct.items():
-            results.append(_compare(key, polys, forms[key]))
-        return results
-    if name == "parametric4":
-        sm = symbolic_model("parametric4")
-        forms = _closed_forms_4d()
-        comm = symbolic_components(sm, "commutator")
-        results.append(_compare("commutator_direction_4d", comm,
-                                forms["commutator_direction_4d"]))
-        assoc = symbolic_components(sm, "associator")
-        raw = _compare("associator_reduced_4d", assoc,
-                       forms["associator_reduced_4d"],
-                       note="closed form assumes the last two operands are "
-                            "co-stratal; raw difference recorded")
-        results.append(raw)
-        binds = ratio_subs(4, ("b", "c"))
-        reduced = _compare("associator_reduced_4d_costratal",
-                           _subbed(assoc, binds),
-                           _subbed(forms["associator_reduced_4d"], binds))
-        results.append(reduced)
-        lps_c = symbolic_components(sm, "lps")
-        results.append(_compare("lps_component0_4d", [lps_c[0]],
-                                forms["lps_component0_4d"]))
-        return results
-    if name == "nonlinear3":
-        sm = symbolic_model("nonlinear3")
-        forms = _closed_forms_nonlinear3()
-        results.append(_compare("commutator_direction_nl3",
-                                symbolic_components(sm, "commutator"),
-                                forms["commutator_direction_nl3"]))
-        # the affine layer cancels in the associator: it equals the
-        # associator of the bilinear part alone
-        from .algebra import AffineOperation
-        bl = AffineOperation(sm.operation.bilinear, zero=Polynomial())
-        a, b, c = _coords3()
-        results.append(_compare("associator_equals_bilinear_part_nl3",
-                                list(associator(sm.operation, a, b, c)),
-                                list(associator(bl, a, b, c))))
-        # chain-order difference = bilinear chain-order difference plus the
-        # commutator of the two multipliers under the bilinear part
-        lhs = list(lps(sm.operation, a, b, c))
-        rhs = [x + y for x, y in zip(lps(bl, a, b, c),
-                                     commutator(bl, b, c))]
-        results.append(_compare("lps_decomposition_nl3", lhs, rhs))
-        return results
-    raise ValueError(f"no identity suite for model {name!r}")
+    if name not in _IDENTITY_ROWS:
+        raise ValueError(f"no identity suite for model {name!r}")
+    return [_compare(*row) for row in _IDENTITY_ROWS[name]()]
 
 
 def _compare(name, direct, form, note=None):
@@ -904,16 +876,11 @@ def case_analysis(model, plan=None):
             "mode": "symbolic"}
         lps_al, _res = _symbolic_lps_costratal(model.name, n)
     else:
-        rng = plan.rng("case1")
-        mul = functools.partial(multiply_values, model.operation)
-        ok = True
-        for _ in range(plan.samples):
-            d = _draw_direction(model, rng)
-            a, b, c = (_draw_on_direction(model, rng, d) for _ in range(3))
-            u = mul(mul(a, b), c)
-            if u != mul(a, mul(b, c)) or u != mul(mul(a, c), b):
-                ok = False
-                break
+        op = model.operation
+        ok = not _first_failure(
+            model, plan.rng("case1"), plan.samples,
+            lambda a, b, c: not (_associates(op, a, b, c)
+                                 and _swaps(op, a, b, c)))
         report["case1"] = {"associator_zero": ok, "lps_zero": ok,
                            "mode": "sampled"}
         lps_al = None

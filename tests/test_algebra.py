@@ -143,6 +143,72 @@ def test_associativity_check_rejects_affine_operations(nonlinear19):
         associativity_check(nonlinear19.operation)
 
 
+def tensor_loop_mismatches(tensor):
+    """Reference: the duck-typed n**5 loop over the coefficients, as the
+    tensor criterion ran before it used the compiled product."""
+    n = tensor.n
+    get = tensor.entries.get
+    out = []
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        lhs = rhs = None
+        for r in range(n):
+            x, y = get((i, j, r)), get((r, k, l))
+            if x is not None and y is not None:
+                lhs = x * y if lhs is None else lhs + x * y
+            x, y = get((j, k, r)), get((i, r, l))
+            if x is not None and y is not None:
+                rhs = x * y if rhs is None else rhs + x * y
+        if lhs is None and rhs is None:
+            continue
+        zero = algebra._zero_like(lhs if lhs is not None else rhs)
+        lhs = zero if lhs is None else lhs
+        rhs = zero if rhs is None else rhs
+        if lhs != rhs:
+            out.append(algebra.Mismatch(i, j, k, l, lhs, rhs))
+    return out
+
+
+TENSOR_SCALARS = {
+    "Q": lambda rng: Field().element(Fraction(rng.randint(-4, 4),
+                                              rng.randint(1, 4))),
+    "F_5": lambda rng: Field(5).element(rng.randrange(5)),
+    "F_101": lambda rng: Field(101).element(rng.randrange(101)),
+    "poly": lambda rng: rng.randint(-2, 2) * Polynomial.var(
+        rng.choice("AB")) + rng.randint(-2, 2),
+}
+
+
+@pytest.mark.parametrize("kind", TENSOR_SCALARS)
+@pytest.mark.parametrize("density", (0.15, 1.0), ids=("sparse", "dense"))
+def test_tensor_criterion_matches_the_coefficient_loop(kind, density):
+    """Same mismatches, sides and order as the n**5 loop, on one seeded
+    tensor for each n = 1..6, and none on the empty tensor."""
+    for n in range(1, 7):
+        rng = random.Random(f"{kind}:{density}:{n}")
+        tensor = StructureTensor(n, {
+            key: TENSOR_SCALARS[kind](rng)
+            for key in itertools.product(range(n), repeat=3)
+            if rng.random() < density})
+        want = tensor_loop_mismatches(tensor)
+        for got in (associativity_check(tensor),
+                    associativity_check(AffineOperation(
+                        tensor, zero=TENSOR_SCALARS[kind](rng) * 0))):
+            assert got == want
+            assert [(type(m.lhs), type(m.rhs), str(m.lhs), str(m.rhs))
+                    for m in got] == \
+                [(type(m.lhs), type(m.rhs), str(m.lhs), str(m.rhs))
+                 for m in want]
+    assert associativity_check(StructureTensor(3, {})) == []
+
+
+def test_tensor_criterion_refuses_raw_scalars():
+    """Like multiply, the criterion takes FieldElements of one field or
+    Polynomials: a tensor of raw ints or Fractions raises TypeError."""
+    for c in (1, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            associativity_check(StructureTensor(2, {(0, 0, 0): c}))
+
+
 def test_identity_helpers_match_their_definitions(f19):
     rng = random.Random(3)
     op = builtin_model("parametric3", params=(2, 3, 5, 7, 11, 13),

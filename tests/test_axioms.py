@@ -1,5 +1,7 @@
 """Axiom checks SA1-SA4, classification, identity suite, case analysis."""
 
+import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -8,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +44,7 @@ from stratalg import (
 )
 from stratalg import algebra, axioms
 from stratalg.algebra import BUILTIN_NAMES, RATIO_RULE_3D, RATIO_RULE_4D, \
-    associator, is_zero_vector, lps
+    associator, is_zero_vector, lps, multiply_values
 from stratalg.axioms import (
     DEGENERATE,
     FAILS,
@@ -49,6 +52,7 @@ from stratalg.axioms import (
     HOLDS,
     RETEST_SCALES,
     SAMPLES,
+    _associates,
     _bound_operands,
     _case2_point,
     _case3_point,
@@ -57,12 +61,13 @@ from stratalg.axioms import (
     _draw_direction,
     _draw_distinct_directions,
     _draw_on_direction,
-    _lps_pointwise,
+    _first_failure,
+    _in_stratum_failure,
     _non_associative_triple,
     _rated,
     _sa2_point,
     _sa4_point,
-    _sample_consistency_sa1,
+    _swaps,
     _symbolic_in_stratum,
     _symbolic_lps_costratal,
     label_str,
@@ -792,29 +797,120 @@ def test_samplers_match_the_field_element_samplers(p):
 def test_gate_and_lps_loop_match_the_field_element_loops(name, p):
     field = Field(p)
     model = diff_model(name, field)
+    gate, lps_law = sa1_gate(model), lps_failure(model)
     for seed in range(4):
         old, new = twin_rngs(name, p, seed, "gate")
-        ok, wit = _sample_consistency_sa1(model, new, count=30)
-        got = ok, wit and (wit[0], *[_elements(field, v) for v in wit[1:]])
+        wit = _first_failure(model, new, 30, gate)
+        got = (wit is None,
+               wit and (wit[0], *[_elements(field, v) for v in wit[1:]]))
         assert exact(got) == exact(old_gate(model, old, 30))
         assert new.getstate() == old.getstate()
         old, new = twin_rngs(name, p, seed, "lps")
-        got = _lps_pointwise(model, new, 30)
+        got = _first_failure(model, new, 30, lps_law, distinct=True)
         got = got and [_elements(field, v) for v in got]
         assert exact(got) == exact(old_lps_pointwise(model, old, 30))
         assert new.getstate() == old.getstate()
 
 
 def test_gate_witnesses_cover_both_laws_and_lps():
-    """The models above reach every exit of the two loops."""
+    """The models above reach every exit of the gate, the lps search and
+    case 1's sampled search."""
     kinds = set()
     for name in DIFF_MODELS:
         for p in (7, 1000000000039, None):
             model = diff_model(name, Field(p))
-            ok, wit = _sample_consistency_sa1(model, random.Random(0), 30)
-            kinds.add("holds" if ok else wit[0])
-            kinds.add(_lps_pointwise(model, random.Random(0), 30) is None)
-    assert kinds == {"holds", "commutator", "associator", True, False}
+            wit = _first_failure(model, random.Random(0), 30, sa1_gate(model))
+            kinds.add(wit[0] if wit else "holds")
+            kinds.add(_first_failure(model, random.Random(0), 30,
+                                     lps_failure(model), distinct=True) is None)
+            kinds.add(("case1", _first_failure(model, random.Random(0), 30,
+                                               case1_failure(model)) is None))
+    assert kinds == {"holds", "commutator", "associator", True, False,
+                     ("case1", True), ("case1", False)}
+
+
+def sa1_gate(model):
+    """The law check_sa1's sample gate hands _first_failure."""
+    return functools.partial(_in_stratum_failure, model.operation)
+
+
+def lps_failure(model):
+    """The law check_sa3's lps_pointwise clause hands _first_failure."""
+    op = model.operation
+    return lambda a, b, c: None if _swaps(op, a, b, c) else (a, b, c)
+
+
+def case1_failure(model):
+    """The law case_analysis's sampled case 1 hands _first_failure."""
+    op = model.operation
+    return lambda a, b, c: not (_associates(op, a, b, c)
+                                and _swaps(op, a, b, c))
+
+
+# In-test copies of the three plain-value loops that _first_failure
+# replaced: the SA1 gate (both its count-100 use behind a failed proof and
+# its plan.samples use for a model with no symbolic twin), SA3's
+# lps_pointwise and case 1's sampled mode.
+
+def loop_gate(model, rng, count=100):
+    op = model.operation
+    for _ in range(count):
+        d = _draw_direction(model, rng)
+        a, b, c = (_draw_on_direction(model, rng, d) for _ in range(3))
+        ab = multiply_values(op, a, b)
+        if ab != multiply_values(op, b, a):
+            return False, ("commutator", tuple(a), tuple(b))
+        if multiply_values(op, ab, c) != \
+                multiply_values(op, a, multiply_values(op, b, c)):
+            return False, ("associator", tuple(a), tuple(b), tuple(c))
+    return True, None
+
+
+def loop_lps_pointwise(model, rng, count):
+    op = model.operation
+    for _ in range(count):
+        da, db = _draw_distinct_directions(model, rng, 2)
+        a, b, c = (_draw_on_direction(model, rng, d) for d in (da, db, db))
+        if multiply_values(op, multiply_values(op, a, b), c) != \
+                multiply_values(op, multiply_values(op, a, c), b):
+            return [tuple(v) for v in (a, b, c)]
+    return None
+
+
+def loop_case1(model, rng, count):
+    mul = functools.partial(multiply_values, model.operation)
+    ok = True
+    for _ in range(count):
+        d = _draw_direction(model, rng)
+        a, b, c = (_draw_on_direction(model, rng, d) for _ in range(3))
+        u = mul(mul(a, b), c)
+        if u != mul(a, mul(b, c)) or u != mul(mul(a, c), b):
+            ok = False
+            break
+    return ok
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES, ids=lambda p: f"F_{p}" if p else "Q")
+@pytest.mark.parametrize("name", DIFF_MODELS)
+def test_first_failure_matches_the_loops_it_replaced(name, p):
+    model = diff_model(name, Field(p))
+    plan = SamplingPlan(samples=40)
+    for seed in range(2):
+        for count in (100, plan.samples):
+            old, new = twin_rngs(name, p, seed, "gate", count)
+            wit = _first_failure(model, new, count, sa1_gate(model))
+            assert (wit is None, wit) == loop_gate(model, old, count)
+            assert new.getstate() == old.getstate()
+        old, new = twin_rngs(name, p, seed, "lps")
+        got = _first_failure(model, new, min(plan.samples, 100),
+                             lps_failure(model), distinct=True)
+        want = loop_lps_pointwise(model, old, min(plan.samples, 100))
+        assert (got and list(got)) == want
+        assert new.getstate() == old.getstate()
+        old, new = twin_rngs(name, p, seed, "case1")
+        got = _first_failure(model, new, plan.samples, case1_failure(model))
+        assert (not got) == loop_case1(model, old, plan.samples)
+        assert new.getstate() == old.getstate()
 
 
 def test_distinct_directions_reduce_cross_products_mod_p():
@@ -1136,19 +1232,42 @@ def test_symbolic_sa1_proof_agrees_with_the_sample_gate(name, params, p,
     model = builtin_model(name, params=params, field=Field(p))
     laws, residuals = _symbolic_in_stratum(name, model.dimension)
     assert all(laws.values()) and not residuals
-    assert _sample_consistency_sa1(model, random.Random(seed), count=20) == \
-        (True, None)
+    # report one law unproved, so that check_sa1 draws the gate, and skip
+    # the closure enumeration, which this test does not read
+    unproved = {**laws, "associative": False}, {"associative": ["a0"]}
+    with mock.patch.object(axioms, "_symbolic_in_stratum",
+                           lambda name, n: unproved), \
+            mock.patch.object(axioms, "SPACE_CAP", 0), rng_streams() as drawn:
+        rep = check_sa1(model, plan=SamplingPlan(samples=20, seed=seed))
+    assert [tag for tag, _state, _rng in drawn] == ["SA1:gate"]
+    assert rep["clauses"]["symbolic"]["sample_gate"] is True
+    assert rep["witnesses"] == []
+
+
+@contextlib.contextmanager
+def rng_streams():
+    """Record (tag, state when made, stream) of every SamplingPlan.rng call
+    made inside the block, so a test finds the SA1 gate by its tag."""
+    drawn = []
+    real = SamplingPlan.rng
+
+    def spy(self, tag):
+        rng = real(self, tag)
+        drawn.append((tag, rng.getstate(), rng))
+        return rng
+
+    with mock.patch.object(SamplingPlan, "rng", spy):
+        yield drawn
 
 
 @pytest.mark.parametrize("p", (5, None), ids=lambda p: f"F_{p}" if p else "Q")
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_a_proof_that_holds_draws_no_sample_gate(name, p, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sample gate drawn behind a proof that holds")
-
-    monkeypatch.setattr(axioms, "_sample_consistency_sa1", refuse)
+def test_a_proof_that_holds_draws_no_sample_gate(name, p):
     model = builtin_model(name, params=(2, 3, 7, 1, 4, 6), field=Field(p))
-    rep = check_sa1(model, plan=SamplingPlan(samples=20, seed=1))
+    with rng_streams() as drawn:
+        rep = check_sa1(model, plan=SamplingPlan(samples=20, seed=1))
+    assert "SA1:gate" not in [tag for tag, _state, _rng in drawn], \
+        "sample gate drawn behind a proof that holds"
     assert rep["clauses"]["symbolic"]["sample_gate"] is True
     # parametric4's lumped ratio-pair stratum (inf,0) holds several
     # directions, so it fails closure on F_5 with or without the gate
@@ -1161,23 +1280,22 @@ def test_a_failed_proof_draws_the_sample_gate(p, monkeypatch):
     """With one law unproved, check_sa1 draws the gate once, on its own
     stream, and records what the draws observed (a gate that fails is
     recorded in test_a_symbolic_proof_that_fails_is_reported)."""
-    real = axioms._sample_consistency_sa1
-    drawn = []
-
-    def spy(model, rng, count=100):
-        drawn.append(rng.getstate())
-        return real(model, rng, count)
-
     laws = {"commutative": True, "closed_direction": True,
             "associative": False}
     monkeypatch.setattr(axioms, "_symbolic_in_stratum",
                         lambda name, n: (laws, {"associative": ["a0"]}))
-    monkeypatch.setattr(axioms, "_sample_consistency_sa1", spy)
     model = builtin_model("parametric3", params=(2, 3, 7, 1, 4, 6),
                           field=Field(p))
     plan = SamplingPlan(samples=20, seed=1)
-    rep = check_sa1(model, plan=plan)
-    assert drawn == [plan.rng("SA1:gate").getstate()]
+    with rng_streams() as drawn:
+        rep = check_sa1(model, plan=plan)
+    gate = [(state, rng) for tag, state, rng in drawn if tag == "SA1:gate"]
+    assert [state for state, _rng in gate] == \
+        [plan.rng("SA1:gate").getstate()]
+    # the gate drew from that stream: 100 triples, none failing
+    fresh = plan.rng("SA1:gate")
+    assert _first_failure(model, fresh, 100, sa1_gate(model)) is None
+    assert gate[0][1].getstate() == fresh.getstate()
     assert rep["clauses"]["symbolic"]["sample_gate"] is True
     assert rep["verdict"] == (HOLDS if p else FAILS)
 
