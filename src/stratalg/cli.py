@@ -66,7 +66,7 @@ def load_model(args):
                 from None
         try:
             return model_from_json(obj, field if args.field else None)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad model file {args.model!r}: {exc}") \
                 from None
     name = args.builtin
@@ -116,8 +116,11 @@ def partition_for(args, model, walk=False):
 def emit(args, text):
     out = text if text.endswith("\n") else text + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output!r}: {exc}") from None
     else:
         sys.stdout.write(out)
 

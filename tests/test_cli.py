@@ -80,6 +80,19 @@ def test_check_assoc_rejects_affine(capsys):
     assert "axioms" in err  # points at the right command
 
 
+@pytest.mark.parametrize("target", ("missing-dir", "dir"))
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, target):
+    """A report that cannot be written exits 2 (exit 1 means a checked
+    property fails) with one error line, and writes no partial stdout."""
+    path = tmp_path / "no" / "report.txt" if target == "missing-dir" \
+        else tmp_path
+    rc, out, err = run(capsys, ["check-assoc", "--builtin", "basic3",
+                                "--output", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_errors(capsys, tmp_path):
     rc, _, err = run(capsys, ["check-assoc"])
     assert rc == 2 and "--builtin" in err
@@ -369,8 +382,9 @@ def test_float_model_parameter_is_a_usage_error(capsys, tmp_path):
 
 # [(path into a model file, bad value), ...]: indices and coords outside
 # [0, n) or not ints, float scalars, which JSON would round or truncate, a
-# string modulus, and a bool parameter of a builtin reference (the file
-# becomes one when it names a builtin)
+# string modulus, a bool parameter of a builtin reference (the file
+# becomes one when it names a builtin), and zero denominators: a
+# coefficient 1/0 over Q, 1/5 over F_5 and a builtin parameter 1/5 at F_5
 BAD_MODEL_FILES = [
     [(("operation", "linear_a", 0, "i"), 5)],
     [(("operation", "linear_b", 0, "k"), -1)],
@@ -385,6 +399,10 @@ BAD_MODEL_FILES = [
     [(("strata_rule", "kind"), "slope")],
     [(("field", "p"), "7")],
     [(("builtin",), "nonlinear3"), (("params", "A"), True)],
+    [(("field",), {"kind": "Q"}), (("operation", "bilinear", 0, "c"), "1/0")],
+    [(("field", "p"), 5), (("operation", "bilinear", 0, "c"), "1/5")],
+    [(("builtin",), "nonlinear3"), (("field", "p"), 5),
+     (("params", "A"), "1/5")],
 ]
 
 
@@ -394,7 +412,8 @@ BAD_MODEL_FILES = [
          "index-bool", "coefficient-float", "dimension-float",
          "coord-negative", "coord-out-of-range", "ratio-on-three-coords",
          "repeated-coord", "unknown-rule", "modulus-string",
-         "builtin-param-bool"])
+         "builtin-param-bool", "coefficient-over-zero-q",
+         "coefficient-over-p-f5", "builtin-param-over-p-f5"])
 def test_bad_model_file_is_a_usage_error(capsys, tmp_path, edits):
     obj = model_to_json(builtin_model("nonlinear3", params=(2, 3, 5, 1, 4, 6),
                                       field=Field(7)))
